@@ -80,6 +80,13 @@ echo "==> snbc-bench check --suite portfolio (racing + cache regression gate)"
 SNBC_THREADS=1 cargo run -q --release -p snbc-bench --bin snbc-bench -- check --suite portfolio
 SNBC_THREADS=4 cargo run -q --release -p snbc-bench --bin snbc-bench -- check --suite portfolio
 
+echo "==> snbc-bench check --suite highdim (an n >= 6 row: Lyapunov warm start)"
+# C10 with its Table 1 configuration, the cheapest row that warm-starts: the
+# strict leg pins the `warm-start` span beside `approx` plus the exact
+# epoch/IPM/Cholesky/LP counters; the 4-thread leg gates outcome and wall.
+SNBC_THREADS=1 cargo run -q --release -p snbc-bench --bin snbc-bench -- check --suite highdim
+SNBC_THREADS=4 cargo run -q --release -p snbc-bench --bin snbc-bench -- check --suite highdim
+
 echo "==> snbc batch smoke (cold race streams NDJSON, warm cache must serve every job)"
 batch_tmp="$(mktemp -d)"
 target/release/snbc batch examples/batch_jobs.json \

@@ -1,9 +1,9 @@
 //! `snbc-bench` — the benchmark regression gate.
 //!
 //! ```text
-//! snbc-bench check  [--suite quickstart|interval|portfolio] [--baseline-dir bench-out]
+//! snbc-bench check  [--suite quickstart|interval|portfolio|highdim] [--baseline-dir bench-out]
 //!                   [--wall-factor 10] [--trace <json-file>]
-//! snbc-bench record [--suite quickstart|interval|portfolio] [--output <json-file>]
+//! snbc-bench record [--suite quickstart|interval|portfolio|highdim] [--output <json-file>]
 //! ```
 //!
 //! `check` re-runs a benchmark suite in-process with a recording telemetry
@@ -44,6 +44,11 @@
 //!   accounting is gated from the per-leg `snbc-metrics/1` snapshot (the
 //!   batch report deliberately carries none of it), and the canonical
 //!   snapshots of the cold and warm legs must be byte-identical.
+//! * `highdim` — benchmark C10 (n = 6) with its Table 1 configuration
+//!   ([`snbc_bench::snbc_config_for`]), the cheapest row that takes the
+//!   Lyapunov warm start. The strict baseline pins the `warm-start` span
+//!   beside `approx` and its `epochs`/`samples` counters, on top of the
+//!   learner, IPM, Cholesky and LP counters every suite pins.
 //!
 //! `--trace` additionally attaches an `snbc-trace` sink and writes the
 //! Chrome trace-event JSON of the gate run (handy for inspecting what the
@@ -74,19 +79,24 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: snbc-bench check [--suite quickstart|interval|portfolio] \
+const USAGE: &str = "usage: snbc-bench check [--suite quickstart|interval|portfolio|highdim] \
                      [--baseline-dir <dir>] [--wall-factor <f>] [--trace <json>]\n   \
-                     or: snbc-bench record [--suite quickstart|interval|portfolio] [--output <json>]";
+                     or: snbc-bench record [--suite quickstart|interval|portfolio|highdim] \
+                     [--output <json>]";
 
 fn parse_suite(name: &str) -> Result<String, String> {
-    if name == "quickstart" || name == "interval" || name == "portfolio" {
+    if ["quickstart", "interval", "portfolio", "highdim"].contains(&name) {
         Ok(name.to_string())
     } else {
         Err(format!(
-            "unknown suite `{name}` (expected quickstart, interval, or portfolio)"
+            "unknown suite `{name}` (expected quickstart, interval, portfolio, or highdim)"
         ))
     }
 }
+
+/// The `highdim` suite's wall-clock budget: far beyond the run, so its
+/// verdict depends on the round budget alone and stays deterministic.
+const HIGHDIM_TIME_LIMIT: std::time::Duration = std::time::Duration::from_secs(3600);
 
 fn run(args: &[String]) -> Result<bool, String> {
     let mut it = args.iter();
@@ -142,8 +152,15 @@ fn run_suite(suite: &str, with_trace: bool) -> (Telemetry, bool) {
     if suite == "portfolio" {
         return run_portfolio_suite(with_trace);
     }
-    // Reproduce the exact quickstart run (examples/quickstart.rs) in-process.
-    let bench = benchmarks::benchmark(3);
+    // Reproduce the exact quickstart run (examples/quickstart.rs) in-process,
+    // or C10 with its Table 1 configuration for the `highdim` suite.
+    let (bench, cfg) = if suite == "highdim" {
+        let bench = benchmarks::benchmark(10);
+        let cfg = snbc_bench::snbc_config_for(&bench, HIGHDIM_TIME_LIMIT);
+        (bench, cfg)
+    } else {
+        (benchmarks::benchmark(3), SnbcConfig::default())
+    };
     let controller = train_controller(
         bench.system.domain().bounding_box(),
         bench.target_law,
@@ -153,7 +170,7 @@ fn run_suite(suite: &str, with_trace: bool) -> (Telemetry, bool) {
     if with_trace {
         telemetry = telemetry.with_trace(snbc_trace::Trace::recording());
     }
-    let result = Snbc::new(SnbcConfig::default())
+    let result = Snbc::new(cfg)
         .with_telemetry(telemetry.clone())
         .synthesize(&bench, &controller);
     let res = match &result {

@@ -294,14 +294,16 @@ mod tests {
 
     #[test]
     fn committed_baselines_parse_and_self_compare() {
-        // The committed quickstart baselines must stay parseable and must
-        // pass the gate against themselves (identity is the cheapest sanity
-        // property a regression gate can have).
+        // The committed baselines must stay parseable and must pass the
+        // gate against themselves (identity is the cheapest sanity property
+        // a regression gate can have).
         for name in [
             "BENCH_quickstart.json",
             "BENCH_quickstart_t1.json",
             "BENCH_interval.json",
             "BENCH_interval_t1.json",
+            "BENCH_highdim.json",
+            "BENCH_highdim_t1.json",
         ] {
             let path = format!("{}/../../bench-out/{name}", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {

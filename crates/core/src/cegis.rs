@@ -344,7 +344,7 @@ impl CegisEngine {
         let sets = TrainingSets::sample(system, batch, cfg.seed + 2);
         let closed_nominal = system.close_loop(&inclusion.h);
         if n >= 6 {
-            warm_start_lyapunov(&mut learner, system, &closed_nominal, &sets);
+            warm_start_lyapunov(&mut learner, system, &closed_nominal, &sets, &tele);
         }
 
         // Training and counterexample search both use the robust closed loop
@@ -599,6 +599,7 @@ impl CegisEngine {
                         &self.system,
                         &self.closed_nominal,
                         &self.sets,
+                        &tele,
                     );
                 }
             } else {
@@ -738,17 +739,23 @@ impl CegisEngine {
     }
 }
 
-/// Seeds the learner with a Lyapunov-shaped candidate `β − xᵀPx`, where `P`
-/// solves `AᵀP + PA = −I` for the linearized closed loop `A` — the canonical
-/// member of the S-procedure-certifiable basin for contractive systems (the
-/// high-dimensional Table 1 rows). Falls back to a sphere when the
-/// linearization is not Hurwitz.
+/// Epochs of the Lyapunov warm start's regression.
+const WARM_START_EPOCHS: usize = 80;
+
+/// Seeds the learner with the Lyapunov-shaped candidate `1 − xᵀPx/β`, where
+/// `P` solves `AᵀP + PA = −I` for the linearized closed loop `A` — the
+/// canonical member of the S-procedure-certifiable basin for contractive
+/// systems (the high-dimensional Table 1 rows). Falls back to a sphere when
+/// the linearization is not Hurwitz. Recorded as a `warm-start` span with
+/// `epochs` and `samples` counters.
 fn warm_start_lyapunov(
     learner: &mut Learner,
     system: &snbc_dynamics::Ccds,
     closed_nominal: &[Polynomial],
     sets: &TrainingSets,
+    tele: &snbc_telemetry::Telemetry,
 ) {
+    let _span = tele.span("warm-start");
     let n = system.nvars();
     let quad: Polynomial = match lyapunov_quadratic(closed_nominal, n) {
         Some(p_mat) => {
@@ -800,7 +807,11 @@ fn warm_start_lyapunov(
         .chain(&sets.unsafe_)
         .cloned()
         .collect();
-    learner.warm_start(&target, &samples, 80);
+    learner.warm_start(&target, &samples, WARM_START_EPOCHS);
+    if tele.is_recording() {
+        tele.add("epochs", WARM_START_EPOCHS as u64);
+        tele.add("samples", samples.len() as u64);
+    }
 }
 
 /// Solves the Lyapunov equation `AᵀP + PA = −I` for the linear part `A` of

@@ -182,10 +182,18 @@ impl Learner {
     }
 
     /// Pre-trains the barrier network toward a target polynomial by plain
-    /// MSE regression (Adam, fresh optimizer state afterwards). Used by the
-    /// CEGIS driver to seed high-dimensional runs with a Lyapunov-shaped
-    /// candidate `1 − ‖x − c_Θ‖²/ρ²`, which lies in the certifiable basin of
-    /// the S-procedure verifier; the barrier loss then fine-tunes margins.
+    /// regression: `epochs` full-batch Adam steps (learning rate 0.05) on
+    /// `Σ (B(x) − target(x))²` over `samples`, with this learner's optimizer
+    /// state reset afterwards. The CEGIS driver calls it on n ≥ 6 rows with
+    /// the target `1 − xᵀPx/β`: `P` solves `AᵀP + PA = −I` for the
+    /// linearized nominal closed loop `A` (`P = I`, a sphere, when that
+    /// linearization is not Hurwitz), and the level `β` lies between the
+    /// quadratic's values on the samples of Θ and those on Ξ. The barrier
+    /// loss then fine-tunes margins.
+    ///
+    /// Each epoch's gradient comes from
+    /// [`QuadraticNet::squared_error_gradient`], bit-identical to
+    /// differentiating the summed loss on an autodiff tape.
     ///
     /// # Panics
     ///
@@ -196,20 +204,12 @@ impl Learner {
         let mut params: Vec<f64> = self.b_net.params().to_vec();
         let mut opt = Adam::new(nb, 0.05);
         let ys: Vec<f64> = samples.iter().map(|x| target.eval(x)).collect();
+        let mut state = vec![0.0; self.b_net.state_len()];
+        let mut grad = vec![0.0; nb];
         for _ in 0..epochs {
-            let mut tape = Tape::with_capacity(1 << 14);
-            let pv: Vec<_> = params.iter().map(|&p| tape.input(p)).collect();
-            let mut loss = tape.constant(0.0);
-            for (x, &y) in samples.iter().zip(&ys) {
-                let xv: Vec<_> = x.iter().map(|&v| tape.constant(v)).collect();
-                let out = self.b_net.forward_tape(&mut tape, &pv, &xv);
-                let e = tape.add_const(out, -y);
-                let sq = tape.mul(e, e);
-                loss = tape.add(loss, sq);
-            }
-            let g = tape.grad(loss, &pv);
-            let gv: Vec<f64> = g.iter().map(|&v| tape.value(v)).collect();
-            opt.step(&mut params, &gv);
+            self.b_net
+                .squared_error_gradient(&params, samples, &ys, &mut state, &mut grad);
+            opt.step(&mut params, &grad);
         }
         self.b_net.set_params(&params);
         self.optimizer.reset();

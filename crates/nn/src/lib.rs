@@ -16,7 +16,9 @@
 //!   `NN_λ(x)` column of Table 1.
 //!
 //! Training uses [`snbc_autodiff::Tape`] (including the grad-of-grad needed by
-//! the Lie-derivative loss) and the [`Adam`] optimizer. Lipschitz constants
+//! the Lie-derivative loss) and the [`Adam`] optimizer; the squared-error
+//! regression of the quadratic network runs on the tape-free, allocation-free
+//! kernel [`QuadraticNet::squared_error_gradient`]. Lipschitz constants
 //! for Theorem 2 are bounded by the product of layer spectral norms
 //! ([`Mlp::lipschitz_bound`]), the standard safe estimate in the spirit of
 //! the paper's reference \[6\].

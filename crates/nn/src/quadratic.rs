@@ -109,35 +109,162 @@ impl QuadraticNet {
     ///
     /// Panics on input-width mismatch.
     pub fn forward(&self, x: &[f64]) -> f64 {
+        let mut state = vec![0.0; self.state_len()];
+        self.eval_state(&self.params, x, &mut state)
+    }
+
+    /// Length of the caller-owned scratch of
+    /// [`QuadraticNet::squared_error_gradient`]: per hidden unit, its two
+    /// linear maps `a₁`, `a₂`, its activation `a₁·a₂` and that activation's
+    /// adjoint.
+    pub fn state_len(&self) -> usize {
+        4 * self.hidden.iter().sum::<usize>()
+    }
+
+    /// Gradient of the squared error `Σₛ (B(xₛ; θ) − yₛ)²` with respect to
+    /// the flat parameters `θ = params`, written into `grad`; `state` is
+    /// scratch of length [`QuadraticNet::state_len`]. Allocation-free, for
+    /// any depth.
+    ///
+    /// The result is bit-identical to reverse-mode differentiation of the
+    /// same sum recorded sample by sample on a [`Tape`] with
+    /// [`QuadraticNet::forward_tape`], because every floating-point
+    /// operation is repeated in the tape's order: forward sums run left to
+    /// right; the residual is `e = B + (−y)` with output adjoint `e + e`;
+    /// each parameter receives one product per sample, samples swept last
+    /// to first; and an activation's adjoint sums over the units of the next
+    /// layer in descending order, the `W₂` term before the `W₁` term.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    // audit:hot
+    pub fn squared_error_gradient(
+        &self,
+        params: &[f64],
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        state: &mut [f64],
+        grad: &mut [f64],
+    ) {
+        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
+        assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
+        assert_eq!(state.len(), self.state_len(), "state length mismatch");
+        assert_eq!(xs.len(), ys.len(), "one target per sample");
+        // −0 is the exact additive identity (−0 + c = c for every c, signed
+        // zeros included), so starting each chain here reproduces the tape,
+        // which stores a first contribution and adds later ones to it.
+        grad.fill(-0.0);
+        for (x, &y) in xs.iter().zip(ys).rev() {
+            let e = self.eval_state(params, x, state) + -y;
+            self.backprop_state(params, x, e + e, state, grad);
+        }
+    }
+
+    /// Forward pass over `params`, recording every hidden unit's `a₁`, `a₂`
+    /// and activation in `state` (layout of [`QuadraticNet::state_len`]).
+    // audit:hot
+    fn eval_state(&self, params: &[f64], x: &[f64], state: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let mut act: Vec<f64> = x.to_vec();
-        let mut offset = 0;
-        for &h in &self.hidden {
-            let fan_in = act.len();
-            let mut next = vec![0.0; h];
-            let w1 = offset;
+        let mut p = 0;
+        let mut s = 0;
+        let mut fan_in = self.input_dim;
+        for (l, &h) in self.hidden.iter().enumerate() {
+            let (below, cur) = state.split_at_mut(s);
+            let input = if l == 0 {
+                x
+            } else {
+                &below[s - 2 * fan_in..s - fan_in]
+            };
+            let (a1s, rest) = cur.split_at_mut(h);
+            let (a2s, zs) = rest.split_at_mut(h);
+            let w1 = p;
             let b1 = w1 + fan_in * h;
             let w2 = b1 + h;
             let b2 = w2 + fan_in * h;
-            for (o, n) in next.iter_mut().enumerate() {
-                let mut a1 = self.params[b1 + o];
-                let mut a2 = self.params[b2 + o];
-                for (i, a) in act.iter().enumerate() {
-                    a1 += self.params[w1 + o * fan_in + i] * a;
-                    a2 += self.params[w2 + o * fan_in + i] * a;
+            for o in 0..h {
+                let mut a1 = params[b1 + o];
+                let mut a2 = params[b2 + o];
+                for (i, a) in input.iter().enumerate() {
+                    a1 += params[w1 + o * fan_in + i] * a;
+                    a2 += params[w2 + o * fan_in + i] * a;
                 }
-                *n = a1 * a2;
+                a1s[o] = a1;
+                a2s[o] = a2;
+                zs[o] = a1 * a2;
             }
-            offset = b2 + h;
-            act = next;
+            p = b2 + h;
+            s += 4 * h;
+            fan_in = h;
         }
-        let w = offset;
-        let b = w + act.len();
-        let mut out = self.params[b];
-        for (i, a) in act.iter().enumerate() {
-            out += self.params[w + i] * a;
+        let mut out = params[p + fan_in];
+        for (i, a) in state[s - 2 * fan_in..s - fan_in].iter().enumerate() {
+            out += params[p + i] * a;
         }
         out
+    }
+
+    /// Backward pass for one sample whose forward pass is in `state`, with
+    /// output adjoint `adj_out`: adds each parameter's product to `grad`.
+    // audit:hot
+    fn backprop_state(
+        &self,
+        params: &[f64],
+        x: &[f64],
+        adj_out: f64,
+        state: &mut [f64],
+        grad: &mut [f64],
+    ) {
+        let mut fan_in = self.hidden[self.hidden.len() - 1];
+        let mut p = params.len() - 1 - fan_in;
+        let mut s = state.len();
+        grad[p + fan_in] += adj_out;
+        let (z, dz) = state[s - 2 * fan_in..].split_at_mut(fan_in);
+        for i in 0..fan_in {
+            grad[p + i] += adj_out * z[i];
+            dz[i] = adj_out * params[p + i];
+        }
+        for l in (0..self.hidden.len()).rev() {
+            let h = fan_in;
+            fan_in = if l == 0 {
+                self.input_dim
+            } else {
+                self.hidden[l - 1]
+            };
+            let w1 = p - 2 * (fan_in * h + h);
+            let b1 = w1 + fan_in * h;
+            let w2 = b1 + h;
+            let b2 = w2 + fan_in * h;
+            let (below, cur) = state.split_at_mut(s - 4 * h);
+            let (a1s, rest) = cur.split_at(h);
+            let (a2s, rest) = rest.split_at(h);
+            let dz = &rest[h..2 * h];
+            // The layer input and its adjoint; the network input has none.
+            let (input, din): (&[f64], &mut [f64]) = if l == 0 {
+                (x, &mut [])
+            } else {
+                let k = below.len();
+                let (zp, dzp) = below[k - 2 * fan_in..].split_at_mut(fan_in);
+                dzp.fill(-0.0);
+                (zp, dzp)
+            };
+            for o in (0..h).rev() {
+                let g1 = dz[o] * a2s[o];
+                let g2 = dz[o] * a1s[o];
+                grad[b1 + o] += g1;
+                grad[b2 + o] += g2;
+                for (i, a) in input.iter().enumerate() {
+                    grad[w1 + o * fan_in + i] += g1 * a;
+                    grad[w2 + o * fan_in + i] += g2 * a;
+                }
+                for (i, d) in din.iter_mut().enumerate() {
+                    *d += g2 * params[w2 + o * fan_in + i];
+                    *d += g1 * params[w1 + o * fan_in + i];
+                }
+            }
+            p = w1;
+            s -= 4 * h;
+        }
     }
 
     /// Forward pass on a tape with parameters and inputs as tape variables.
