@@ -51,11 +51,13 @@ cargo test -q --workspace
 echo "==> cargo test -q (workspace, SNBC_THREADS=1 — guaranteed-serial leg)"
 SNBC_THREADS=1 cargo test -q --workspace
 
-echo "==> cargo test -q --features sanitize (solver + SOS + par + trace crates)"
+echo "==> cargo test -q --features sanitize (solver + SOS + par + trace + core crates)"
 cargo test -q -p snbc-linalg -p snbc-lp -p snbc-sdp --features snbc-linalg/sanitize
 cargo test -q -p snbc-sos --features sanitize
 cargo test -q -p snbc-par --features sanitize
 cargo test -q -p snbc-trace --features sanitize
+# Core: the learner's reduced-gradient finiteness check runs only here.
+cargo test -q -p snbc --features sanitize
 
 echo "==> snbc-bench check (run-report regression gate, strict then loose)"
 SNBC_THREADS=1 cargo run -q --release -p snbc-bench --bin snbc-bench -- check

@@ -51,7 +51,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
         "snbc-par",
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-lp",
         "snbc-sdp",
         "snbc-sos",
@@ -65,7 +64,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
         "snbc-par",
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-lp",
         "snbc-sdp",
         "snbc-sos",
@@ -81,7 +79,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
         "snbc-par",
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-lp",
         "snbc-sdp",
         "snbc-sos",
@@ -111,7 +108,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
         "snbc-par",
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-lp",
         "snbc-sdp",
         "snbc-sos",

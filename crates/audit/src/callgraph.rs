@@ -97,6 +97,7 @@ pub const PAR_ENTRY_POINTS: &[&str] = &[
     "par_map_reduce",
     "par_for_chunks",
     "par_for_chunks_scratch",
+    "par_for_each_mut",
     "join",
     "join3",
 ];

@@ -2,7 +2,6 @@
 //! the multiplier network `λ(x)` with the LeakyReLU surrogate of loss (10).
 
 use rand::SeedableRng;
-use snbc_autodiff::Tape;
 use snbc_dynamics::Ccds;
 use snbc_nn::{Adam, MultiplierNet, QuadraticNet};
 use snbc_poly::Polynomial;
@@ -51,15 +50,19 @@ enum Kind {
     Unsafe,
 }
 
-/// Deterministic index-ordered reduction of one epoch's per-job
-/// `(loss_sum, hinge_sum, gradient)` results into the per-kind loss sums,
-/// the hinge mass, and the reused gradient buffer `g` (zeroed here, not
-/// reallocated — this runs every epoch). Job order is fixed by the chunk
-/// grid, so the fold never depends on the thread count.
+/// Samples per chunk job. The job grid depends only on the sample counts,
+/// never on the worker count.
+const CHUNK: usize = 32;
+
+/// Deterministic index-ordered reduction of one epoch's per-job rows
+/// `[loss_sum, hinge_sum, gradient…]` (see [`Loss10::run_job`]) into the
+/// per-kind loss sums, the hinge mass, and the reused gradient buffer `g`
+/// (zeroed here, not reallocated — this runs every epoch). Job order is fixed
+/// by the chunk grid, so the fold never depends on the thread count.
 // audit:hot
 fn reduce_epoch(
     jobs: &[(Kind, usize, usize)],
-    results: &[(f64, f64, Vec<f64>)],
+    rows: &[Vec<f64>],
     scales: [f64; 3],
     kind_sums: &mut [f64; 3],
     g: &mut [f64],
@@ -67,16 +70,129 @@ fn reduce_epoch(
     let mut hinge = 0.0f64;
     *kind_sums = [0.0; 3];
     g.fill(0.0);
-    for (ji, (loss_sum, hinge_sum, grad)) in results.iter().enumerate() {
-        let (kind, _, _) = jobs[ji];
-        kind_sums[kind as usize] += loss_sum; // audit:allow(unordered-reduce) — serial index-ascending fold
-        hinge += hinge_sum; // audit:allow(unordered-reduce) — same fold, fixed order
+    let np = g.len();
+    for (&(kind, _, _), row) in jobs.iter().zip(rows) {
+        kind_sums[kind as usize] += row[0]; // audit:allow(unordered-reduce) — serial index-ascending fold
+        hinge += row[1]; // audit:allow(unordered-reduce) — same fold, fixed order
         let scale = scales[kind as usize];
-        for (acc, gv) in g.iter_mut().zip(grad) {
+        for (acc, gv) in g.iter_mut().zip(&row[2..2 + np]) {
             *acc += scale * gv; // audit:allow(unordered-reduce) — same fold, fixed order
         }
     }
     hinge
+}
+
+/// The loss-(10) surrogate over one epoch's chunk jobs: the networks, the
+/// samples and the field values at `w = ∓σ*`, shared read-only by every job.
+struct Loss10<'a> {
+    b_net: &'a QuadraticNet,
+    lambda_net: &'a MultiplierNet,
+    sets: &'a TrainingSets,
+    field_lo: &'a [Vec<f64>],
+    field_hi: &'a [Vec<f64>],
+    n: usize,
+    epsilon: f64,
+    leaky_slope: f64,
+}
+
+impl Loss10<'_> {
+    /// Length of a job's row: the penalty sum and hinge mass, the gradient,
+    /// then the networks' scratch.
+    fn row_len(&self) -> usize {
+        2 + self.b_net.num_params()
+            + self.lambda_net.num_params()
+            + self.b_net.lie_state_len()
+            + self.lambda_net.state_len()
+    }
+
+    /// The penalty `max{leaky(arg), −ε}` and, unless the `−ε` floor wins,
+    /// the adjoint `d ∈ {1, slope}` it sends back to `arg`. The floor
+    /// saturates the LeakyReLU reward once a condition holds with margin, so
+    /// the optimizer cannot "win" by inflating the scale of `B`.
+    fn penalty(&self, arg: f64) -> (f64, Option<f64>) {
+        let leaky = if arg > 0.0 { arg } else { self.leaky_slope * arg };
+        let floor = -self.epsilon;
+        let d = if arg > 0.0 { 1.0 } else { self.leaky_slope };
+        (leaky.max(floor), (leaky >= floor).then_some(d))
+    }
+
+    /// One chunk job: writes the unscaled penalty sum, the hinge mass and the
+    /// parameter gradient of the job's partial loss into `row` (layout of
+    /// [`Loss10::row_len`]).
+    ///
+    /// The result is bit-identical to recording the job's samples on an
+    /// autodiff tape (`QuadraticNet::forward_and_lie2_tape` on Ψ,
+    /// `forward_tape` on Θ and Ξ) and sweeping it in reverse, because the
+    /// floating-point operations are the tape's, in its order: the sums run
+    /// over samples in order, every gradient chain starts at `−0.0` and takes
+    /// the samples last to first, a penalty's adjoint is exactly 1, and
+    /// `min`/`max` route ties to their first operand.
+    // audit:hot
+    fn run_job(&self, params: &[f64], (kind, lo, hi): (Kind, usize, usize), row: &mut [f64]) {
+        let n = self.n;
+        let nb = self.b_net.num_params();
+        let (sums, rest) = row.split_at_mut(2);
+        let (grad, scratch) = rest.split_at_mut(nb + self.lambda_net.num_params());
+        let (b_state, l_state) = scratch.split_at_mut(self.b_net.lie_state_len());
+        let (bp, lp) = params.split_at(nb);
+        grad.fill(-0.0);
+        let (bg, lg) = grad.split_at_mut(nb);
+        // Per-sample penalty and hinge terms, summed in sample order below.
+        let mut pens = [0.0f64; CHUNK];
+        let mut hinges = [0.0f64; CHUNK];
+        for s in (lo..hi).rev() {
+            let k = s - lo;
+            match kind {
+                Kind::Domain => {
+                    let x = &self.sets.domain[s][..n];
+                    let (flo, fhi) = (&self.field_lo[s][..], &self.field_hi[s][..]);
+                    // Condition (iii): L_f B − λB > 0 at the worse of the two
+                    // error extremes; penalize ε − (L_f B − λB).
+                    let (b, lie_lo, lie_hi) = self.b_net.eval_lie(bp, x, flo, fhi, b_state);
+                    // `min` routes ties to its first operand.
+                    let lo_branch = lie_lo <= lie_hi;
+                    let lie = lie_lo.min(lie_hi);
+                    let lam = self.lambda_net.eval_state(lp, x, l_state);
+                    let arg = -(lie - lam * b) + self.epsilon;
+                    hinges[k] = arg.max(0.0);
+                    let (pen, d) = self.penalty(arg);
+                    pens[k] = pen;
+                    if let Some(d) = d {
+                        // The margin gets −d: λ takes d·B, B takes d·λ, and
+                        // the Lie term −d.
+                        self.lambda_net.backprop_state(lp, x, d * b, l_state, lg);
+                        let f = if lo_branch { flo } else { fhi };
+                        self.b_net
+                            .backprop_lie(bp, x, f, !lo_branch, d * lam, -d, b_state, bg);
+                    }
+                }
+                Kind::Init | Kind::Unsafe => {
+                    // Condition (i): B ≥ 0 on Θ, penalize ε − B; condition
+                    // (ii): B < 0 on Ξ, penalize ε + B.
+                    let init = kind == Kind::Init;
+                    let x = if init { &self.sets.init[s] } else { &self.sets.unsafe_[s] };
+                    let x = &x[..n];
+                    let state = &mut b_state[..self.b_net.state_len()];
+                    let b = self.b_net.eval_state(bp, x, state);
+                    let arg = if init { -b } else { b } + self.epsilon;
+                    hinges[k] = arg.max(0.0);
+                    let (pen, d) = self.penalty(arg);
+                    pens[k] = pen;
+                    if let Some(d) = d {
+                        let adj = if init { -d } else { d };
+                        self.b_net.backprop_state(bp, x, adj, state, bg);
+                    }
+                }
+            }
+        }
+        let (mut loss_sum, mut hinge) = (0.0f64, 0.0f64);
+        for k in 0..hi - lo {
+            loss_sum += pens[k];
+            hinge += hinges[k];
+        }
+        sums[0] = loss_sum;
+        sums[1] = hinge;
+    }
 }
 
 /// Hyper-parameters of the Learner (loss (10)).
@@ -92,7 +208,10 @@ pub struct LearnerConfig {
     pub leaky_slope: f64,
     /// Loss weights `(η₁, η₂, η₃)` for the domain/init/unsafe terms.
     pub weights: (f64, f64, f64),
-    /// Early-stop when the loss falls below this value.
+    /// Early-stop when the mean hinge mass `Σ max(arg, 0) / |S|` over all
+    /// samples falls below this value, where `arg` is a sample's violation
+    /// of its condition in loss (10) (`ε − B` on Θ, `ε + B` on Ξ,
+    /// `ε − (L_f B − λB)` on Ψ). It is checked before each epoch's Adam step.
     pub loss_target: f64,
     /// L2 regularization on the network parameters. Necessary because the
     /// LeakyReLU surrogate of `max{ε, ·}` is unbounded below: without decay
@@ -263,12 +382,10 @@ impl Learner {
 
         // The epoch's batch is split into fixed-size chunk jobs — the grid
         // depends only on the sample counts, never on the worker count. Each
-        // job builds its own small tape over its samples and returns the
-        // unscaled penalty sum, the hinge mass, and the parameter gradient of
-        // its partial loss; the per-kind sums and the gradient are then
-        // reduced serially in job order, so every epoch is bitwise identical
-        // at any thread count.
-        const CHUNK: usize = 32;
+        // job writes the unscaled penalty sum, the hinge mass, and the
+        // parameter gradient of its partial loss into its own row; the
+        // per-kind sums and the gradient are then reduced serially in job
+        // order, so every epoch is bitwise identical at any thread count.
         let mut jobs: Vec<(Kind, usize, usize)> = Vec::new();
         for (kind, len) in [
             (Kind::Domain, sets.domain.len()),
@@ -283,10 +400,16 @@ impl Learner {
             }
         }
 
-        let b_net = &self.b_net;
-        let lambda_net = &self.lambda_net;
-        let epsilon = self.cfg.epsilon;
-        let leaky_slope = self.cfg.leaky_slope;
+        let loss10 = Loss10 {
+            b_net: &self.b_net,
+            lambda_net: &self.lambda_net,
+            sets,
+            field_lo: &field_lo,
+            field_hi: &field_hi,
+            n,
+            epsilon: self.cfg.epsilon,
+            leaky_slope: self.cfg.leaky_slope,
+        };
         let (eta1, eta2, eta3) = self.cfg.weights;
         let scale_of = |kind: Kind| match kind {
             Kind::Domain => eta1 / sets.domain.len().max(1) as f64,
@@ -297,8 +420,8 @@ impl Learner {
         let mut last_loss = f64::INFINITY;
         let mut last_grad_norm = f64::NAN;
         let trace = self.cfg.telemetry.trace().clone();
-        // Epoch-loop buffers, allocated once: `reduce_epoch` is `audit:hot`
-        // and must stay allocation-free per epoch.
+        // Epoch-loop buffers, allocated once: the job kernel and
+        // `reduce_epoch` are `audit:hot` and must stay allocation-free.
         let scales = [
             scale_of(Kind::Domain),
             scale_of(Kind::Init),
@@ -306,88 +429,11 @@ impl Learner {
         ];
         let mut kind_sums = [0.0f64; 3];
         let mut g = vec![0.0f64; np];
+        let mut rows: Vec<Vec<f64>> = vec![vec![0.0f64; loss10.row_len()]; jobs.len()];
         for epoch in 0..self.cfg.epochs {
             let params_ref = &params;
-            let run_job = |ji: usize| -> (f64, f64, Vec<f64>) {
-                let (kind, lo, hi) = jobs[ji];
-                let mut tape = Tape::with_capacity(1 << 13);
-                let pvars: Vec<_> = params_ref.iter().map(|&p| tape.input(p)).collect();
-                let (bp, lp) = pvars.split_at(nb);
-                let mut hinge = 0.0f64;
-                let mut loss = tape.constant(0.0);
-                for s in lo..hi {
-                    let arg = match kind {
-                        Kind::Domain => {
-                            let (x, flo, fhi) = (&sets.domain[s], &field_lo[s], &field_hi[s]);
-                            // L_f B = Σ ∂B/∂xᵢ · fᵢ(x, w) at both error
-                            // extremes; the robust condition uses the worse
-                            // one. Single-hidden-layer networks take the
-                            // analytic formula-(9) fast path (no per-sample
-                            // backward pass on the tape).
-                            let (b, lie) = match b_net
-                                .forward_and_lie2_tape(&mut tape, bp, &x[..n], flo, fhi)
-                            {
-                                Some((b, lie_lo, lie_hi)) => (b, tape.min(lie_lo, lie_hi)),
-                                None => {
-                                    let xv: Vec<_> =
-                                        x[..n].iter().map(|&v| tape.input(v)).collect();
-                                    let b = b_net.forward_tape(&mut tape, bp, &xv);
-                                    let grad_b = tape.grad(b, &xv);
-                                    let mut lie_lo = tape.constant(0.0);
-                                    let mut lie_hi = tape.constant(0.0);
-                                    for ((g, &fl), &fh) in grad_b.iter().zip(flo).zip(fhi) {
-                                        let tl = tape.scale(*g, fl);
-                                        lie_lo = tape.add(lie_lo, tl);
-                                        let th = tape.scale(*g, fh);
-                                        lie_hi = tape.add(lie_hi, th);
-                                    }
-                                    (b, tape.min(lie_lo, lie_hi))
-                                }
-                            };
-                            let xv_const: Vec<_> =
-                                x[..n].iter().map(|&v| tape.constant(v)).collect();
-                            let lam = lambda_net.forward_tape(&mut tape, lp, &xv_const);
-                            let lam_b = tape.mul(lam, b);
-                            // Condition (iii): L_f B − λB > 0; penalize
-                            // ε − (L_f B − λB).
-                            let margin = tape.sub(lie, lam_b);
-                            let neg = tape.neg(margin);
-                            tape.add_const(neg, epsilon)
-                        }
-                        Kind::Init => {
-                            let x = &sets.init[s];
-                            let xv: Vec<_> = x[..n].iter().map(|&v| tape.constant(v)).collect();
-                            let b = b_net.forward_tape(&mut tape, bp, &xv);
-                            // Condition (i): B ≥ 0 on Θ; penalize ε − B.
-                            let neg = tape.neg(b);
-                            tape.add_const(neg, epsilon)
-                        }
-                        Kind::Unsafe => {
-                            let x = &sets.unsafe_[s];
-                            let xv: Vec<_> = x[..n].iter().map(|&v| tape.constant(v)).collect();
-                            let b = b_net.forward_tape(&mut tape, bp, &xv);
-                            // Condition (ii): B < 0 on Ξ; penalize ε + B.
-                            tape.add_const(b, epsilon)
-                        }
-                    };
-                    hinge += tape.value(arg).max(0.0);
-                    let pen = {
-                        // max{ε, ·} saturates once the condition holds with
-                        // margin; clamp the LeakyReLU reward accordingly so
-                        // the optimizer cannot "win" by inflating the scale
-                        // of B.
-                        let leaky = tape.leaky_relu(arg, leaky_slope);
-                        let floor = tape.constant(-epsilon);
-                        tape.max(leaky, floor)
-                    };
-                    loss = tape.add(loss, pen);
-                }
-                let grads = tape.grad(loss, &pvars);
-                let g: Vec<f64> = grads.iter().map(|&v| tape.value(v)).collect();
-                (tape.value(loss), hinge, g)
-            };
-            let results = snbc_par::par_map_collect(jobs.len(), run_job);
-            let hinge = reduce_epoch(&jobs, &results, scales, &mut kind_sums, &mut g);
+            snbc_par::par_for_each_mut(&mut rows, |ji, row| loss10.run_job(params_ref, jobs[ji], row));
+            let hinge = reduce_epoch(&jobs, &rows, scales, &mut kind_sums, &mut g);
             let mut loss = kind_sums[Kind::Domain as usize] * scales[Kind::Domain as usize]
                 + kind_sums[Kind::Init as usize] * scales[Kind::Init as usize]
                 + kind_sums[Kind::Unsafe as usize] * scales[Kind::Unsafe as usize];

@@ -1,6 +1,5 @@
 use rand::Rng;
 use rand::SeedableRng;
-use snbc_autodiff::Tape;
 
 use crate::{Activation, Adam, Mlp};
 
@@ -87,34 +86,22 @@ pub fn train_controller(
         .collect();
     let ys: Vec<f64> = xs.iter().map(|x| target(x)).collect();
 
+    // Full-batch Adam on `(1/N)·Σ (k(x) − u*(x))² + wd·Σ θ²`. The gradient
+    // is flat backprop in a tape's reverse-sweep order: the decay term comes
+    // first (a tape records it after the samples), as `wd·θ + wd·θ`, then the
+    // samples, last to first. Serial, so that order never changes.
     let mut opt = Adam::new(net.num_params(), cfg.learning_rate);
     let mut params = net.params().to_vec();
+    let mut grad = vec![0.0; params.len()];
+    let mut state = vec![0.0; net.state_len()];
+    let scale = 1.0 / cfg.samples as f64;
+    let wd = cfg.weight_decay;
     for _ in 0..cfg.epochs {
-        let mut tape = Tape::with_capacity(64 * cfg.samples);
-        let pv: Vec<_> = params.iter().map(|&p| tape.input(p)).collect();
-        let mut loss = tape.constant(0.0);
-        for (x, &y) in xs.iter().zip(&ys) {
-            let xv: Vec<_> = x.iter().map(|&v| tape.constant(v)).collect();
-            net.set_params(&params);
-            let pred = net.forward_tape(&mut tape, &pv, &xv);
-            let err = tape.add_const(pred, -y);
-            let sq = tape.mul(err, err);
-            loss = tape.add(loss, sq);
+        for (g, &p) in grad.iter_mut().zip(&params) {
+            *g = if wd > 0.0 { wd * p + wd * p } else { -0.0 };
         }
-        let scale = 1.0 / cfg.samples as f64;
-        let mut loss = tape.scale(loss, scale);
-        if cfg.weight_decay > 0.0 {
-            let mut reg = tape.constant(0.0);
-            for &p in &pv {
-                let sq = tape.mul(p, p);
-                reg = tape.add(reg, sq);
-            }
-            let reg = tape.scale(reg, cfg.weight_decay);
-            loss = tape.add(loss, reg);
-        }
-        let grads = tape.grad(loss, &pv);
-        let g: Vec<f64> = grads.iter().map(|&v| tape.value(v)).collect();
-        opt.step(&mut params, &g);
+        net.add_squared_error_gradient(&params, &xs, &ys, scale, &mut state, &mut grad);
+        opt.step(&mut params, &grad);
     }
     net.set_params(&params);
     net

@@ -15,13 +15,19 @@
 //!   network (affine output) or a trainable constant, matching the
 //!   `NN_λ(x)` column of Table 1.
 //!
-//! Training uses [`snbc_autodiff::Tape`] (including the grad-of-grad needed by
-//! the Lie-derivative loss) and the [`Adam`] optimizer; the squared-error
-//! regression of the quadratic network runs on the tape-free, allocation-free
-//! kernel [`QuadraticNet::squared_error_gradient`]. Lipschitz constants
-//! for Theorem 2 are bounded by the product of layer spectral norms
-//! ([`Mlp::lipschitz_bound`]), the standard safe estimate in the spirit of
-//! the paper's reference \[6\].
+//! Training runs on flat, allocation-free forward/backward kernels over
+//! parameter, state and gradient slices, with the [`Adam`] optimizer: the
+//! loss-(10) terms of the barrier learner ([`QuadraticNet::eval_lie`] /
+//! [`QuadraticNet::backprop_lie`], [`QuadraticNet::eval_state`] /
+//! [`QuadraticNet::backprop_state`], [`MultiplierNet::eval_state`] /
+//! [`MultiplierNet::backprop_state`]), the warm-start regression
+//! ([`QuadraticNet::squared_error_gradient`]) and controller pre-training
+//! ([`train_controller`]). Each repeats the floating-point
+//! operations of an [`snbc_autodiff::Tape`] recording of the same loss, in
+//! the tape's order; the `*_tape` builders stay as that reference for the
+//! oracle tests. Lipschitz constants for Theorem 2 are bounded by the
+//! product of layer spectral norms ([`Mlp::lipschitz_bound`]), the standard
+//! safe estimate in the spirit of the paper's reference \[6\].
 //!
 //! # Example
 //!

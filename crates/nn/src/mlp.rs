@@ -16,7 +16,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, x: f64) -> f64 {
+    fn activate(self, x: f64) -> f64 {
         match self {
             Activation::Tanh => x.tanh(),
             Activation::Relu => x.max(0.0),
@@ -28,6 +28,29 @@ impl Activation {
                 }
             }
             Activation::Linear => x,
+        }
+    }
+
+    /// Derivative at the pre-activation `x` whose activation is `y`, as a
+    /// tape's reverse sweep forms it (`1 − y·y` for tanh).
+    fn slope(self, x: f64, y: f64) -> f64 {
+        match self {
+            Activation::Tanh => 1.0 - y * y,
+            Activation::Relu => {
+                if x > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::LeakyRelu(s) => {
+                if x > 0.0 {
+                    1.0
+                } else {
+                    s
+                }
+            }
+            Activation::Linear => 1.0,
         }
     }
 
@@ -149,24 +172,145 @@ impl Mlp {
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn forward(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let mut act: Vec<f64> = x.to_vec();
-        let mut offset = 0;
-        let last = self.layer_sizes.len() - 2;
-        for (li, w) in self.layer_sizes.windows(2).enumerate() {
-            let (fan_in, fan_out) = (w[0], w[1]);
-            let mut next = vec![0.0; fan_out];
-            for (o, n) in next.iter_mut().enumerate() {
-                let mut acc = self.params[offset + fan_in * fan_out + o]; // bias
-                for (i, a) in act.iter().enumerate() {
-                    acc += self.params[offset + o * fan_in + i] * a;
-                }
-                *n = if li == last { acc } else { self.activation.apply(acc) };
-            }
-            offset += fan_in * fan_out + fan_out;
-            act = next;
+        let mut state = vec![0.0; self.state_len()];
+        self.eval_state(&self.params, x, &mut state)
+    }
+
+    /// Length of the caller-owned scratch of
+    /// [`Mlp::add_squared_error_gradient`]: per hidden unit, its
+    /// pre-activation, activation and adjoint.
+    pub(crate) fn state_len(&self) -> usize {
+        let hidden = &self.layer_sizes[1..self.layer_sizes.len() - 1];
+        3 * hidden.iter().sum::<usize>()
+    }
+
+    /// Adds the gradient of `scale · Σₛ (k(xₛ; θ) − yₛ)²` with respect to the
+    /// flat parameters `θ = params` to `grad`; `state` is scratch of length
+    /// [`Mlp::state_len`]. Allocation-free, for any depth.
+    ///
+    /// The products and their order are those of reverse-mode
+    /// differentiation of `scale · Σₛ (k(xₛ) − yₛ)²` recorded sample by
+    /// sample on a [`Tape`] with [`Mlp::forward_tape`]: the residual is
+    /// `e = k + (−y)` with output adjoint `(scale·e) + (scale·e)`, samples
+    /// are swept last to first, each parameter receives one product per
+    /// sample, and a unit's adjoint sums over the units of the next layer in
+    /// descending order. To reproduce that tape bit for bit, `grad` must hold
+    /// what the tape's reverse sweep adds before it reaches the samples
+    /// (`−0.0` when nothing, the identity of the sum).
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches or a network with more than one output.
+    // audit:hot
+    pub(crate) fn add_squared_error_gradient(
+        &self,
+        params: &[f64],
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        scale: f64,
+        state: &mut [f64],
+        grad: &mut [f64],
+    ) {
+        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
+        assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
+        assert_eq!(state.len(), self.state_len(), "state length mismatch");
+        assert_eq!(xs.len(), ys.len(), "one target per sample");
+        assert_eq!(self.layer_sizes[self.layer_sizes.len() - 1], 1, "single output");
+        for (x, &y) in xs.iter().zip(ys).rev() {
+            let e = self.eval_state(params, x, state) + -y;
+            self.backprop_state(params, x, scale * e + scale * e, state, grad);
         }
-        act[0]
+    }
+
+    /// Forward pass over `params` recording each hidden unit's
+    /// pre-activation and activation in `state`; returns the output.
+    // audit:hot
+    fn eval_state(&self, params: &[f64], x: &[f64], state: &mut [f64]) -> f64 {
+        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
+        let (mut p, mut s) = (0, 0);
+        let hidden = self.layer_sizes.len() - 2;
+        for li in 0..hidden {
+            let (fan_in, fan_out) = (self.layer_sizes[li], self.layer_sizes[li + 1]);
+            let (below, cur) = state.split_at_mut(s);
+            let input = if li == 0 {
+                x
+            } else {
+                &below[s - 2 * fan_in..s - fan_in]
+            };
+            let (pre, rest) = cur.split_at_mut(fan_out);
+            for o in 0..fan_out {
+                let mut acc = params[p + fan_in * fan_out + o];
+                for (i, a) in input.iter().enumerate() {
+                    acc += params[p + o * fan_in + i] * a;
+                }
+                pre[o] = acc;
+                rest[o] = self.activation.activate(acc);
+            }
+            p += fan_in * fan_out + fan_out;
+            s += 3 * fan_out;
+        }
+        let fan_in = self.layer_sizes[hidden];
+        let input = if hidden == 0 {
+            x
+        } else {
+            &state[s - 2 * fan_in..s - fan_in]
+        };
+        let mut out = params[p + fan_in];
+        for (i, a) in input.iter().enumerate() {
+            out += params[p + i] * a;
+        }
+        out
+    }
+
+    /// Backward pass for one sample whose forward pass is in `state`, with
+    /// output adjoint `adj_out`: adds each parameter's product to `grad`.
+    // audit:hot
+    fn backprop_state(
+        &self,
+        params: &[f64],
+        x: &[f64],
+        adj_out: f64,
+        state: &mut [f64],
+        grad: &mut [f64],
+    ) {
+        let mut p = params.len();
+        let mut s = state.len();
+        for l in (1..self.layer_sizes.len()).rev() {
+            let (fan_in, fan_out) = (self.layer_sizes[l - 1], self.layer_sizes[l]);
+            p -= fan_in * fan_out + fan_out;
+            let output = l == self.layer_sizes.len() - 1;
+            let (below, cur) = state.split_at_mut(if output { s } else { s - 3 * fan_out });
+            if !output {
+                // Through the activation: the adjoint of the pre-activation.
+                let (pre, rest) = cur.split_at_mut(fan_out);
+                let (act, adj) = rest.split_at_mut(fan_out);
+                for o in 0..fan_out {
+                    adj[o] *= self.activation.slope(pre[o], act[o]);
+                }
+            }
+            // The layer input and its adjoint; the network input has none.
+            let (input, din): (&[f64], &mut [f64]) = if l == 1 {
+                (x, &mut [])
+            } else {
+                let k = below.len() - 3 * fan_in;
+                let (v, d) = below[k + fan_in..].split_at_mut(fan_in);
+                d.fill(-0.0);
+                (v, d)
+            };
+            for o in (0..fan_out).rev() {
+                let a = if output { adj_out } else { cur[2 * fan_out + o] };
+                grad[p + fan_in * fan_out + o] += a;
+                for (i, v) in input.iter().enumerate() {
+                    grad[p + o * fan_in + i] += a * v;
+                }
+                for (i, d) in din.iter_mut().enumerate() {
+                    *d += a * params[p + o * fan_in + i];
+                }
+            }
+            if !output {
+                s -= 3 * fan_out;
+            }
+        }
     }
 
     /// Forward pass on a tape, with parameters supplied as tape variables
@@ -651,7 +795,7 @@ impl Mlp {
                 for (i, a) in act.iter().enumerate() {
                     acc += self.params[offset + o * fan_in + i] * a;
                 }
-                *n = if li == last { acc } else { self.activation.apply(acc) };
+                *n = if li == last { acc } else { self.activation.activate(acc) };
             }
             offset += fan_in * fan_out + fan_out;
             act = next;

@@ -99,31 +99,113 @@ impl MultiplierNet {
     ///
     /// Panics on input-width mismatch for the linear variant.
     pub fn forward(&self, x: &[f64]) -> f64 {
+        let mut state = vec![0.0; self.state_len()];
+        self.eval_state(self.params(), x, &mut state)
+    }
+
+    /// Length of the caller-owned scratch of [`MultiplierNet::eval_state`]:
+    /// every unit's output and its adjoint (none for the constant).
+    pub fn state_len(&self) -> usize {
         match self {
-            MultiplierNet::Constant { value } => value[0],
-            MultiplierNet::Linear {
-                input_dim,
-                layer_sizes,
-                params,
-            } => {
-                assert_eq!(x.len(), *input_dim, "input dimension mismatch");
-                let mut act: Vec<f64> = x.to_vec();
-                let mut offset = 0;
-                for w in layer_sizes.windows(2) {
-                    let (fan_in, fan_out) = (w[0], w[1]);
-                    let mut next = vec![0.0; fan_out];
-                    for (o, n) in next.iter_mut().enumerate() {
-                        let mut acc = params[offset + fan_in * fan_out + o];
-                        for (i, a) in act.iter().enumerate() {
-                            acc += params[offset + o * fan_in + i] * a;
-                        }
-                        *n = acc;
-                    }
-                    offset += fan_in * fan_out + fan_out;
-                    act = next;
+            MultiplierNet::Constant { .. } => 0,
+            MultiplierNet::Linear { layer_sizes, .. } => 2 * layer_sizes[1..].iter().sum::<usize>(),
+        }
+    }
+
+    /// Forward pass over the flat parameters `params`, recording each layer's
+    /// outputs in `state` (length [`MultiplierNet::state_len`]). Returns
+    /// `λ(x)`, bit-identical to [`MultiplierNet::forward_tape`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    // audit:hot
+    pub fn eval_state(&self, params: &[f64], x: &[f64], state: &mut [f64]) -> f64 {
+        assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
+        assert_eq!(state.len(), self.state_len(), "state length mismatch");
+        let MultiplierNet::Linear {
+            input_dim,
+            layer_sizes,
+            ..
+        } = self
+        else {
+            return params[0];
+        };
+        assert_eq!(x.len(), *input_dim, "input dimension mismatch");
+        let (mut p, mut s) = (0, 0);
+        for w in layer_sizes.windows(2) {
+            let (fan_in, fan_out) = (w[0], w[1]);
+            let (below, cur) = state.split_at_mut(s);
+            let input = if s == 0 {
+                x
+            } else {
+                &below[s - 2 * fan_in..s - fan_in]
+            };
+            for (o, v) in cur[..fan_out].iter_mut().enumerate() {
+                let mut acc = params[p + fan_in * fan_out + o];
+                for (i, a) in input.iter().enumerate() {
+                    acc += params[p + o * fan_in + i] * a;
                 }
-                act[0]
+                *v = acc;
             }
+            p += fan_in * fan_out + fan_out;
+            s += 2 * fan_out;
+        }
+        state[s - 2]
+    }
+
+    /// Backward pass for one sample whose [`MultiplierNet::eval_state`] pass
+    /// is in `state`, with output adjoint `adj_out`: adds each parameter's
+    /// product to `grad`. Every parameter receives one product; a unit's
+    /// adjoint sums over the units of the next layer in descending order, as
+    /// a tape's reverse sweep over [`MultiplierNet::forward_tape`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    // audit:hot
+    pub fn backprop_state(
+        &self,
+        params: &[f64],
+        x: &[f64],
+        adj_out: f64,
+        state: &mut [f64],
+        grad: &mut [f64],
+    ) {
+        assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
+        assert_eq!(grad.len(), self.num_params(), "gradient length mismatch");
+        assert_eq!(state.len(), self.state_len(), "state length mismatch");
+        let MultiplierNet::Linear { layer_sizes, .. } = self else {
+            grad[0] += adj_out;
+            return;
+        };
+        let mut p = params.len();
+        let mut s = state.len();
+        state[s - 1] = adj_out;
+        for l in (1..layer_sizes.len()).rev() {
+            let (fan_in, fan_out) = (layer_sizes[l - 1], layer_sizes[l]);
+            p -= fan_in * fan_out + fan_out;
+            let (below, cur) = state.split_at_mut(s - 2 * fan_out);
+            let adj = &cur[fan_out..2 * fan_out];
+            // The layer input and its adjoint; the network input has none.
+            let (input, din): (&[f64], &mut [f64]) = if l == 1 {
+                (x, &mut [])
+            } else {
+                let k = below.len() - 2 * fan_in;
+                let (v, d) = below[k..].split_at_mut(fan_in);
+                d.fill(-0.0);
+                (v, d)
+            };
+            for o in (0..fan_out).rev() {
+                grad[p + fan_in * fan_out + o] += adj[o];
+                for (i, a) in input.iter().enumerate() {
+                    grad[p + o * fan_in + i] += adj[o] * a;
+                }
+                for (i, d) in din.iter_mut().enumerate() {
+                    *d += adj[o] * params[p + o * fan_in + i];
+                }
+            }
+            s -= 2 * fan_out;
         }
     }
 

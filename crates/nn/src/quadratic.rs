@@ -163,8 +163,15 @@ impl QuadraticNet {
 
     /// Forward pass over `params`, recording every hidden unit's `a₁`, `a₂`
     /// and activation in `state` (layout of [`QuadraticNet::state_len`]).
+    /// Returns `B(x)`, bit-identical to [`QuadraticNet::forward_tape`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on input-width mismatch.
     // audit:hot
-    fn eval_state(&self, params: &[f64], x: &[f64], state: &mut [f64]) -> f64 {
+    pub fn eval_state(&self, params: &[f64], x: &[f64], state: &mut [f64]) -> f64 {
+        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
+        assert_eq!(state.len(), self.state_len(), "state length mismatch");
         assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
         let mut p = 0;
         let mut s = 0;
@@ -204,10 +211,16 @@ impl QuadraticNet {
         out
     }
 
-    /// Backward pass for one sample whose forward pass is in `state`, with
-    /// output adjoint `adj_out`: adds each parameter's product to `grad`.
+    /// Backward pass for one sample whose forward pass
+    /// [`QuadraticNet::eval_state`] left in `state`, with output adjoint
+    /// `adj_out`: adds each parameter's product to `grad`, in the order a
+    /// tape's reverse sweep over [`QuadraticNet::forward_tape`] adds them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
     // audit:hot
-    fn backprop_state(
+    pub fn backprop_state(
         &self,
         params: &[f64],
         x: &[f64],
@@ -215,6 +228,10 @@ impl QuadraticNet {
         state: &mut [f64],
         grad: &mut [f64],
     ) {
+        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
+        assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
+        assert_eq!(state.len(), self.state_len(), "state length mismatch");
+        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
         let mut fan_in = self.hidden[self.hidden.len() - 1];
         let mut p = params.len() - 1 - fan_in;
         let mut s = state.len();
@@ -232,9 +249,6 @@ impl QuadraticNet {
                 self.hidden[l - 1]
             };
             let w1 = p - 2 * (fan_in * h + h);
-            let b1 = w1 + fan_in * h;
-            let w2 = b1 + h;
-            let b2 = w2 + fan_in * h;
             let (below, cur) = state.split_at_mut(s - 4 * h);
             let (a1s, rest) = cur.split_at(h);
             let (a2s, rest) = rest.split_at(h);
@@ -248,22 +262,267 @@ impl QuadraticNet {
                 dzp.fill(-0.0);
                 (zp, dzp)
             };
+            let (pw1, _, pw2, _) = layer(params, w1, fan_in, h);
+            let (gw1, gb1, gw2, gb2) = layer_mut(grad, w1, fan_in, h);
             for o in (0..h).rev() {
                 let g1 = dz[o] * a2s[o];
                 let g2 = dz[o] * a1s[o];
-                grad[b1 + o] += g1;
-                grad[b2 + o] += g2;
-                for (i, a) in input.iter().enumerate() {
-                    grad[w1 + o * fan_in + i] += g1 * a;
-                    grad[w2 + o * fan_in + i] += g2 * a;
+                gb1[o] += g1;
+                gb2[o] += g2;
+                let row = o * fan_in..(o + 1) * fan_in;
+                for ((u, v), a) in gw1[row.clone()].iter_mut().zip(&mut gw2[row.clone()]).zip(input) {
+                    *u += g1 * a;
+                    *v += g2 * a;
                 }
-                for (i, d) in din.iter_mut().enumerate() {
-                    *d += g2 * params[w2 + o * fan_in + i];
-                    *d += g1 * params[w1 + o * fan_in + i];
+                for ((d, q1), q2) in din.iter_mut().zip(&pw1[row.clone()]).zip(&pw2[row]) {
+                    *d += g2 * q2;
+                    *d += g1 * q1;
                 }
             }
             p = w1;
             s -= 4 * h;
+        }
+    }
+
+    /// Length of the caller-owned scratch of [`QuadraticNet::eval_lie`] and
+    /// [`QuadraticNet::backprop_lie`]: per hidden unit, `a₁`, `a₂`, the
+    /// activation `z`, the adjoints of `z` and of its tangent `ż`, and for
+    /// each of the two fields the tangents `g₁`, `g₂` of `a₁`, `a₂` and `ż`.
+    pub fn lie_state_len(&self) -> usize {
+        11 * self.hidden.iter().sum::<usize>()
+    }
+
+    /// `(B(x), L_lo B(x), L_hi B(x))`: the barrier value and its Lie
+    /// derivatives `∇B(x)·f` along the fields `field_lo` and `field_hi`
+    /// (the closed loop at `w = ∓σ*`), recording the pass in `state`
+    /// (length [`QuadraticNet::lie_state_len`]) for
+    /// [`QuadraticNet::backprop_lie`].
+    ///
+    /// Each hidden layer pushes the tangent of its input through formula (9):
+    /// `ż = a₂·(W₁·ṫ) + a₁·(W₂·ṫ)`, where `ṫ` is the field at the input layer
+    /// and the tangent of the layer below otherwise. For one hidden layer the
+    /// result is bit-identical to [`QuadraticNet::forward_and_lie2_tape`]:
+    /// sums run left to right, tangent sums start at `+0.0`, input-layer
+    /// terms whose `x` or field entry is exactly zero are skipped, and when
+    /// the two fields compare equal only the first is differentiated.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    // audit:hot
+    pub fn eval_lie(
+        &self,
+        params: &[f64],
+        x: &[f64],
+        field_lo: &[f64],
+        field_hi: &[f64],
+        state: &mut [f64],
+    ) -> (f64, f64, f64) {
+        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
+        assert_eq!(state.len(), self.lie_state_len(), "state length mismatch");
+        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
+        assert_eq!(field_lo.len(), self.input_dim, "field dimension mismatch");
+        assert_eq!(field_hi.len(), self.input_dim, "field dimension mismatch");
+        let same = field_lo == field_hi;
+        let mut p = 0;
+        let mut s = 0;
+        let mut fan_in = self.input_dim;
+        for (l, &h) in self.hidden.iter().enumerate() {
+            let (below, cur) = state.split_at_mut(s);
+            // The layer input and its tangent along each field.
+            let (input, t_lo, t_hi) = if l == 0 {
+                (x, field_lo, field_hi)
+            } else {
+                let prev = &below[s - 11 * fan_in..];
+                (
+                    &prev[2 * fan_in..3 * fan_in],
+                    &prev[7 * fan_in..8 * fan_in],
+                    &prev[10 * fan_in..11 * fan_in],
+                )
+            };
+            // Only the input layer's operands are constants whose exact
+            // zeros the tape leaves out.
+            let deep = l > 0;
+            let (w1, b1, w2, b2) = layer(params, p, fan_in, h);
+            let [a1s, a2s, zs, _, _, g1_los, g2_los, dz_los, g1_his, g2_his, dz_his] =
+                split_units(&mut cur[..11 * h], h);
+            for o in 0..h {
+                let row = o * fan_in..(o + 1) * fan_in;
+                let (r1, r2) = (&w1[row.clone()], &w2[row]);
+                let mut a1 = b1[o];
+                let mut a2 = b2[o];
+                let (mut g1_lo, mut g2_lo, mut g1_hi, mut g2_hi) = (0.0, 0.0, 0.0, 0.0);
+                for i in 0..fan_in {
+                    if deep || input[i] != 0.0 { // audit:allow(float-eq)
+                        a1 += r1[i] * input[i];
+                        a2 += r2[i] * input[i];
+                    }
+                    if deep || t_lo[i] != 0.0 { // audit:allow(float-eq)
+                        g1_lo += r1[i] * t_lo[i];
+                        g2_lo += r2[i] * t_lo[i];
+                    }
+                    if !same && (deep || t_hi[i] != 0.0) { // audit:allow(float-eq)
+                        g1_hi += r1[i] * t_hi[i];
+                        g2_hi += r2[i] * t_hi[i];
+                    }
+                }
+                a1s[o] = a1;
+                a2s[o] = a2;
+                zs[o] = a1 * a2;
+                g1_los[o] = g1_lo;
+                g2_los[o] = g2_lo;
+                dz_los[o] = a2 * g1_lo + a1 * g2_lo;
+                g1_his[o] = g1_hi;
+                g2_his[o] = g2_hi;
+                dz_his[o] = a2 * g1_hi + a1 * g2_hi;
+            }
+            if same {
+                // One field: the second block mirrors the first.
+                cur.copy_within(5 * h..8 * h, 8 * h);
+            }
+            p += 2 * (fan_in * h + h);
+            s += 11 * h;
+            fan_in = h;
+        }
+        let last = &state[s - 11 * fan_in..s];
+        let (zs, dz_los, dz_his) = (
+            &last[2 * fan_in..3 * fan_in],
+            &last[7 * fan_in..8 * fan_in],
+            &last[10 * fan_in..],
+        );
+        let w_out = &params[p..p + fan_in];
+        let mut b = params[p + fan_in];
+        let (mut lie_lo, mut lie_hi) = (0.0, 0.0);
+        for i in 0..fan_in {
+            b += w_out[i] * zs[i];
+            lie_lo += w_out[i] * dz_los[i];
+            lie_hi += w_out[i] * dz_his[i];
+        }
+        (b, lie_lo, lie_hi)
+    }
+
+    /// Backward pass of `adj_b·B + adj_lie·L B` for one sample whose
+    /// [`QuadraticNet::eval_lie`] pass is in `state`, where `L B` is the Lie
+    /// derivative along `field_lo` (`hi == false`) or `field_hi`
+    /// (`hi == true`) and `field` is that field: adds each parameter's
+    /// products to `grad`.
+    ///
+    /// For one hidden layer the products and their order are those of a
+    /// tape's reverse sweep over [`QuadraticNet::forward_and_lie2_tape`]:
+    /// `W_out` receives its Lie term before its `B` term, a first-layer
+    /// weight its field product before its `x` product, and a hidden bias
+    /// whose input terms were all skipped receives its Lie and product terms
+    /// one by one instead of summed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    // audit:hot
+    #[allow(clippy::too_many_arguments)]
+    pub fn backprop_lie(
+        &self,
+        params: &[f64],
+        x: &[f64],
+        field: &[f64],
+        hi: bool,
+        adj_b: f64,
+        adj_lie: f64,
+        state: &mut [f64],
+        grad: &mut [f64],
+    ) {
+        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
+        assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
+        assert_eq!(state.len(), self.lie_state_len(), "state length mismatch");
+        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
+        assert_eq!(field.len(), self.input_dim, "field dimension mismatch");
+        // Offset, in units of the layer width, of the chosen field's
+        // `g₁ | g₂ | ż` block.
+        let blk = if hi { 8 } else { 5 };
+        let mut fan_in = self.hidden[self.hidden.len() - 1];
+        let mut p = params.len() - 1 - fan_in;
+        let mut s = state.len();
+        grad[p + fan_in] += adj_b;
+        {
+            let [_, _, zs, zbars, dbars, _, _, dz_los, _, _, dz_his] =
+                split_units(&mut state[s - 11 * fan_in..], fan_in);
+            let dzs = if hi { dz_his } else { dz_los };
+            let w_out = &params[p..p + fan_in];
+            for (o, g) in grad[p..p + fan_in].iter_mut().enumerate() {
+                *g += adj_lie * dzs[o];
+                *g += adj_b * zs[o];
+                zbars[o] = adj_b * w_out[o];
+                dbars[o] = adj_lie * w_out[o];
+            }
+        }
+        let x_all_zero = x.iter().all(|&v| v == 0.0); // audit:allow(float-eq)
+        for l in (0..self.hidden.len()).rev() {
+            let h = fan_in;
+            fan_in = if l == 0 {
+                self.input_dim
+            } else {
+                self.hidden[l - 1]
+            };
+            let deep = l > 0;
+            p -= 2 * (fan_in * h + h);
+            let (pw1, _, pw2, _) = layer(params, p, fan_in, h);
+            let (gw1, gb1, gw2, gb2) = layer_mut(grad, p, fan_in, h);
+            let (below, cur) = state.split_at_mut(s - 11 * h);
+            let unit = |k: usize| &cur[k * h..(k + 1) * h];
+            let (a1s, a2s, zbars, dbars) = (unit(0), unit(1), unit(3), unit(4));
+            let (g1s, g2s) = (unit(blk), unit(blk + 1));
+            // The layer input, its tangent along the chosen field, and the
+            // adjoints of both; the network input has no adjoints.
+            let (input, tangent, zbar_in, dbar_in): (&[f64], &[f64], &mut [f64], &mut [f64]) =
+                if l == 0 {
+                    (x, field, &mut [], &mut [])
+                } else {
+                    let k = below.len() - 11 * fan_in;
+                    let [_, _, z, zbar, dbar, _, _, dz_lo, _, _, dz_hi] =
+                        split_units(&mut below[k..], fan_in);
+                    zbar.fill(-0.0);
+                    dbar.fill(-0.0);
+                    (z, if hi { dz_hi } else { dz_lo }, zbar, dbar)
+                };
+            for o in (0..h).rev() {
+                let (a1, a2) = (a1s[o], a2s[o]);
+                let (g1, g2) = (g1s[o], g2s[o]);
+                let (zbar, dbar) = (zbars[o], dbars[o]);
+                // Each of a₁, a₂ feeds ż (the Lie term) and z (the product).
+                let (lie1, prod1) = (dbar * g2, zbar * a2);
+                let (lie2, prod2) = (dbar * g1, zbar * a1);
+                let (a1bar, a2bar) = (lie1 + prod1, lie2 + prod2);
+                let (g1bar, g2bar) = (dbar * a2, dbar * a1);
+                if !deep && x_all_zero {
+                    // a₁, a₂ are the bias parameters themselves.
+                    gb1[o] += lie1;
+                    gb1[o] += prod1;
+                    gb2[o] += lie2;
+                    gb2[o] += prod2;
+                } else {
+                    gb1[o] += a1bar;
+                    gb2[o] += a2bar;
+                }
+                let row = o * fan_in..(o + 1) * fan_in;
+                let (u1, u2) = (&mut gw1[row.clone()], &mut gw2[row.clone()]);
+                for i in 0..fan_in {
+                    if deep || tangent[i] != 0.0 { // audit:allow(float-eq)
+                        u1[i] += g1bar * tangent[i];
+                        u2[i] += g2bar * tangent[i];
+                    }
+                    if deep || input[i] != 0.0 { // audit:allow(float-eq)
+                        u1[i] += a1bar * input[i];
+                        u2[i] += a2bar * input[i];
+                    }
+                }
+                let (r1, r2) = (&pw1[row.clone()], &pw2[row]);
+                for i in 0..zbar_in.len() {
+                    dbar_in[i] += g2bar * r2[i];
+                    dbar_in[i] += g1bar * r1[i];
+                    zbar_in[i] += a2bar * r2[i];
+                    zbar_in[i] += a1bar * r1[i];
+                }
+            }
+            s -= 11 * h;
         }
     }
 
@@ -343,8 +602,8 @@ impl QuadraticNet {
     }
 
     /// The analytic gradient `∇P(x)` from the chain rule (formula (9) of the
-    /// paper), evaluated numerically. Exists primarily to cross-validate the
-    /// autodiff path; training uses the tape.
+    /// paper), evaluated numerically. A reference for the tests: training
+    /// takes the Lie derivative from [`QuadraticNet::eval_lie`].
     ///
     /// # Panics
     ///
@@ -403,6 +662,37 @@ impl QuadraticNet {
         }
         grad
     }
+}
+
+/// One hidden layer's parameter block `W₁ | b₁ | W₂ | b₂` starting at `p`.
+fn layer(params: &[f64], p: usize, fan_in: usize, h: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
+    let (w1, rest) = params[p..].split_at(fan_in * h);
+    let (b1, rest) = rest.split_at(h);
+    let (w2, rest) = rest.split_at(fan_in * h);
+    (w1, b1, w2, &rest[..h])
+}
+
+/// [`layer`] over a gradient row.
+fn layer_mut(
+    grad: &mut [f64],
+    p: usize,
+    fan_in: usize,
+    h: usize,
+) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
+    let (w1, rest) = grad[p..].split_at_mut(fan_in * h);
+    let (b1, rest) = rest.split_at_mut(h);
+    let (w2, rest) = rest.split_at_mut(fan_in * h);
+    (w1, b1, w2, &mut rest[..h])
+}
+
+/// Splits `state` into its first `K` consecutive runs of `h` entries.
+fn split_units<const K: usize>(state: &mut [f64], h: usize) -> [&mut [f64]; K] {
+    let mut rest = state;
+    std::array::from_fn(|_| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(h);
+        rest = tail;
+        head
+    })
 }
 
 #[cfg(test)]
@@ -481,11 +771,10 @@ mod tests {
 impl QuadraticNet {
     /// Builds `(B(x), L_f B(x))` on a tape for a **single-hidden-layer**
     /// network using the closed-form gradient (formula (9) of the paper),
-    /// with the sample `x` and field values `f(x)` as constants. This is the
-    /// learner's fast path: it avoids recording a per-sample backward pass
-    /// (the tape stays ~5× smaller and the loss gradient is one global
-    /// backward sweep). Returns `None` for deeper networks, which fall back
-    /// to the generic double-backprop path.
+    /// with the sample `x` and field values `f(x)` as constants, skipping
+    /// input terms whose constant is exactly zero. The reference that the
+    /// oracle tests hold [`QuadraticNet::eval_lie`] to; returns `None` for
+    /// deeper networks.
     ///
     /// # Panics
     ///
@@ -503,7 +792,8 @@ impl QuadraticNet {
 
     /// Like [`QuadraticNet::forward_and_lie_tape`] but evaluates the Lie
     /// derivative against two field samples in one pass (sharing the neuron
-    /// activations) — the learner uses this for the `w = ±σ*` extremes.
+    /// activations): the reference for [`QuadraticNet::eval_lie`] at the
+    /// `w = ∓σ*` extremes.
     ///
     /// # Panics
     ///

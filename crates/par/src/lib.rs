@@ -10,11 +10,13 @@
 //! * [`par_map_collect`] — parallel map over `0..n` with results returned
 //!   **in index order** (SDP block factorizations, counterexample restarts);
 //! * [`par_map_reduce`] — chunked parallel map over `0..n` with a
-//!   **deterministic reduction order** (learner gradient accumulation);
+//!   **deterministic reduction order** (the §3 mesh probe);
 //! * [`par_for_chunks`] / [`par_for_chunks_scratch`] — partition a mutable
 //!   slice into fixed-length chunks processed in parallel, optionally with a
 //!   per-worker scratch state so inner loops do not allocate (Schur
-//!   complement row assembly).
+//!   complement row assembly);
+//! * [`par_for_each_mut`] — visit caller-owned buffers of uneven cost in
+//!   parallel, one item at a time (the learner's per-job gradient rows).
 //!
 //! # Determinism contract
 //!
@@ -279,6 +281,35 @@ where
         .into_iter()
         .map(|s| s.expect("snbc-par: item not produced exactly once"))
         .collect()
+}
+
+/// Runs `f(i, &mut items[i])` for every item, in parallel, dealing items
+/// to workers one at a time like [`par_map_collect`] (suited to items of
+/// uneven cost), but in place: each item is a caller-owned buffer reused
+/// across calls, so a region allocates no result storage.
+///
+/// Every item is visited exactly once through a disjoint `&mut`, so worker
+/// assignment cannot affect the result. With one worker the items are
+/// processed inline in ascending order.
+pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let workers = threads().min(items.len());
+    if workers <= 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    let work = |_wid: usize| loop {
+        let next = queue.lock().expect("snbc-par item queue").next();
+        let Some((i, item)) = next else { break };
+        f(i, item);
+    };
+    run_on_pool(workers, &work);
 }
 
 /// Chunked parallel map–reduce over `0..n` with a deterministic fold order.
