@@ -42,8 +42,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo test --doc (workspace doc-tests)"
 cargo test -q --workspace --doc
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace (the snbc binary the smoke legs run)"
+cargo build --release --workspace
 
 echo "==> cargo test -q (workspace, default parallelism)"
 cargo test -q --workspace
@@ -125,11 +125,20 @@ grep -q '"schema":"snbc-progress/1"' "$obs_tmp/p1.ndjson"
 grep -q '"schema": "snbc-metrics/1"' "$obs_tmp/m1.json"
 rm -rf "$obs_tmp"
 
-echo "==> snbc synth --trace smoke (Perfetto export)"
+echo "==> snbc synth --trace smoke (Perfetto export) and snbc check (certificate re-check)"
 trace_tmp="$(mktemp -d)"
 target/release/snbc example > "$trace_tmp/plant.sys"
 target/release/snbc synth "$trace_tmp/plant.sys" --trace "$trace_tmp/trace.json" > /dev/null
 grep -q '"schema":"snbc-trace/1"' "$trace_tmp/trace.json"
+# The shallow (LMI) and deep (LMI + interval) re-checks must accept a fresh
+# certificate, and an unknown flag must be an error, not a shallow check.
+target/release/snbc synth "$trace_tmp/plant.sys" --out "$trace_tmp/plant.cert" > /dev/null
+target/release/snbc check "$trace_tmp/plant.sys" "$trace_tmp/plant.cert"
+target/release/snbc check "$trace_tmp/plant.sys" "$trace_tmp/plant.cert" --deep
+if target/release/snbc check "$trace_tmp/plant.sys" "$trace_tmp/plant.cert" --bogus; then
+  echo "snbc check accepted an unknown flag" >&2
+  exit 1
+fi
 rm -rf "$trace_tmp"
 
 echo "==> docs cross-link check (tuning guide must stay discoverable)"

@@ -90,7 +90,13 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("check") => {
             let sys_path = it.next().ok_or("check needs a system file")?;
             let cert_path = it.next().ok_or("check needs a certificate file")?;
-            let deep = it.next().map(String::as_str) == Some("--deep");
+            let mut deep = false;
+            for flag in it {
+                match flag.as_str() {
+                    "--deep" => deep = true,
+                    other => return Err(format!("unknown flag {other}")),
+                }
+            }
             check(sys_path, cert_path, deep)
         }
         Some("batch") => {
@@ -468,5 +474,28 @@ fn falsify_cmd(path: &str) -> Result<(), String> {
             println!("no unsafe trajectory found by simulation (evidence, not proof)");
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn check_rejects_unknown_flags_before_reading_files() {
+        for bad in ["--Deep", "--bogus", "extra"] {
+            let err = run(&args(&["check", "no-such.sys", "no-such.cert", bad])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {bad}"));
+        }
+        let err =
+            run(&args(&["check", "no-such.sys", "no-such.cert", "--deep", "--deep2"])).unwrap_err();
+        assert_eq!(err, "unknown flag --deep2");
+        // A well-formed command line gets as far as reading the system file.
+        let err = run(&args(&["check", "no-such.sys", "no-such.cert", "--deep"])).unwrap_err();
+        assert!(err.starts_with("cannot read no-such.sys"), "{err}");
     }
 }

@@ -53,6 +53,12 @@ impl SafetyCertificate {
     /// LMI feasibility tests and (optionally, `deep = true`) the independent
     /// interval re-check.
     ///
+    /// The flow condition (15) searches for a multiplier `λ(x)` of the
+    /// certificate's own λ degree. For a certificate that synthesis produced
+    /// that is the flow SDP synthesis solved; for any certificate it narrows
+    /// the λ family and never widens it, since a λ of degree `d` is also one
+    /// of degree `d + 1`.
+    ///
     /// Returns `true` only when every check passes.
     pub fn validate(&self, system: &Ccds, deep: bool) -> bool {
         let inclusion = PolynomialInclusion {
@@ -63,7 +69,11 @@ impl SafetyCertificate {
             covering_radius: 0.0,
             mesh_points: 0,
         };
-        let verifier = Verifier::new(system, &inclusion, VerifierConfig::default());
+        let cfg = VerifierConfig {
+            lambda_degree: self.lambda.degree(),
+            ..VerifierConfig::default()
+        };
+        let verifier = Verifier::new(system, &inclusion, cfg);
         let outcome = verifier.verify(&self.barrier);
         if !outcome.is_certified() {
             return false;
@@ -209,6 +219,40 @@ mod tests {
         let (sys, mut cert) = toy_certificate();
         cert.barrier = "x0".parse().unwrap(); // not a barrier
         assert!(!cert.validate(&sys, false));
+    }
+
+    /// ẋ₀ = −x₀ + 0.6·x₀² + u under h = 0, σ* = 0, with B = 1 − x₀². No
+    /// constant λ proves the flow condition on Ψ = [−2, 2] (best margin
+    /// about −4.4e-2), a linear one reaches only about −1.5e-8 (inside the
+    /// SOS layer's acceptance tolerance), and a quadratic one about +0.13.
+    fn quadratic_drift_certificate(lambda: &str) -> (Ccds, SafetyCertificate) {
+        let sys = Ccds::new(
+            "drift",
+            vec!["-x0 + 0.6*x0^2 + x1".parse().unwrap()],
+            SemiAlgebraicSet::box_set(&[(-0.5, 0.5)]),
+            SemiAlgebraicSet::box_set(&[(-2.0, 2.0)]),
+            SemiAlgebraicSet::box_set(&[(1.5, 2.0)]),
+        );
+        let cert = SafetyCertificate {
+            system: "drift".into(),
+            barrier: "1 - x0^2".parse().unwrap(),
+            lambda: lambda.parse().unwrap(),
+            controller: Polynomial::zero(),
+            sigma_star: 0.0,
+        };
+        (sys, cert)
+    }
+
+    #[test]
+    fn validates_at_the_certificates_own_lambda_degree() {
+        // A constant λ: the check searches constants only, and none works.
+        let (sys, cert) = quadratic_drift_certificate("-1");
+        assert_eq!(cert.lambda.degree(), 0);
+        assert!(!cert.validate(&sys, false), "no constant λ proves the flow condition");
+        // The same barrier carrying a quadratic λ is accepted.
+        let (sys, cert) = quadratic_drift_certificate("-1 + x0^2");
+        assert_eq!(cert.lambda.degree(), 2);
+        assert!(cert.validate(&sys, false), "a quadratic λ proves the flow condition");
     }
 
     #[test]

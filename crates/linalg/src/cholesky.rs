@@ -23,6 +23,53 @@ fn chol_row_update(mut s: f64, x: &[f64], y: &[f64]) -> f64 {
     s
 }
 
+/// Panel columns one phase-1 accumulator group covers (see
+/// [`chol_panel_rows`]).
+const CHOL_LANES: usize = 8;
+
+/// Phase 1 of one panel for `R` consecutive rows: `out[r][t] = seed[r][t] −
+/// Σₖ x[r][k]·panel[k][t]` for every panel column `t < w`, where `x[r]` is
+/// the row's prefix `l[i][..p]` and `panel` holds the panel rows' prefixes
+/// k-major (`panel[k·CHOL_NB + t] = l[p + t][k]`, zero-padded to `CHOL_NB`
+/// columns).
+///
+/// Each entry is its own chain `s −= x·y` over `k` ascending — the chain of
+/// [`chol_row_update`], term for term — but `CHOL_LANES` columns × `R` rows
+/// of chains run side by side, sharing each load of `x[r][k]` and of the
+/// panel row, instead of one latency-bound chain at a time. Lanes past `w`
+/// compute on the zero padding and are never stored.
+// audit:hot
+fn chol_panel_rows<const R: usize>(
+    seed: [&[f64]; R],
+    x: [&[f64]; R],
+    panel: &[f64],
+    w: usize,
+    out: [&mut [f64]; R],
+) {
+    let p = x[0].len();
+    let mut c0 = 0;
+    while c0 < w {
+        let cw = CHOL_LANES.min(w - c0);
+        let mut acc = [[0.0; CHOL_LANES]; R];
+        for r in 0..R {
+            acc[r][..cw].copy_from_slice(&seed[r][c0..c0 + cw]);
+        }
+        for k in 0..p {
+            let y = &panel[k * CHOL_NB + c0..k * CHOL_NB + c0 + CHOL_LANES];
+            for r in 0..R {
+                let xk = x[r][k];
+                for (s, yt) in acc[r].iter_mut().zip(y) {
+                    *s -= xk * yt;
+                }
+            }
+        }
+        for r in 0..R {
+            out[r][c0..c0 + cw].copy_from_slice(&acc[r][..cw]);
+        }
+        c0 += CHOL_LANES;
+    }
+}
+
 /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite matrix.
 ///
 /// Used throughout the SDP interior-point solver: for factoring scaled iterates
@@ -67,10 +114,11 @@ impl Cholesky {
         // panel `[p, phi)`:
         //
         //   phase 1 applies the updates from the already-final columns
-        //   `[0, p)` to the whole panel block, row by row — the row-`i`
-        //   prefix `l[i][..p]` is read once and reused for up to `CHOL_NB`
-        //   panel columns while cache-hot (the locality win over the
-        //   unblocked loop, which re-streams it per column of `L`);
+        //   `[0, p)` to the whole panel block: each row's panel slice comes
+        //   from a k-major copy of the panel rows' prefixes, two rows at a
+        //   time, as independent chains (`chol_panel_rows`). The first
+        //   panel has no such columns, so it only copies `A` (and an
+        //   `n ≤ CHOL_NB` matrix needs no copy of the prefixes at all);
         //
         //   phase 2 finishes the panel with the textbook left-looking
         //   recurrence restricted to the in-panel columns `[p, j)`.
@@ -80,14 +128,53 @@ impl Cholesky {
         // naive `k = 0..j` ascending order exactly, so the factor (and any
         // pivot failure, at the same index with the same value) is bitwise
         // identical to the unblocked loop (`tests/tiled_equivalence.rs`).
+        let last_panel = n.saturating_sub(1) / CHOL_NB * CHOL_NB;
+        let mut panel = vec![0.0; last_panel * CHOL_NB];
         let mut p = 0;
         while p < n {
             let phi = (p + CHOL_NB).min(n);
+            let w = phi - p;
             // Phase 1: seed the panel block from A and fold in columns [0, p).
-            for i in p..n {
-                for j in p..phi.min(i + 1) {
-                    let s = chol_row_update(a[(i, j)], &l.row(i)[..p], &l.row(j)[..p]);
-                    l[(i, j)] = s;
+            // Rows inside the panel keep only their lower-triangle columns;
+            // the extra lanes they compute are dropped.
+            if p == 0 {
+                for i in 0..n {
+                    let cols = w.min(i + 1);
+                    l.row_mut(i)[..cols].copy_from_slice(&a.row(i)[..cols]);
+                }
+            } else {
+                for k in 0..p {
+                    for t in 0..w {
+                        panel[k * CHOL_NB + t] = l[(p + t, k)];
+                    }
+                }
+                let data = l.as_mut_slice();
+                let mut i = p;
+                while i < n {
+                    let (head, tail) = data[i * n..].split_at_mut(n);
+                    let (x0, out0) = head.split_at_mut(p);
+                    let keep0 = w.min(i + 1 - p);
+                    if i + 1 < n {
+                        let (x1, out1) = tail[..n].split_at_mut(p);
+                        let mut o0 = [0.0; CHOL_NB];
+                        let mut o1 = [0.0; CHOL_NB];
+                        chol_panel_rows(
+                            [&a.row(i)[p..phi], &a.row(i + 1)[p..phi]],
+                            [&*x0, &*x1],
+                            &panel,
+                            w,
+                            [&mut o0[..w], &mut o1[..w]],
+                        );
+                        let keep1 = w.min(i + 2 - p);
+                        out0[..keep0].copy_from_slice(&o0[..keep0]);
+                        out1[..keep1].copy_from_slice(&o1[..keep1]);
+                        i += 2;
+                    } else {
+                        let mut o0 = [0.0; CHOL_NB];
+                        chol_panel_rows([&a.row(i)[p..phi]], [&*x0], &panel, w, [&mut o0[..w]]);
+                        out0[..keep0].copy_from_slice(&o0[..keep0]);
+                        i += 1;
+                    }
                 }
             }
             // Phase 2: factor the panel columns in order.

@@ -39,82 +39,11 @@ impl SymmetricEigen {
     /// mass has not dropped below `1e-14 · ‖A‖` after 100 sweeps, and
     /// [`LinalgError::ShapeMismatch`] for non-square input.
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (a.nrows(), a.nrows()),
-                found: (a.nrows(), a.ncols()),
-            });
-        }
-        let n = a.nrows();
-        let mut m = a.clone();
-        m.symmetrize();
-        let mut v = Matrix::identity(n);
-        let scale = m.norm_fro().max(1e-300);
-        let tol = 1e-14 * scale;
-        const MAX_SWEEPS: usize = 100;
-        for _sweep in 0..MAX_SWEEPS {
-            let mut off = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    off += m[(i, j)] * m[(i, j)];
-                }
-            }
-            let off = (2.0 * off).sqrt();
-            if off <= tol {
-                let eigenvalues = (0..n).map(|i| m[(i, i)]).collect();
-                return Ok(SymmetricEigen {
-                    eigenvalues,
-                    eigenvectors: v,
-                });
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let apq = m[(p, q)];
-                    if apq.abs() <= 1e-300 {
-                        continue;
-                    }
-                    let app = m[(p, p)];
-                    let aqq = m[(q, q)];
-                    let theta = (aqq - app) / (2.0 * apq);
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-                    // Apply rotation to M on both sides.
-                    for k in 0..n {
-                        let mkp = m[(k, p)];
-                        let mkq = m[(k, q)];
-                        m[(k, p)] = c * mkp - s * mkq;
-                        m[(k, q)] = s * mkp + c * mkq;
-                    }
-                    for k in 0..n {
-                        let mpk = m[(p, k)];
-                        let mqk = m[(q, k)];
-                        m[(p, k)] = c * mpk - s * mqk;
-                        m[(q, k)] = s * mpk + c * mqk;
-                    }
-                    // Accumulate eigenvectors.
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
-                }
-            }
-        }
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += m[(i, j)] * m[(i, j)];
-            }
-        }
-        Err(LinalgError::NoConvergence {
-            iterations: MAX_SWEEPS,
-            residual: (2.0 * off).sqrt(),
+        let mut eigenvectors = Matrix::identity(a.nrows());
+        let eigenvalues = jacobi(a, Some(&mut eigenvectors))?;
+        Ok(SymmetricEigen {
+            eigenvalues,
+            eigenvectors,
         })
     }
 
@@ -143,6 +72,94 @@ impl SymmetricEigen {
             .copied()
             .fold(f64::NEG_INFINITY, f64::max)
     }
+}
+
+/// Cyclic Jacobi sweeps on `(A+Aᵀ)/2`, returning the eigenvalues and, when
+/// `v` is given (the identity on entry), accumulating the rotations into it.
+///
+/// The rotations read and write only the working matrix, never `v`, so the
+/// eigenvalues are bitwise the same with or without eigenvectors;
+/// [`Matrix::min_eigenvalue`] skips them, a third of the rotation work.
+///
+/// # Errors
+///
+/// [`LinalgError::NoConvergence`] and [`LinalgError::ShapeMismatch`], as
+/// documented on [`SymmetricEigen::new`].
+pub(crate) fn jacobi(a: &Matrix, mut v: Option<&mut Matrix>) -> Result<Vec<f64>, LinalgError> {
+    if !a.is_square() {
+        return Err(LinalgError::ShapeMismatch {
+            expected: (a.nrows(), a.nrows()),
+            found: (a.nrows(), a.ncols()),
+        });
+    }
+    let n = a.nrows();
+    let mut m = a.clone();
+    m.symmetrize();
+    let scale = m.norm_fro().max(1e-300);
+    let tol = 1e-14 * scale;
+    const MAX_SWEEPS: usize = 100;
+    for _sweep in 0..MAX_SWEEPS {
+        let mut off = 0.0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                off += m[(i, j)] * m[(i, j)];
+            }
+        }
+        let off = (2.0 * off).sqrt();
+        if off <= tol {
+            return Ok((0..n).map(|i| m[(i, i)]).collect());
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m[(p, q)];
+                if apq.abs() <= 1e-300 {
+                    continue;
+                }
+                let app = m[(p, p)];
+                let aqq = m[(q, q)];
+                let theta = (aqq - app) / (2.0 * apq);
+                let t = if theta >= 0.0 {
+                    1.0 / (theta + (1.0 + theta * theta).sqrt())
+                } else {
+                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = t * c;
+                // Apply rotation to M on both sides.
+                for k in 0..n {
+                    let mkp = m[(k, p)];
+                    let mkq = m[(k, q)];
+                    m[(k, p)] = c * mkp - s * mkq;
+                    m[(k, q)] = s * mkp + c * mkq;
+                }
+                for k in 0..n {
+                    let mpk = m[(p, k)];
+                    let mqk = m[(q, k)];
+                    m[(p, k)] = c * mpk - s * mqk;
+                    m[(q, k)] = s * mpk + c * mqk;
+                }
+                // Accumulate eigenvectors.
+                if let Some(v) = v.as_deref_mut() {
+                    for k in 0..n {
+                        let vkp = v[(k, p)];
+                        let vkq = v[(k, q)];
+                        v[(k, p)] = c * vkp - s * vkq;
+                        v[(k, q)] = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+    }
+    let mut off = 0.0;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            off += m[(i, j)] * m[(i, j)];
+        }
+    }
+    Err(LinalgError::NoConvergence {
+        iterations: MAX_SWEEPS,
+        residual: (2.0 * off).sqrt(),
+    })
 }
 
 #[cfg(test)]

@@ -218,28 +218,8 @@ impl Matrix {
         out
     }
 
-    /// `self · other` written into `out` (which must already have the
-    /// product's shape). Same accumulation order as [`Matrix::matmul`], so
-    /// the two are bitwise interchangeable; this variant lets hot loops
-    /// (e.g. the per-row Schur assembly scratch buffers) avoid allocating.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul_into output shape mismatch"
-        );
-        out.data.fill(0.0);
-        self.matmul_kernel(other, out);
-    }
-
-    /// Cache-tiled GEMM kernel shared by [`Matrix::matmul`] and
-    /// [`Matrix::matmul_into`]; `out` must be pre-zeroed with the product's
-    /// shape.
+    /// Cache-tiled GEMM kernel of [`Matrix::matmul`]; `out` must be
+    /// pre-zeroed with the product's shape.
     ///
     /// Tiling is over the output: `GEMM_MC`-row × `GEMM_NC`-column blocks,
     /// with the `k` loop kept *full and ascending* inside each block, so
@@ -389,17 +369,16 @@ impl Matrix {
         SymmetricEigen::new(self)
     }
 
-    /// Smallest eigenvalue of a symmetric matrix (convenience wrapper).
+    /// Smallest eigenvalue of a symmetric matrix: the Jacobi sweeps of
+    /// [`Matrix::symmetric_eigen`] without accumulating eigenvectors, so the
+    /// same bits at two thirds of the rotation work.
     ///
     /// # Errors
     ///
     /// Propagates [`LinalgError::NoConvergence`] from the Jacobi sweep.
     pub fn min_eigenvalue(&self) -> Result<f64, LinalgError> {
-        let eig = self.symmetric_eigen()?;
-        Ok(eig
-            .eigenvalues()
-            .iter()
-            .copied()
+        Ok(crate::eigen::jacobi(self, None)?
+            .into_iter()
             .fold(f64::INFINITY, f64::min))
     }
 

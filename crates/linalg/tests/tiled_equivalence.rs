@@ -119,16 +119,17 @@ fn tiled_gemm_matches_naive_across_tile_boundaries() {
         let b = fill(k, n, 100 + case as u64);
         let want = naive_matmul(&a, &b);
         assert_bits_equal(&a.matmul(&b), &want, &format!("matmul {m}x{k}x{n}"));
-        let mut out = Matrix::zeros(m, n);
-        a.matmul_into(&b, &mut out);
-        assert_bits_equal(&out, &want, &format!("matmul_into {m}x{k}x{n}"));
     }
 }
 
 #[test]
 fn panelled_cholesky_matches_naive_across_panel_boundaries() {
-    // Orders straddling the CHOL_NB = 32 panel boundary.
-    for (case, &n) in [1usize, 2, 31, 32, 33, 64, 70, 97].iter().enumerate() {
+    // Orders straddling the CHOL_NB = 32 panel boundary, with odd and even
+    // row counts below each panel (phase 1 runs rows in pairs plus a single
+    // trailing row) and last panels of 1, 2, 31 and 32 columns (its 8-column
+    // lane groups end short or exact).
+    let orders = [1usize, 2, 3, 31, 32, 33, 34, 63, 64, 65, 66, 70, 97, 127];
+    for (case, &n) in orders.iter().enumerate() {
         let a = spd(n, 7 + case as u64);
         let want = naive_cholesky(&a).expect("SPD reference must factor");
         let got = a.cholesky().expect("SPD must factor");
@@ -149,6 +150,63 @@ fn panelled_cholesky_fails_identically_to_naive() {
             assert_eq!(pivot.to_bits(), want_pivot.to_bits(), "failure pivot bits");
         }
         other => panic!("expected NotPositiveDefinite, got {other:?}"),
+    }
+}
+
+#[test]
+fn panelled_cholesky_fails_identically_in_every_panel_position() {
+    // A broken pivot on even and odd rows, first and last in a panel, in the
+    // first, second and last panel: the failure index and pivot bits must be
+    // those of the naive loop.
+    let cases = [
+        (33usize, 32usize),
+        (65, 33),
+        (65, 34),
+        (65, 63),
+        (65, 64),
+        (97, 64),
+        (97, 95),
+        (97, 96),
+    ];
+    for &(n, bad) in &cases {
+        let mut a = spd(n, 11 + bad as u64);
+        a[(bad, bad)] = -1.0;
+        let (want_idx, want_pivot) = naive_cholesky(&a).expect_err("not PD");
+        match a.cholesky() {
+            Err(LinalgError::NotPositiveDefinite { index, pivot }) => {
+                assert_eq!(index, want_idx, "n = {n}: failure index");
+                assert_eq!(pivot.to_bits(), want_pivot.to_bits(), "n = {n}: failure pivot bits");
+            }
+            other => panic!("n = {n}: expected NotPositiveDefinite, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn eigenvalue_only_sweeps_match_the_full_decomposition_bitwise() {
+    // `min_eigenvalue` runs the Jacobi sweeps without eigenvectors; its value
+    // must be the minimum of `symmetric_eigen`'s, bit for bit.
+    for (case, &n) in [1usize, 2, 5, 12, 28, 45].iter().enumerate() {
+        let mut a = fill(n, n, 31 + case as u64);
+        a.symmetrize();
+        let full = a.symmetric_eigen().expect("converges");
+        let only = a.min_eigenvalue().expect("converges");
+        assert_eq!(only.to_bits(), full.min().to_bits(), "n = {n}");
+    }
+    // A NaN keeps the off-diagonal mass above tolerance for every sweep: both
+    // give up after the same number of sweeps with the same residual bits.
+    let mut a = spd(6, 9);
+    a[(1, 4)] = f64::NAN;
+    a[(4, 1)] = f64::NAN;
+    match (a.symmetric_eigen(), a.min_eigenvalue()) {
+        (
+            Err(LinalgError::NoConvergence { iterations: i1, residual: r1 }),
+            Err(LinalgError::NoConvergence { iterations: i2, residual: r2 }),
+        ) => {
+            assert_eq!(i1, i2, "sweeps");
+            assert_eq!(r1.to_bits(), r2.to_bits(), "residual bits");
+        }
+        other => panic!("expected NoConvergence twice, got {other:?}"),
     }
 }
 
@@ -179,6 +237,7 @@ fn kernel_perf_probe() {
     }
 
     println!("kernel            n    naive (ms)   tiled (ms)   speedup");
+    println!("(eigen rows: symmetric_eigen vs min_eigenvalue)");
     for &n in &[128usize, 256, 384] {
         let a = fill(n, n, 1);
         let b = fill(n, n, 2);
@@ -195,7 +254,8 @@ fn kernel_perf_probe() {
             naive / tiled
         );
     }
-    for &n in &[192usize, 320, 448] {
+    // Schur-complement orders of the SDPs the verifier solves.
+    for &n in &[192usize, 211, 331, 496, 1002] {
         let a = spd(n, 3);
         let naive = best_of_3(&mut || {
             black_box(naive_cholesky(black_box(&a))).expect("SPD");
@@ -208,6 +268,23 @@ fn kernel_perf_probe() {
             naive * 1e3,
             tiled * 1e3,
             naive / tiled
+        );
+    }
+    // Gram-block orders of the step-length eigenvalue problems: the full
+    // decomposition against the eigenvalue-only sweeps.
+    for &n in &[28usize, 45, 66] {
+        let a = spd(n, 5);
+        let full = best_of_3(&mut || {
+            black_box(black_box(&a).symmetric_eigen()).expect("converges");
+        });
+        let only = best_of_3(&mut || {
+            black_box(black_box(&a).min_eigenvalue()).expect("converges");
+        });
+        println!(
+            "eigen/min      {n:4}   {:10.2}   {:10.2}   {:6.2}x",
+            full * 1e3,
+            only * 1e3,
+            full / only
         );
     }
 }

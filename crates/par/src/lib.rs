@@ -8,9 +8,10 @@
 //! * [`join`] / [`join3`] — structured fork–join for a fixed number of
 //!   heterogeneous tasks (the verifier's three independent LMI problems);
 //! * [`par_map_collect`] — parallel map over `0..n` with results returned
-//!   **in index order** (SDP block factorizations, counterexample restarts);
+//!   **in index order** (counterexample restarts, mesh chunks);
 //! * [`par_map_reduce`] — chunked parallel map over `0..n` with a
-//!   **deterministic reduction order** (the §3 mesh probe);
+//!   **deterministic reduction order** (the §3 mesh probe, SDP block
+//!   factorizations);
 //! * [`par_for_chunks`] / [`par_for_chunks_scratch`] — partition a mutable
 //!   slice into fixed-length chunks processed in parallel, optionally with a
 //!   per-worker scratch state so inner loops do not allocate (Schur
@@ -246,7 +247,7 @@ fn check_cover(parts: &[Range<usize>], n: usize) {
 /// Parallel map over `0..n`, returning results **in index order**.
 ///
 /// Items are dealt to workers one at a time (suited to a small number of
-/// coarse tasks: SDP block factorizations, gradient-ascent restarts); each
+/// coarse tasks: gradient-ascent restarts, mesh chunks); each
 /// result is stored in its item's slot, so the output is independent of
 /// which worker computed what.
 pub fn par_map_collect<R, F>(n: usize, f: F) -> Vec<R>

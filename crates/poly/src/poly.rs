@@ -409,7 +409,7 @@ impl fmt::Display for Polynomial {
             }
             if m.is_one() {
                 write!(f, "{mag}")?;
-            } else if (mag - 1.0).abs() < 1e-12 {
+            } else if mag == 1.0 { // audit:allow(float-eq) — only an exact 1 is implied
                 write!(f, "{m}")?;
             } else {
                 write!(f, "{mag}*{m}")?;
@@ -435,6 +435,30 @@ mod tests {
         let mut buf = [0.0f64; 2];
         Polynomial::eval_gradient_into(&grads, &x, &mut buf);
         assert_eq!(buf.to_vec(), q.eval_gradient(&x));
+    }
+
+    #[test]
+    fn printed_coefficients_parse_back_bit_for_bit() {
+        // Certificates are exchanged as text: a coefficient a few ulps from
+        // ±1 must not print as an implied 1, and no magnitude may lose bits.
+        let one = 1.0f64.to_bits();
+        let mut coeffs = vec![1.0, -1.0, 0.5, 1e300, 1e-300, -1e300, -1e-300];
+        for k in 1..=3u64 {
+            for c in [f64::from_bits(one + k), f64::from_bits(one - k)] {
+                coeffs.push(c);
+                coeffs.push(-c);
+            }
+        }
+        // Subnormals: the smallest, one mid-range, and a negative one.
+        coeffs.extend([f64::from_bits(1), f64::MIN_POSITIVE / 3.0, -f64::from_bits(12345)]);
+        for &c in &coeffs {
+            for m in [Monomial::one(), Monomial::var(0), Monomial::new(vec![2, 1])] {
+                let q = &Polynomial::term(c, m.clone()) + &p("x2^3");
+                let text = q.to_string();
+                let back: Polynomial = text.parse().unwrap();
+                assert_eq!(back.coeff(&m).to_bits(), c.to_bits(), "{c:e}·{m} printed as `{text}`");
+            }
+        }
     }
 
     #[test]

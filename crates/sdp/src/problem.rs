@@ -230,12 +230,21 @@ pub(crate) fn entries_dot(entries: &[Entry], x: &BlockMatrix) -> f64 {
     acc
 }
 
-/// `A·X` for a sparse symmetric `A` (entries) restricted to one dense block,
-/// written into a caller-provided `n×n` buffer (zeroed here) so per-worker
-/// scratch can be reused across Schur complement rows.
-pub(crate) fn sparse_times_dense_into(entries: &[Entry], block: usize, x: &Matrix, out: &mut Matrix) {
-    out.as_mut_slice().fill(0.0);
-    for e in entries.iter().filter(|e| e.block == block) {
+/// `A·X` for a sparse symmetric `A` given by its entries in one dense block,
+/// written into the rows of a caller-provided `n×n` buffer that `A` touches.
+/// `rows` lists those rows (every `e.row` and `e.col`); they are zeroed here,
+/// and every other row of the product is zero and left untouched, so
+/// per-worker scratch can be reused across Schur complement rows.
+pub(crate) fn sparse_times_dense_into(
+    entries: &[Entry],
+    rows: &[usize],
+    x: &Matrix,
+    out: &mut Matrix,
+) {
+    for &r in rows {
+        out.row_mut(r).fill(0.0);
+    }
+    for e in entries {
         // A has value v at (row, col) and (col, row).
         let v = e.value;
         {
@@ -316,8 +325,8 @@ mod tests {
             value: 2.0,
         }];
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut prod = Matrix::zeros(2, 2);
-        sparse_times_dense_into(&entries, 0, &x, &mut prod);
+        let mut prod = Matrix::from_rows(&[&[9.0, 9.0], &[9.0, 9.0]]);
+        sparse_times_dense_into(&entries, &[0, 1], &x, &mut prod);
         // A = [[0,2],[2,0]]; A·X = [[6,8],[2,4]].
         assert_eq!(prod[(0, 0)], 6.0);
         assert_eq!(prod[(0, 1)], 8.0);

@@ -1,7 +1,9 @@
 use snbc_linalg::{vec_ops, Cholesky, Matrix};
 
-use crate::problem::{entries_dot, sparse_times_dense_into};
-use crate::{Block, BlockMatrix, SdpError, SdpProblem};
+use std::ops::Range;
+
+use crate::problem::{entries_dot, sparse_times_dense_into, Entry};
+use crate::{Block, BlockMatrix, BlockShape, SdpError, SdpProblem};
 
 /// Termination status of an SDP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,13 +111,119 @@ enum Scaling {
     },
 }
 
-/// Serial per-iteration precompute for one diagonal block of the Schur
-/// assembly: `d = x/z` plus the index-grouped coalesced coefficients (see
-/// `build_schur` for the complexity argument).
-struct DiagPre {
-    d: Vec<f64>,
-    per_index: Vec<Vec<(usize, f64)>>,
-    per_constraint: Vec<Vec<(usize, f64)>>,
+/// Estimated multiply–adds below which an interior-point phase (the block
+/// factorizations, the Schur rows) runs as one inline chunk. A parallel
+/// region's spawns cost tens of microseconds: on a 2-core host a Schur
+/// assembly at m = 67 took 37 µs inline and 77 µs on two workers, one at
+/// m = 211 (estimate ≈ 2·10⁵) 761 µs and 460 µs, and block factorizations
+/// up to an estimate of 10⁵ were slower on two workers (docs/PERFORMANCE.md,
+/// "Parallel thresholds"). The chunk grid only decides which worker fills
+/// which disjoint output, so any value gives the same bits.
+const MIN_PARALLEL_WORK: usize = 1 << 17;
+
+/// Items per chunk for a parallel phase over `items` items whose estimated
+/// cost is `work` multiply–adds: one item per chunk, or all of them in one
+/// chunk when the phase is too small to pay for a spawn.
+fn grain(items: usize, work: usize) -> usize {
+    if work < MIN_PARALLEL_WORK {
+        items.max(1)
+    } else {
+        1
+    }
+}
+
+/// One constraint's entries in one dense block, as the Schur assembly reads
+/// them.
+struct DenseRun {
+    /// The constraint `l`.
+    constraint: usize,
+    /// Its entries in this block, in stored order (`SchurIndex::entries`).
+    entries: Range<usize>,
+    /// The block rows those entries touch, ascending and deduplicated
+    /// (`SchurIndex::rows`): the only rows of `A_l·X` that can be nonzero.
+    rows: Range<usize>,
+}
+
+/// The Schur assembly's view of one block.
+enum BlockRuns {
+    /// The constraints touching a dense block, ascending.
+    Dense(Vec<DenseRun>),
+    /// A diagonal block's coalesced coefficients, grouped both ways:
+    /// `per_index[i]` = the constraints touching index `i`, each with the
+    /// *sum* of its entry values there, ascending in constraint;
+    /// `per_constraint[k]` = the transpose view, ascending in `i`.
+    Diag {
+        per_index: Vec<Vec<(usize, f64)>>,
+        per_constraint: Vec<Vec<(usize, f64)>>,
+    },
+}
+
+/// The structure of the constraint matrices that every Schur assembly reads,
+/// built once per solve (the sparsity pattern does not change between
+/// iterations; only `X`, `Z⁻¹` and the diagonal ratios `x/z` do).
+struct SchurIndex {
+    blocks: Vec<BlockRuns>,
+    /// Every constraint's entries regrouped by block, in stored order within
+    /// a block. The problem's own entry lists are left in their order, which
+    /// `entries_dot` and `adjoint_accumulate` sum across blocks.
+    entries: Vec<Entry>,
+    rows: Vec<usize>,
+}
+
+impl SchurIndex {
+    fn new(problem: &SdpProblem) -> Self {
+        let m = problem.num_constraints();
+        let mut entries = Vec::new();
+        let mut rows = Vec::new();
+        let mut blocks = Vec::with_capacity(problem.shapes().len());
+        for (j, shape) in problem.shapes().iter().enumerate() {
+            let in_block =
+                |l: usize| problem.constraint_entries(l).iter().filter(move |e| e.block == j);
+            blocks.push(match *shape {
+                BlockShape::Dense(_) => {
+                    let mut runs = Vec::new();
+                    for l in 0..m {
+                        let e0 = entries.len();
+                        entries.extend(in_block(l).copied());
+                        if entries.len() == e0 {
+                            continue;
+                        }
+                        let r0 = rows.len();
+                        let mut touched: Vec<usize> =
+                            entries[e0..].iter().flat_map(|e| [e.row, e.col]).collect();
+                        touched.sort_unstable();
+                        touched.dedup();
+                        rows.extend(touched);
+                        runs.push(DenseRun {
+                            constraint: l,
+                            entries: e0..entries.len(),
+                            rows: r0..rows.len(),
+                        });
+                    }
+                    BlockRuns::Dense(runs)
+                }
+                BlockShape::Diag(n) => {
+                    let mut per_index: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+                    for l in 0..m {
+                        for e in in_block(l) {
+                            match per_index[e.row].iter_mut().find(|(cl, _)| *cl == l) {
+                                Some((_, cv)) => *cv += e.value,
+                                None => per_index[e.row].push((l, e.value)),
+                            }
+                        }
+                    }
+                    let mut per_constraint: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+                    for (i, group) in per_index.iter().enumerate() {
+                        for &(l, v) in group {
+                            per_constraint[l].push((i, v));
+                        }
+                    }
+                    BlockRuns::Diag { per_index, per_constraint }
+                }
+            });
+        }
+        SchurIndex { blocks, entries, rows }
+    }
 }
 
 /// Fills row `k` of the Schur complement (columns `k..m`). For dense blocks,
@@ -123,35 +231,56 @@ struct DiagPre {
 /// (the full per-block cache would be O(m·n²) memory — hundreds of MB for
 /// the large joint programs) — held in per-worker `scratch` so the
 /// interior-point iterations do not allocate per row.
+///
+/// Only the rows of `A_k·X` that `A_k` touches can be nonzero, so `U_k` sums
+/// over those rows alone, ascending, with the GEMM kernel's exact-zero skip.
+/// The products left out are exact zeros, and a sum that starts at +0.0
+/// never becomes −0.0, so adding them would change no bit of `U_k`; for the
+/// same reason a constraint without entries in a block adds nothing to its
+/// cell. Blocks are visited ascending and each block's entries in stored
+/// order, the accumulation order of the dense product this replaces.
 // audit:hot
 fn assemble_schur_row(
-    problem: &SdpProblem,
+    index: &SchurIndex,
     scalings: &[Scaling],
-    diag: &[Option<DiagPre>],
-    m: usize,
+    ratios: &[Vec<f64>],
     scratch: &mut [Option<(Matrix, Matrix)>],
     k: usize,
     row: &mut [f64],
 ) {
-    let entries_k = problem.constraint_entries(k);
-    for (j, scaling) in scalings.iter().enumerate() {
-        match scaling {
-            Scaling::Dense { zinv, x, .. } => {
-                if entries_k.iter().all(|e| e.block != j) {
+    for (j, (runs, scaling)) in index.blocks.iter().zip(scalings).enumerate() {
+        match (runs, scaling) {
+            (BlockRuns::Dense(runs), Scaling::Dense { zinv, x, .. }) => {
+                let at = runs.partition_point(|r| r.constraint < k);
+                let Some(own) = runs.get(at).filter(|r| r.constraint == k) else {
                     continue;
-                }
+                };
+                let touched = &index.rows[own.rows.clone()];
                 let n = zinv.nrows();
                 // Lazy per-worker scratch: two n×n buffers per dense block,
                 // allocated on the block's first row and reused for every
                 // later row this worker owns. audit:allow(hot-alloc)
                 let (ax, uk) = scratch[j]
                     .get_or_insert_with(|| (Matrix::zeros(n, n), Matrix::zeros(n, n)));
-                sparse_times_dense_into(entries_k, j, x, ax);
-                zinv.matmul_into(ax, uk);
-                for l in k..m {
-                    let entries_l = problem.constraint_entries(l);
+                sparse_times_dense_into(&index.entries[own.entries.clone()], touched, x, ax);
+                for i in 0..n {
+                    let zrow = zinv.row(i);
+                    let urow = uk.row_mut(i);
+                    urow.fill(0.0);
+                    for &r in touched {
+                        let a = zrow[r];
+                        // The GEMM kernel's sparse skip; exactness is intended.
+                        if a == 0.0 { // audit:allow(float-eq)
+                            continue;
+                        }
+                        for (u, axv) in urow.iter_mut().zip(ax.row(r)) {
+                            *u += a * axv;
+                        }
+                    }
+                }
+                for run in &runs[at..] {
                     let mut acc = 0.0;
-                    for e in entries_l.iter().filter(|e| e.block == j) {
+                    for e in &index.entries[run.entries.clone()] {
                         // tr(A_l · U_k) with A_l symmetric-sparse.
                         if e.row == e.col {
                             acc += e.value * uk[(e.row, e.col)];
@@ -159,25 +288,65 @@ fn assemble_schur_row(
                             acc += e.value * (uk[(e.row, e.col)] + uk[(e.col, e.row)]);
                         }
                     }
-                    row[l] += acc;
+                    row[run.constraint] += acc;
                 }
             }
-            Scaling::Diag { .. } => {
+            (BlockRuns::Diag { per_index, per_constraint }, Scaling::Diag { .. }) => {
                 // M_kl += Σᵢ a_k[i]·a_l[i]·xᵢ/zᵢ, i ascending.
-                // Populated by `build_schur` for every Diag block by
-                // construction. audit:allow(panicking)
-                let pre = diag[j].as_ref().expect("diag precompute");
-                for &(i, aki) in &pre.per_constraint[k] {
-                    let di = pre.d[i];
-                    for &(l, ali) in &pre.per_index[i] {
-                        if l >= k {
-                            row[l] += aki * ali * di;
-                        }
+                let d = &ratios[j];
+                for &(i, aki) in &per_constraint[k] {
+                    let di = d[i];
+                    let group = &per_index[i];
+                    for &(l, ali) in &group[group.partition_point(|&(l, _)| l < k)..] {
+                        row[l] += aki * ali * di;
                     }
                 }
             }
+            // The index is built from the problem's block shapes and
+            // `factor_blocks` keeps the same kinds, so kinds never differ.
+            _ => {}
         }
     }
+}
+
+/// Assembles the upper triangle (columns `k..m` of every row `k`) of the
+/// Schur complement `M_{kl} = Σⱼ tr(A_{kj} Zⱼ⁻¹ A_{lj} Xⱼ)`.
+fn assemble_schur(index: &SchurIndex, scalings: &[Scaling], m: usize) -> Matrix {
+    let mut big_m = Matrix::zeros(m, m);
+    // Per-iteration half of the diagonal-block data: `d = x/z`.
+    let ratios: Vec<Vec<f64>> = scalings
+        .iter()
+        .map(|s| match s {
+            Scaling::Diag { x, z } => x.iter().zip(z).map(|(xi, zi)| xi / zi).collect(),
+            Scaling::Dense { .. } => Vec::new(),
+        })
+        .collect();
+    // Row-parallel assembly: each worker owns a disjoint run of rows of
+    // the row-major `M`; `assemble_schur_row` fills one row from the
+    // per-worker scratch. Per-cell accumulation runs blocks-ascending
+    // then indices-ascending, exactly the serial order: the assembled
+    // matrix is bitwise identical at any thread count and any grain.
+    let work = m * scalings
+        .iter()
+        .map(|s| match s {
+            Scaling::Dense { zinv, .. } => zinv.nrows() * zinv.nrows(),
+            Scaling::Diag { .. } => 0,
+        })
+        .sum::<usize>()
+        + m * m / 2;
+    let rows_per_chunk = grain(m, work);
+    snbc_par::par_for_chunks_scratch(
+        big_m.as_mut_slice(),
+        m * rows_per_chunk,
+        || vec![None::<(Matrix, Matrix)>; scalings.len()],
+        |scratch, c, rows| {
+            let first = c * rows_per_chunk;
+            for (r, row) in rows.chunks_mut(m).enumerate() {
+                assemble_schur_row(index, scalings, &ratios, scratch, first + r, row);
+            }
+        },
+    );
+    big_m
 }
 
 impl SdpSolver {
@@ -239,6 +408,7 @@ impl SdpSolver {
         cholesky_count: &mut usize,
     ) -> Result<SdpSolution, SdpError> {
         problem.validate()?;
+        let index = SchurIndex::new(problem);
         let shapes = problem.shapes().to_vec();
         let m = problem.num_constraints();
         let b = problem.rhs().to_vec();
@@ -371,7 +541,7 @@ impl SdpSolver {
             let scalings = self.factor_blocks(&x, &z, cholesky_count)?;
 
             // Schur complement M and the shared pieces of the rhs.
-            let schur = self.build_schur(problem, &scalings, m, cholesky_count)?;
+            let schur = self.build_schur(&index, &scalings, m, cholesky_count)?;
 
             // Predictor: ν = 0, no corrector.
             let (dx_aff, _dy_aff, dz_aff) =
@@ -463,11 +633,19 @@ impl SdpSolver {
         z: &BlockMatrix,
         cholesky_count: &mut usize,
     ) -> Result<Vec<Scaling>, SdpError> {
-        // One independent Cholesky pair per dense block, dealt across the
-        // pool; results land by block index, so parallel == serial bitwise.
+        // One independent Cholesky pair per dense block; chunks of blocks
+        // are dealt across the pool and folded back in block order, so
+        // parallel == serial bitwise. A small iteration is one chunk.
         let xbs = x.blocks();
         let zbs = z.blocks();
-        let factored = snbc_par::par_map_collect(xbs.len(), |j| {
+        let work = xbs
+            .iter()
+            .map(|b| match b {
+                Block::Dense(xm) => xm.nrows().pow(3),
+                Block::Diag(xd) => xd.len(),
+            })
+            .sum();
+        let factor = |j: usize| {
             let mut count = 0usize;
             let scaling = match (&xbs[j], &zbs[j]) {
                 (Block::Dense(xm), Block::Dense(zm)) => {
@@ -504,12 +682,22 @@ impl SdpSolver {
                 _ => return Err(SdpError::BlockMismatch { op: "factor_blocks" }),
             };
             Ok::<(Scaling, usize), SdpError>((scaling, count))
-        });
+        };
+        let factored = snbc_par::par_map_reduce(
+            xbs.len(),
+            grain(xbs.len(), work),
+            |blocks| blocks.map(factor).collect::<Vec<_>>(),
+            |mut acc, chunk| {
+                acc.extend(chunk);
+                acc
+            },
+        )
+        .unwrap_or_default();
         let mut out = Vec::with_capacity(factored.len());
         for r in factored {
             let (scaling, count) = r?;
             // Serial index-ascending fold over the already-ordered
-            // par_map_collect output; integer count.
+            // par_map_reduce output; integer count.
             // audit:allow(unordered-reduce)
             *cholesky_count += count;
             out.push(scaling);
@@ -521,55 +709,12 @@ impl SdpSolver {
     /// `M_{kl} = Σⱼ tr(A_{kj} Zⱼ⁻¹ A_{lj} Xⱼ)` (symmetrized).
     fn build_schur(
         &self,
-        problem: &SdpProblem,
+        index: &SchurIndex,
         scalings: &[Scaling],
         m: usize,
         cholesky_count: &mut usize,
     ) -> Result<Cholesky, SdpError> {
-        let mut big_m = Matrix::zeros(m, m);
-        // Serial precompute of what the parallel row loop reads for diagonal
-        // blocks: `d = x/z` plus the index-grouped coalesced coefficients
-        // (`per_index[i]` = constraints touching diagonal index `i` with
-        // a_ki the *sum* of that constraint's entry values there, ascending
-        // in constraint; `per_constraint[k]` = the transpose view, ascending
-        // in `i`). This keeps the assembly O(Σᵢ cᵢ²) instead of O(m²·nnz),
-        // which matters when a scalar free variable (e.g. a barrier
-        // coefficient) appears in hundreds of constraints.
-        let mut diag: Vec<Option<DiagPre>> = Vec::with_capacity(scalings.len());
-        for (j, scaling) in scalings.iter().enumerate() {
-            let Scaling::Diag { x, z } = scaling else {
-                diag.push(None);
-                continue;
-            };
-            let d: Vec<f64> = x.iter().zip(z).map(|(xi, zi)| xi / zi).collect();
-            let mut per_index: Vec<Vec<(usize, f64)>> = vec![Vec::new(); d.len()];
-            for k in 0..m {
-                for e in problem.constraint_entries(k).iter().filter(|e| e.block == j) {
-                    match per_index[e.row].iter_mut().find(|(ck, _)| *ck == k) {
-                        Some((_, cv)) => *cv += e.value,
-                        None => per_index[e.row].push((k, e.value)),
-                    }
-                }
-            }
-            let mut per_constraint: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-            for (i, group) in per_index.iter().enumerate() {
-                for &(k, v) in group {
-                    per_constraint[k].push((i, v));
-                }
-            }
-            diag.push(Some(DiagPre { d, per_index, per_constraint }));
-        }
-        // Row-parallel assembly: each worker owns a disjoint run of rows of
-        // the row-major `M`; `assemble_schur_row` fills one row from the
-        // per-worker scratch. Per-cell accumulation runs blocks-ascending
-        // then indices-ascending, exactly the serial order: the assembled
-        // matrix is bitwise identical at any thread count.
-        snbc_par::par_for_chunks_scratch(
-            big_m.as_mut_slice(),
-            m,
-            || vec![None::<(Matrix, Matrix)>; scalings.len()],
-            |scratch, k, row| assemble_schur_row(problem, scalings, &diag, m, scratch, k, row),
-        );
+        let mut big_m = assemble_schur(index, scalings, m);
         // Symmetrize (HKM's Schur matrix is only approximately symmetric) and
         // regularize.
         for k in 0..m {
@@ -790,6 +935,246 @@ mod tests {
 
     fn default_solver() -> SdpSolver {
         SdpSolver::default()
+    }
+
+    /// The Schur assembly as it was before the per-solve index, verbatim:
+    /// a full `U_k = Z⁻¹·(A_k·X)` GEMM per row and dense block, the
+    /// per-iteration diagonal precompute, and a scan of every constraint's
+    /// entries per block. The bitwise reference for `assemble_schur`.
+    fn reference_schur(problem: &SdpProblem, scalings: &[Scaling], m: usize) -> Matrix {
+        struct DiagPre {
+            d: Vec<f64>,
+            per_index: Vec<Vec<(usize, f64)>>,
+            per_constraint: Vec<Vec<(usize, f64)>>,
+        }
+        fn dense_times(entries: &[Entry], block: usize, x: &Matrix, out: &mut Matrix) {
+            out.as_mut_slice().fill(0.0);
+            for e in entries.iter().filter(|e| e.block == block) {
+                let v = e.value;
+                {
+                    let xr = x.row(e.col);
+                    let or = out.row_mut(e.row);
+                    for (o, xv) in or.iter_mut().zip(xr) {
+                        *o += v * xv;
+                    }
+                }
+                if e.row != e.col {
+                    let xr = x.row(e.row);
+                    let or = out.row_mut(e.col);
+                    for (o, xv) in or.iter_mut().zip(xr) {
+                        *o += v * xv;
+                    }
+                }
+            }
+        }
+        let mut big_m = Matrix::zeros(m, m);
+        let mut diag: Vec<Option<DiagPre>> = Vec::with_capacity(scalings.len());
+        for (j, scaling) in scalings.iter().enumerate() {
+            let Scaling::Diag { x, z } = scaling else {
+                diag.push(None);
+                continue;
+            };
+            let d: Vec<f64> = x.iter().zip(z).map(|(xi, zi)| xi / zi).collect();
+            let mut per_index: Vec<Vec<(usize, f64)>> = vec![Vec::new(); d.len()];
+            for k in 0..m {
+                for e in problem.constraint_entries(k).iter().filter(|e| e.block == j) {
+                    match per_index[e.row].iter_mut().find(|(ck, _)| *ck == k) {
+                        Some((_, cv)) => *cv += e.value,
+                        None => per_index[e.row].push((k, e.value)),
+                    }
+                }
+            }
+            let mut per_constraint: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+            for (i, group) in per_index.iter().enumerate() {
+                for &(k, v) in group {
+                    per_constraint[k].push((i, v));
+                }
+            }
+            diag.push(Some(DiagPre { d, per_index, per_constraint }));
+        }
+        for k in 0..m {
+            let row = big_m.row_mut(k);
+            let entries_k = problem.constraint_entries(k);
+            for (j, scaling) in scalings.iter().enumerate() {
+                match scaling {
+                    Scaling::Dense { zinv, x, .. } => {
+                        if entries_k.iter().all(|e| e.block != j) {
+                            continue;
+                        }
+                        let n = zinv.nrows();
+                        let mut ax = Matrix::zeros(n, n);
+                        dense_times(entries_k, j, x, &mut ax);
+                        let uk = zinv.matmul(&ax);
+                        for l in k..m {
+                            let entries_l = problem.constraint_entries(l);
+                            let mut acc = 0.0;
+                            for e in entries_l.iter().filter(|e| e.block == j) {
+                                if e.row == e.col {
+                                    acc += e.value * uk[(e.row, e.col)];
+                                } else {
+                                    acc += e.value * (uk[(e.row, e.col)] + uk[(e.col, e.row)]);
+                                }
+                            }
+                            row[l] += acc;
+                        }
+                    }
+                    Scaling::Diag { .. } => {
+                        let pre = diag[j].as_ref().expect("diag precompute");
+                        for &(i, aki) in &pre.per_constraint[k] {
+                            let di = pre.d[i];
+                            for &(l, ali) in &pre.per_index[i] {
+                                if l >= k {
+                                    row[l] += aki * ali * di;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        big_m
+    }
+
+    /// Deterministic values in [−1, 1) (LCG), so shapes need no RNG crate.
+    fn lcg(state: &mut u64) -> f64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((*state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+    }
+
+    /// An SOS-shaped program over the monomials `1, x, …, x^(g−1)`: one
+    /// constraint per coefficient of `x^d`, matching a Gram block (order
+    /// `g`, a Hankel pattern), a multiplier Gram block (order 3, shifted by
+    /// `x²`) whose entries spread over several constraints, and a diagonal
+    /// block holding a split free scalar, a margin on every even-degree
+    /// constraint and a coefficient entered twice (coalesced). Odd
+    /// constraints store their entries in a different block order, and one
+    /// Gram position is entered twice.
+    fn sos_shaped_problem(g: usize) -> SdpProblem {
+        let mut p = SdpProblem::new(vec![
+            BlockShape::Dense(g),
+            BlockShape::Diag(4),
+            BlockShape::Dense(3),
+        ]);
+        for d in 0..(2 * g - 1) {
+            let k = p.add_constraint(d as f64);
+            let gram = |p: &mut SdpProblem| {
+                for r in 0..g {
+                    if d >= r && d - r >= r && d - r < g {
+                        let c = d - r;
+                        p.set_coefficient(k, 0, r, c, if r == c { 1.0 } else { 0.5 });
+                    }
+                }
+            };
+            let mult = |p: &mut SdpProblem| {
+                for r in 0..3 {
+                    for c in r..3 {
+                        if r + c + 2 == d {
+                            p.set_coefficient(k, 2, r, c, -0.7 - 0.1 * (r as f64));
+                        }
+                    }
+                }
+            };
+            let scalars = |p: &mut SdpProblem| {
+                if d <= 2 {
+                    p.set_coefficient(k, 1, 0, 0, 1.5);
+                    p.set_coefficient(k, 1, 1, 1, -1.5);
+                }
+                if d % 2 == 0 {
+                    p.set_coefficient(k, 1, 2, 2, -1.0);
+                }
+                if d % 3 == 1 {
+                    p.set_coefficient(k, 1, 3, 3, 0.25);
+                    p.set_coefficient(k, 1, 3, 3, 0.5);
+                }
+            };
+            if d % 2 == 0 {
+                gram(&mut p);
+                mult(&mut p);
+                scalars(&mut p);
+            } else {
+                scalars(&mut p);
+                mult(&mut p);
+                gram(&mut p);
+            }
+            if d == 4 && g > 3 {
+                p.set_coefficient(k, 0, 1, 3, 0.125);
+            }
+        }
+        p
+    }
+
+    /// A symmetric `n×n` matrix of LCG values with exact zeros wherever
+    /// `zero(i, j)` holds (a −0.0 on odd diagonals, +0.0 elsewhere).
+    fn patterned(n: usize, seed: u64, zero: impl Fn(usize, usize) -> bool) -> Matrix {
+        let mut state = seed;
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let v = if zero(i, j) {
+                    if i == j && i % 2 == 1 {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                } else {
+                    lcg(&mut state)
+                };
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+            }
+        }
+        a
+    }
+
+    fn dense_scaling(zinv: Matrix, x: Matrix) -> Scaling {
+        let n = x.nrows();
+        let id = Matrix::identity(n).cholesky().expect("identity factors");
+        Scaling::Dense {
+            zinv,
+            x,
+            x_chol: id.clone(),
+            z_chol: id,
+        }
+    }
+
+    #[test]
+    fn schur_assembly_matches_the_dense_reference_bitwise() {
+        for (case, &g) in [3usize, 6, 11].iter().enumerate() {
+            let p = sos_shaped_problem(g);
+            let m = p.num_constraints();
+            let seed = 17 + case as u64;
+            // Exact zeros in Z⁻¹ (a checkerboard corner) and in A_k·X (X's
+            // row and column 1 vanish, so rows that A_k touches can be zero).
+            let scalings = vec![
+                dense_scaling(
+                    patterned(g, seed, |i, j| (i + j) % 4 == 1),
+                    patterned(g, seed + 100, |i, j| i == 1 || j == 1),
+                ),
+                Scaling::Diag {
+                    x: (0..4).map(|i| 0.5 + i as f64 * 0.3).collect(),
+                    z: (0..4).map(|i| 2.0 - i as f64 * 0.4).collect(),
+                },
+                dense_scaling(
+                    patterned(3, seed + 200, |i, j| i == 0 && j == 2),
+                    patterned(3, seed + 300, |_, _| false),
+                ),
+            ];
+            let want = reference_schur(&p, &scalings, m);
+            let got = assemble_schur(&SchurIndex::new(&p), &scalings, m);
+            for k in 0..m {
+                for l in 0..m {
+                    assert_eq!(
+                        got[(k, l)].to_bits(),
+                        want[(k, l)].to_bits(),
+                        "g = {g}: M[{k}][{l}] = {} vs {}",
+                        got[(k, l)],
+                        want[(k, l)]
+                    );
+                }
+            }
+        }
     }
 
     #[test]
