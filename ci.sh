@@ -45,6 +45,12 @@ cargo test -q --workspace --doc
 echo "==> cargo build --release --workspace (the snbc binary the smoke legs run)"
 cargo build --release --workspace
 
+echo "==> perfbench self-tests (the benchmark builds against the program's API)"
+# A program change that breaks an API perfbench uses fails here rather than
+# in the benchmark. No --locked: perfbench/Cargo.lock predates core dropping
+# snbc-autodiff, so cargo rewrites it on every build.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (workspace, default parallelism)"
 cargo test -q --workspace
 

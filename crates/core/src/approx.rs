@@ -22,9 +22,11 @@ pub struct ApproxOptions {
     pub mesh_spacing: f64,
     /// Cap on mesh points. A full rectangular mesh is used while it fits
     /// under the cap; beyond that a deterministic Halton set of exactly
-    /// `max_mesh_points` points stands in and the covering radius is
-    /// estimated by probing (documented substitution — Theorem 2 only needs
-    /// *a* covering radius of the sample set).
+    /// `max_mesh_points` points stands in. Its reported covering radius is
+    /// not a covering radius for caps of 2048 points or more (see
+    /// `build_mesh`), so there Theorem 2's `σ̃ + r·L` is not a sound bound;
+    /// [`approximate_mlp`] is sound when one of its branch-and-bound rungs
+    /// certifies.
     pub max_mesh_points: usize,
     /// LP solver options.
     pub lp: LpOptions,
@@ -201,6 +203,14 @@ fn record_inclusion(t: &snbc_telemetry::Telemetry, inc: &PolynomialInclusion) {
 }
 
 /// Builds the sample set and its covering radius.
+///
+/// The rectangular mesh's radius `½·s·√n` is exact. The Halton branch
+/// draws the first `min(2048, 4N)` points of the same sequence as probes
+/// and skips the first `min(N, probes)` of them, which are the mesh itself;
+/// for `N ≥ 2048` (every cap in use: 3000 and 20 000) no probe is left, so
+/// the radius returned is the volume bound `½·(vol/N)^{1/n}`. That is a
+/// lower bound on any covering radius of `N` points, not an upper one, so
+/// `σ̃ + r·L` from it is not a sound Theorem 2 bound.
 fn build_mesh(domain: &[(f64, f64)], opts: &ApproxOptions) -> (Vec<Vec<f64>>, f64) {
     let n = domain.len();
     // Points per dimension at the requested spacing.
@@ -233,9 +243,12 @@ fn build_mesh(domain: &[(f64, f64)], opts: &ApproxOptions) -> (Vec<Vec<f64>>, f6
         // Halton fallback. The covering radius is *estimated* by probing and
         // then inflated by a safety factor — probing lower-bounds the true
         // radius, so the raw estimate would make the Theorem 2 bound
-        // optimistic. Callers needing a fully verified band should prefer
-        // [`approximate_mlp`], whose branch-and-bound certification of
-        // |k − h| ≤ σ* does not depend on this estimate at all.
+        // optimistic. Below 2048 points only the probes past the mesh's own
+        // prefix are new; at 2048 or more there are none and the volume
+        // bound stands alone (see the function docs). Callers needing a
+        // verified band should prefer [`approximate_mlp`], whose
+        // branch-and-bound certification of |k − h| ≤ σ* does not depend on
+        // this estimate at all.
         const COVERING_SAFETY: f64 = 1.5;
         let pts = snbc_dynamics::sample_box_halton(domain, opts.max_mesh_points);
         let probes = snbc_dynamics::sample_box_halton(
@@ -364,8 +377,18 @@ mod tests {
 /// In high dimension the rectangular mesh is replaced by a capped Halton set
 /// whose covering radius — and hence the `½sL` gap term — grows quickly; the
 /// direct certification of `|k(x) − h(x)| ≤ σ` over the box sidesteps that
-/// conservatism entirely while remaining sound (interval arithmetic
-/// over-approximates both the network and the polynomial).
+/// conservatism entirely while remaining sound up to rounding (interval
+/// arithmetic over-approximates both the network and the polynomial, with
+/// round-to-nearest bounds; see [`snbc_interval::Interval`]).
+///
+/// The certification climbs a ladder of σ rungs and keeps the first one the
+/// branch-and-bound proves. Before the ladder, a short deterministic
+/// gradient ascent on `±(k − h)` from the worst Halton probes looks for a
+/// concrete point with a large `|k − h|`, the *witness*; a rung the witness
+/// already exceeds (by more than the rounding margin) could only end
+/// refuted or out of budget, so it is skipped without a search. The
+/// witness is reported as the `witness` gauge on the `approx` span: the
+/// lower end of the gap that σ* closes from above.
 ///
 /// # Errors
 ///
@@ -411,35 +434,141 @@ pub fn approximate_mlp(
     // never certify), and the box budget grows with the dimension, where
     // each bound-tightening split costs more.
     let n = domain.len();
+    let kernel = InclusionKernel::new(mlp, &base.h);
     let probes = snbc_dynamics::sample_box_halton(domain, 4000);
-    // max is exact under reordering, so a fixed-grid map-reduce keeps the
-    // probed seed bitwise identical at any thread count.
-    let probes_ref = &probes;
-    let h_ref = &base.h;
-    let probed = snbc_par::par_map_reduce(
-        probes.len(),
-        512,
-        |r| {
-            let mut worst: f64 = 0.0;
-            for p in &probes_ref[r] {
-                worst = worst.max((mlp.forward(p) - h_ref.eval(p)).abs());
-            }
-            worst
-        },
-        f64::max,
-    )
-    .unwrap_or(0.0);
+    let (probed, starts) = worst_probes(&kernel, &probes);
+    let witness = refute_ascent(&kernel, domain, &probes, &starts);
     let budget = 60_000usize.saturating_mul(1 + n / 4);
     let mut sigma = (probed * 1.2 + 1e-4).max(base.sigma_tilde);
     while sigma < base.sigma_star {
-        if certify_inclusion_error(mlp, &base.h, domain, sigma, budget, telemetry.trace()) {
+        // A rung below the witness cannot certify: the leaf box holding the
+        // witness point bounds |k − h| from above by at least the witness
+        // (up to rounding), so that box is never discharged.
+        if witness <= sigma + REFUTE_MARGIN
+            && certify_inclusion_error(&kernel, domain, sigma, budget, telemetry.trace())
+        {
             base.sigma_star = sigma;
             break;
         }
         sigma *= 1.5;
     }
     record_inclusion(&telemetry, &base);
+    if telemetry.is_recording() {
+        telemetry.gauge("witness", witness);
+    }
     Ok(base)
+}
+
+/// Probes with the largest `|k − h|` that start the refutation ascent.
+const REFUTE_STARTS: usize = 8;
+
+/// Steps of each refutation ascent: 8 × 40 evaluations, well under a
+/// millisecond, against branch-and-bound searches of up to 10⁵ boxes.
+const REFUTE_STEPS: usize = 40;
+
+/// First ascent step, as a fraction of each box width.
+const REFUTE_STEP: f64 = 0.05;
+
+/// How far the witness must exceed a rung before the rung is skipped. The
+/// per-box bounds and the witness value carry round-to-nearest error of a
+/// few ulps of quantities of order one (~1e-15); the smallest gap between
+/// a witness and a rung it skips on the benchmark rows is 1.4e-5 (C8 at
+/// its Table 1 seed).
+const REFUTE_MARGIN: f64 = 1e-9;
+
+/// Evaluates `|k − h|` at every probe. Returns the largest value (the
+/// ladder's seed) and the [`REFUTE_STARTS`] probes with the largest values
+/// as `(|k − h|, index)`, largest first, ties broken by the lower index.
+/// Both are exact under any chunking, so they are bitwise identical at any
+/// thread count.
+fn worst_probes(kernel: &InclusionKernel<'_>, probes: &[Vec<f64>]) -> (f64, Vec<(f64, usize)>) {
+    snbc_par::par_map_reduce(
+        probes.len(),
+        512,
+        |r| {
+            let mut s = kernel.point_scratch();
+            let mut worst: f64 = 0.0;
+            let mut top = Vec::with_capacity(REFUTE_STARTS + 1);
+            for i in r {
+                let d = kernel.difference_at(&probes[i], &mut s).abs();
+                worst = worst.max(d);
+                top.push((d, i));
+                keep_worst(&mut top);
+            }
+            (worst, top)
+        },
+        merge_worst,
+    )
+    .unwrap_or((0.0, Vec::new()))
+}
+
+/// Merges two chunks' `(largest value, worst probes)`.
+fn merge_worst(a: (f64, Vec<(f64, usize)>), b: (f64, Vec<(f64, usize)>)) -> (f64, Vec<(f64, usize)>) {
+    let (mut top, more) = (a.1, b.1);
+    top.extend(more);
+    keep_worst(&mut top);
+    (a.0.max(b.0), top)
+}
+
+/// Sorts by decreasing value, then increasing index, and keeps the first
+/// [`REFUTE_STARTS`] entries.
+fn keep_worst(top: &mut Vec<(f64, usize)>) {
+    top.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    top.truncate(REFUTE_STARTS);
+}
+
+/// Projected gradient ascent on `±(k − h)` from each start, in the start's
+/// sign, with steps normalised in box-width units (×1.5 after an
+/// improvement, ×0.5 after a miss) and clamped to the domain. Serial, so
+/// the result does not depend on the thread count. Returns the largest
+/// `|k − h|` evaluated at any point — every point lies in the domain, so
+/// no σ below it can bound `|k − h|` there.
+fn refute_ascent(
+    kernel: &InclusionKernel<'_>,
+    domain: &[(f64, f64)],
+    probes: &[Vec<f64>],
+    starts: &[(f64, usize)],
+) -> f64 {
+    let n = domain.len();
+    let widths: Vec<f64> = domain.iter().map(|&(lo, hi)| hi - lo).collect();
+    let mut s = kernel.point_scratch();
+    let (mut x, mut cand, mut g) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let mut witness: f64 = 0.0;
+    for &(_, start) in starts {
+        x.copy_from_slice(&probes[start]);
+        let d = kernel.difference_at(&x, &mut s);
+        witness = witness.max(d.abs());
+        let sign = if d < 0.0 { -1.0 } else { 1.0 };
+        let mut fx = sign * d;
+        kernel.difference_gradient(&x, &mut s, &mut g);
+        let mut step = REFUTE_STEP;
+        for _ in 0..REFUTE_STEPS {
+            let norm = g
+                .iter()
+                .zip(&widths)
+                .map(|(gi, w)| (gi * w) * (gi * w))
+                .sum::<f64>()
+                .sqrt();
+            if !(norm > 0.0) {
+                break;
+            }
+            for (i, c) in cand.iter_mut().enumerate() {
+                let (lo, hi) = domain[i];
+                *c = (x[i] + sign * step * widths[i] * (g[i] * widths[i]) / norm).clamp(lo, hi);
+            }
+            let dc = kernel.difference_at(&cand, &mut s);
+            witness = witness.max(dc.abs());
+            if sign * dc > fx {
+                std::mem::swap(&mut x, &mut cand);
+                fx = sign * dc;
+                step *= 1.5;
+                kernel.difference_gradient(&x, &mut s, &mut g);
+            } else {
+                step *= 0.5;
+            }
+        }
+    }
+    witness
 }
 
 /// Branch-and-bound proof of `|k(x) − h(x)| ≤ σ` over the box, combining
@@ -453,128 +582,547 @@ pub fn approximate_mlp(
 ///   affine part — the envelope collapses for near-linear controllers and is
 ///   what keeps 9–12-dimensional certification tractable.
 ///
-/// Box evaluations run through the deterministic parallel wave engine
-/// ([`snbc_interval::wave_search`]); when `trace` records, per-chunk
-/// `bb-boxes` spans show the fan-out per worker in the Perfetto timeline.
+/// Each box is bounded by [`InclusionKernel::bounds`]. Box evaluations run
+/// through the deterministic parallel wave engine
+/// ([`snbc_interval::wave_search`]) with one kernel scratch per evaluation
+/// chunk; when `trace` records, per-chunk `bb-boxes` spans show the fan-out
+/// per worker in the Perfetto timeline.
 fn certify_inclusion_error(
-    mlp: &snbc_nn::Mlp,
-    h: &Polynomial,
+    kernel: &InclusionKernel<'_>,
     domain: &[(f64, f64)],
     sigma: f64,
     max_boxes: usize,
     trace: &snbc_trace::Trace,
 ) -> bool {
-    use snbc_interval::{eval_range, wave_search, widest_axis, BoxEval, Interval};
-    let n = domain.len();
-    let h_grad: Vec<Polynomial> = (0..n).map(|i| h.partial(i)).collect();
+    use snbc_interval::{wave_search, widest_axis, BoxEval, Interval};
     let root: Vec<Interval> = domain.iter().map(|&(lo, hi)| Interval::new(lo, hi)).collect();
-    let outcome = wave_search(root, max_boxes, trace, |bx| {
-        let mid: Vec<f64> = bx.iter().map(|iv| iv.mid()).collect();
-        let d_mid = mlp.forward(&mid) - h.eval(&mid);
+    let outcome = wave_search(root, max_boxes, trace, || kernel.box_scratch(), |s, bx| {
+        let d_mid = kernel.midpoint_difference(s, bx);
         if d_mid.abs() > sigma {
             // Concrete violation of this σ level: abort the whole search.
-            return BoxEval::Refuted { witness: mid, value: d_mid };
+            return BoxEval::Refuted { witness: s.mid.clone(), value: d_mid };
         }
-        // Direct form.
-        let k_range = mlp.forward_interval(bx);
-        let h_range = eval_range(h, bx);
-        let direct = (k_range - h_range).hi().abs().max((k_range - h_range).lo().abs());
-        // Mean-value form.
-        let kg = mlp.gradient_interval(bx);
-        let mut mv = d_mid.abs();
-        for (i, iv) in bx.iter().enumerate() {
-            let hg = eval_range(&h_grad[i], bx);
-            let gmax = (kg[i] - hg).hi().abs().max((kg[i] - hg).lo().abs());
-            mv += gmax * iv.width() * 0.5;
-        }
-        // Chord relaxation.
-        let chord = chord_bound(mlp, h, bx).unwrap_or(f64::INFINITY);
+        let [direct, mv, chord] = kernel.bounds(s, bx, d_mid);
         if direct.min(mv).min(chord) <= sigma {
             return BoxEval::Discharged;
         }
         match widest_axis(bx) {
             Some((_, width)) if width >= 1e-6 => BoxEval::Split,
             // Cannot prove at this precision: give up on this σ level.
-            _ => BoxEval::Refuted { witness: mid, value: d_mid },
+            _ => BoxEval::Refuted { witness: s.mid.clone(), value: d_mid },
         }
     });
     outcome.refuted.is_none() && outcome.exhausted.is_none()
 }
 
-/// CROWN-style bound of `max |k(x) − h(x)|` over the box for
-/// single-hidden-layer tanh MLPs; `None` for other shapes.
-fn chord_bound(
-    mlp: &snbc_nn::Mlp,
-    h: &Polynomial,
-    bx: &[snbc_interval::Interval],
-) -> Option<f64> {
-    use snbc_interval::{eval_range, Interval};
-    if mlp.layer_sizes().len() != 3 || mlp.activation() != snbc_nn::Activation::Tanh {
-        return None;
-    }
-    let n = mlp.input_dim();
-    let hidden = mlp.layer_sizes()[1];
-    let w1 = mlp.weight_matrix(0);
-    let w2 = mlp.weight_matrix(1);
-    let params = mlp.params();
-    let b1_off = n * hidden;
-    let b2_off = b1_off + hidden + hidden;
-    let out_bias = params[b2_off];
-
-    // Affine enclosure of the network: k(x) ∈ aᵀx + b0 + [e_lo, e_hi].
-    let mut a = vec![0.0; n];
-    let mut b0 = out_bias;
-    let mut env = Interval::point(0.0);
-    for j in 0..hidden {
-        // Pre-activation range (exact for the affine map).
-        let mut z = Interval::point(params[b1_off + j]);
-        for (i, iv) in bx.iter().enumerate() {
-            z = z + *iv * w1[(j, i)];
-        }
-        let (l, u) = (z.lo(), z.hi());
-        let (slope, dev) = tanh_chord_envelope(l, u);
-        let v = w2[(0, j)];
-        for (i, ai) in a.iter_mut().enumerate() {
-            *ai += v * slope * w1[(j, i)];
-        }
-        b0 += v * slope * params[b1_off + j];
-        env = env + dev * v;
-    }
-    // Range of (aᵀx + b0 − h(x)) over the box, plus the envelope.
-    let mut affine = Polynomial::constant(b0);
-    for (i, &ai) in a.iter().enumerate() {
-        affine.add_term(ai, snbc_poly::Monomial::var(i));
-    }
-    let poly_part = &affine - h;
-    let r = eval_range(&poly_part, bx) + env;
-    Some(r.hi().abs().max(r.lo().abs()))
+/// A polynomial compiled for repeated evaluation: coefficients, and each
+/// monomial's nonzero exponents as `(variable, exponent)` pairs, in
+/// [`Polynomial::iter`] order.
+struct FlatPoly {
+    coeffs: Vec<f64>,
+    monomials: Monomials,
 }
 
-/// Parallel-chord envelope of `tanh` on `[l, u]`: returns `(s, dev)` with
-/// `tanh(z) ∈ s·z + dev` for all `z ∈ [l, u]`.
-fn tanh_chord_envelope(l: f64, u: f64) -> (f64, snbc_interval::Interval) {
-    use snbc_interval::Interval;
+/// Monomials as runs of `(variable, exponent)` factors, ascending by variable.
+#[derive(Default)]
+struct Monomials {
+    runs: Vec<std::ops::Range<usize>>,
+    factors: Vec<(usize, u32)>,
+}
+
+impl Monomials {
+    fn push(&mut self, m: &snbc_poly::Monomial) {
+        let start = self.factors.len();
+        for (i, &e) in m.exponents().iter().enumerate() {
+            if e > 0 {
+                self.factors.push((i, e));
+            }
+        }
+        self.runs.push(start..self.factors.len());
+    }
+
+    /// `x^α` as [`snbc_poly::Monomial::eval`] forms it.
+    fn value_at(&self, t: usize, x: &[f64]) -> f64 {
+        let mut v = 1.0;
+        for &(i, e) in &self.factors[self.runs[t].clone()] {
+            for _ in 0..e {
+                v *= x[i];
+            }
+        }
+        v
+    }
+
+    /// The interval term of [`snbc_interval::eval_range`]: the product of
+    /// the box's coordinate powers, `pows[i·max_exp + e − 1] = boxᵢᵉ`.
+    fn range_on(&self, t: usize, pows: &[snbc_interval::Interval], max_exp: usize) -> snbc_interval::Interval {
+        let mut term = snbc_interval::Interval::point(1.0);
+        for &(i, e) in &self.factors[self.runs[t].clone()] {
+            term = term * pows[i * max_exp + e as usize - 1];
+        }
+        term
+    }
+}
+
+impl FlatPoly {
+    fn new(p: &Polynomial) -> Self {
+        let mut monomials = Monomials::default();
+        let mut coeffs = Vec::with_capacity(p.num_terms());
+        for (m, c) in p.iter() {
+            coeffs.push(c);
+            monomials.push(m);
+        }
+        FlatPoly { coeffs, monomials }
+    }
+
+    /// Same operations, in the same order, as [`Polynomial::eval`].
+    // audit:hot
+    fn value_at(&self, x: &[f64]) -> f64 {
+        self.coeffs
+            .iter()
+            .enumerate()
+            .map(|(t, c)| c * self.monomials.value_at(t, x))
+            .sum()
+    }
+
+    /// Same operations, in the same order, as [`snbc_interval::eval_range`].
+    // audit:hot
+    fn range_on(&self, pows: &[snbc_interval::Interval], max_exp: usize) -> snbc_interval::Interval {
+        let mut acc = snbc_interval::Interval::point(0.0);
+        for (t, &c) in self.coeffs.iter().enumerate() {
+            acc = acc + self.monomials.range_on(t, pows, max_exp) * c;
+        }
+        acc
+    }
+}
+
+/// Where a monomial of the chord bound's `aᵀx + b₀ − h` gets its affine part.
+#[derive(Clone, Copy)]
+enum AffinePart {
+    /// Only `h` has this monomial.
+    None,
+    /// The constant `b₀`.
+    Constant,
+    /// The coefficient `aᵢ` of `xᵢ`.
+    Var(usize),
+}
+
+/// The monomials of `aᵀx + b₀ − h` (all of them, before any exact-zero
+/// coefficient is dropped) in [`Polynomial::iter`] order, with the affine
+/// part and `h`'s coefficient each contributes.
+struct ChordPoly {
+    parts: Vec<(AffinePart, Option<f64>)>,
+    monomials: Monomials,
+}
+
+impl ChordPoly {
+    fn new(h: &Polynomial, n: usize) -> Self {
+        use snbc_poly::Monomial;
+        let mut merged: std::collections::BTreeMap<Monomial, (AffinePart, Option<f64>)> =
+            std::collections::BTreeMap::new();
+        merged.insert(Monomial::one(), (AffinePart::Constant, None));
+        for i in 0..n {
+            merged.insert(Monomial::var(i), (AffinePart::Var(i), None));
+        }
+        for (m, c) in h.iter() {
+            merged.entry(m.clone()).or_insert((AffinePart::None, None)).1 = Some(c);
+        }
+        let mut monomials = Monomials::default();
+        let mut parts = Vec::with_capacity(merged.len());
+        for (m, part) in &merged {
+            monomials.push(m);
+            parts.push(*part);
+        }
+        ChordPoly { parts, monomials }
+    }
+}
+
+/// [`Polynomial::add_term`]'s rule for keeping a coefficient: anything but
+/// an exact zero (a NaN is kept).
+fn kept(c: f64) -> bool {
+    !(c.abs() <= 0.0)
+}
+
+/// The per-box bounds of `|k − h|` for one [`approximate_mlp`] call, compiled
+/// once: `h`, its partials and the chord bound's `aᵀx + b₀ − h` monomials.
+/// Every bound repeats the floating-point operations of the references it
+/// replaced, in their order — [`snbc_nn::Mlp::forward`],
+/// [`Polynomial::eval`], [`snbc_nn::Mlp::forward_interval`],
+/// [`snbc_nn::Mlp::gradient_interval`], [`snbc_interval::eval_range`] and
+/// the chord relaxation over a [`Polynomial`] — so every verdict, and σ*,
+/// is bit for bit what they give; the unit tests pin this box by box.
+/// Per box it computes each coordinate's interval powers, each hidden
+/// unit's pre-activation interval and `tanh` at its two ends once, shared
+/// by the three bounds, and allocates nothing.
+struct InclusionKernel<'a> {
+    mlp: &'a snbc_nn::Mlp,
+    n: usize,
+    /// Largest exponent of any variable in `h` (at least 1).
+    max_exp: usize,
+    h: FlatPoly,
+    h_grad: Vec<FlatPoly>,
+    /// Present for single-hidden-layer tanh networks.
+    chord: Option<ChordPoly>,
+    /// Per weight layer: offset of its weights in the flat parameters, and
+    /// of its units among the hidden units (hidden layers only).
+    param_offsets: Vec<usize>,
+    unit_offsets: Vec<usize>,
+    hidden_units: usize,
+    widest: usize,
+}
+
+/// Scratch of the point evaluations (midpoints, probes, the ascent).
+struct PointScratch {
+    pre: Vec<f64>,
+    act: Vec<f64>,
+    adj: Vec<f64>,
+    next: Vec<f64>,
+}
+
+/// Scratch of one box evaluation; one per wave-engine evaluation chunk.
+struct BoxScratch {
+    mid: Vec<f64>,
+    point: PointScratch,
+    pows: Vec<snbc_interval::Interval>,
+    pre: Vec<snbc_interval::Interval>,
+    act: Vec<snbc_interval::Interval>,
+    deriv: Vec<snbc_interval::Interval>,
+    tanh_lo: Vec<f64>,
+    tanh_hi: Vec<f64>,
+    adj: Vec<snbc_interval::Interval>,
+    next: Vec<snbc_interval::Interval>,
+    scaled: Vec<snbc_interval::Interval>,
+    affine: Vec<f64>,
+}
+
+impl<'a> InclusionKernel<'a> {
+    fn new(mlp: &'a snbc_nn::Mlp, h: &Polynomial) -> Self {
+        let n = mlp.input_dim();
+        let sizes = mlp.layer_sizes();
+        let mut param_offsets = Vec::with_capacity(sizes.len() - 1);
+        let mut unit_offsets = Vec::with_capacity(sizes.len() - 1);
+        let (mut p, mut u) = (0, 0);
+        for w in sizes.windows(2) {
+            param_offsets.push(p);
+            unit_offsets.push(u);
+            p += w[0] * w[1] + w[1];
+            u += w[1];
+        }
+        let hidden_units = u - sizes[sizes.len() - 1];
+        let max_exp = h
+            .iter()
+            .flat_map(|(m, _)| m.exponents().iter().copied())
+            .max()
+            .unwrap_or(0)
+            .max(1) as usize;
+        let chord = (sizes.len() == 3 && mlp.activation() == snbc_nn::Activation::Tanh)
+            .then(|| ChordPoly::new(h, n));
+        InclusionKernel {
+            mlp,
+            n,
+            max_exp,
+            h: FlatPoly::new(h),
+            h_grad: (0..n).map(|i| FlatPoly::new(&h.partial(i))).collect(),
+            chord,
+            param_offsets,
+            unit_offsets,
+            hidden_units,
+            widest: sizes.iter().copied().max().unwrap_or(1),
+        }
+    }
+
+    fn point_scratch(&self) -> PointScratch {
+        PointScratch {
+            pre: vec![0.0; self.hidden_units],
+            act: vec![0.0; self.hidden_units],
+            adj: vec![0.0; self.widest],
+            next: vec![0.0; self.widest],
+        }
+    }
+
+    fn box_scratch(&self) -> BoxScratch {
+        use snbc_interval::Interval;
+        let zero = Interval::point(0.0);
+        BoxScratch {
+            mid: vec![0.0; self.n],
+            point: self.point_scratch(),
+            pows: vec![zero; self.n * self.max_exp],
+            pre: vec![zero; self.hidden_units],
+            act: vec![zero; self.hidden_units],
+            deriv: vec![zero; self.hidden_units],
+            tanh_lo: vec![0.0; self.hidden_units],
+            tanh_hi: vec![0.0; self.hidden_units],
+            adj: vec![zero; self.widest],
+            next: vec![zero; self.widest],
+            scaled: vec![zero; self.widest],
+            affine: vec![0.0; self.n],
+        }
+    }
+
+    /// `k(x)` with [`snbc_nn::Mlp::forward`]'s operations, keeping each
+    /// hidden unit's pre-activation and activation in `s`.
+    // audit:hot
+    fn controller_at(&self, x: &[f64], s: &mut PointScratch) -> f64 {
+        let sizes = self.mlp.layer_sizes();
+        let params = self.mlp.params();
+        let act_fn = self.mlp.activation();
+        let layers = sizes.len() - 1;
+        for li in 0..layers - 1 {
+            let (fan_in, fan_out) = (sizes[li], sizes[li + 1]);
+            let (p, u) = (self.param_offsets[li], self.unit_offsets[li]);
+            let (below, cur) = s.act.split_at_mut(u);
+            let input = if li == 0 { x } else { &below[u - fan_in..] };
+            for o in 0..fan_out {
+                let mut acc = params[p + fan_in * fan_out + o];
+                for (w, a) in params[p + o * fan_in..p + (o + 1) * fan_in].iter().zip(input) {
+                    acc += w * a;
+                }
+                s.pre[u + o] = acc;
+                cur[o] = act_fn.activate(acc);
+            }
+        }
+        let fan_in = sizes[layers - 1];
+        let p = self.param_offsets[layers - 1];
+        let u = self.hidden_units;
+        let input = if layers == 1 { x } else { &s.act[u - fan_in..u] };
+        let mut out = params[p + fan_in];
+        for (w, a) in params[p..p + fan_in].iter().zip(input) {
+            out += w * a;
+        }
+        out
+    }
+
+    /// `k(x) − h(x)`, bit for bit `mlp.forward(x) − h.eval(x)`.
+    fn difference_at(&self, x: &[f64], s: &mut PointScratch) -> f64 {
+        self.controller_at(x, s) - self.h.value_at(x)
+    }
+
+    /// `∇k(x) − ∇h(x)` into `grad`, by point backprop from the forward state
+    /// [`Self::difference_at`] left in `s` for the same `x`.
+    fn difference_gradient(&self, x: &[f64], s: &mut PointScratch, grad: &mut [f64]) {
+        let sizes = self.mlp.layer_sizes();
+        let params = self.mlp.params();
+        let act_fn = self.mlp.activation();
+        let layers = sizes.len() - 1;
+        s.adj[0] = 1.0;
+        for li in (0..layers).rev() {
+            let (fan_in, fan_out) = (sizes[li], sizes[li + 1]);
+            let p = self.param_offsets[li];
+            if li + 1 < layers {
+                let u = self.unit_offsets[li];
+                for o in 0..fan_out {
+                    s.adj[o] *= act_fn.slope(s.pre[u + o], s.act[u + o]);
+                }
+            }
+            s.next[..fan_in].fill(0.0);
+            for o in 0..fan_out {
+                let a = s.adj[o];
+                for (d, w) in s.next[..fan_in].iter_mut().zip(&params[p + o * fan_in..]) {
+                    *d += a * w;
+                }
+            }
+            std::mem::swap(&mut s.adj, &mut s.next);
+        }
+        for (i, g) in grad.iter_mut().enumerate() {
+            *g = s.adj[i] - self.h_grad[i].value_at(x);
+        }
+    }
+
+    /// `d(mid) = k(mid) − h(mid)` of the box, leaving the midpoint in `s.mid`.
+    fn midpoint_difference(&self, s: &mut BoxScratch, bx: &[snbc_interval::Interval]) -> f64 {
+        for (m, iv) in s.mid.iter_mut().zip(bx) {
+            *m = iv.mid();
+        }
+        self.difference_at(&s.mid, &mut s.point)
+    }
+
+    /// The direct, mean-value and chord bounds of `max |k − h|` over the
+    /// box (`∞` for the chord bound of other network shapes).
+    // audit:hot
+    fn bounds(&self, s: &mut BoxScratch, bx: &[snbc_interval::Interval], d_mid: f64) -> [f64; 3] {
+        let max_exp = self.max_exp;
+        for (iv, pows) in bx.iter().zip(s.pows.chunks_mut(max_exp)) {
+            let mut e = 0;
+            for p in pows {
+                e += 1;
+                *p = snbc_interval::Interval::powi(*iv, e);
+            }
+        }
+        // Direct form.
+        let k_range = self.network_ranges(s, bx);
+        let diff = k_range - self.h.range_on(&s.pows, max_exp);
+        let direct = diff.hi().abs().max(diff.lo().abs());
+        // Mean-value form.
+        self.gradient_ranges(s);
+        let mut mv = d_mid.abs();
+        for (i, iv) in bx.iter().enumerate() {
+            let g = s.adj[i] - self.h_grad[i].range_on(&s.pows, max_exp);
+            let gmax = g.hi().abs().max(g.lo().abs());
+            mv += gmax * iv.width() * 0.5;
+        }
+        // Chord relaxation.
+        let chord = match &self.chord {
+            Some(c) => self.chord_bound(c, s),
+            None => f64::INFINITY,
+        };
+        [direct, mv, chord]
+    }
+
+    /// The network's output interval ([`snbc_nn::Mlp::forward_interval`]),
+    /// recording each hidden unit's pre-activation, activation and
+    /// derivative intervals for the gradient and chord bounds.
+    // audit:hot
+    fn network_ranges(&self, s: &mut BoxScratch, bx: &[snbc_interval::Interval]) -> snbc_interval::Interval {
+        use snbc_interval::Interval;
+        use snbc_nn::{interval_activation, interval_activation_derivative, Activation};
+        let sizes = self.mlp.layer_sizes();
+        let params = self.mlp.params();
+        let act_fn = self.mlp.activation();
+        let layers = sizes.len() - 1;
+        let mut out = Interval::point(0.0);
+        for li in 0..layers {
+            let (fan_in, fan_out) = (sizes[li], sizes[li + 1]);
+            let (p, u) = (self.param_offsets[li], self.unit_offsets[li]);
+            let (below, cur) = s.act.split_at_mut(u);
+            let input = if li == 0 { bx } else { &below[u - fan_in..] };
+            for o in 0..fan_out {
+                let mut acc = Interval::point(params[p + fan_in * fan_out + o]);
+                for (a, w) in input.iter().zip(&params[p + o * fan_in..p + (o + 1) * fan_in]) {
+                    acc = acc + *a * *w;
+                }
+                if li + 1 == layers {
+                    out = acc;
+                    continue;
+                }
+                s.pre[u + o] = acc;
+                if act_fn == Activation::Tanh {
+                    // tanh at the two ends, shared by the activation and
+                    // derivative ranges here and the chord envelope
+                    // (`t * t` is `t.powi(2)`: one correctly rounded product).
+                    let (tl, th) = (acc.lo().tanh(), acc.hi().tanh());
+                    s.tanh_lo[u + o] = tl;
+                    s.tanh_hi[u + o] = th;
+                    cur[o] = Interval::new(tl, th);
+                    let (dl, dh) = (1.0 - tl * tl, 1.0 - th * th);
+                    let hi = if acc.contains(0.0) { 1.0 } else { dl.max(dh) };
+                    s.deriv[u + o] = Interval::new(dl.min(dh), hi);
+                } else {
+                    cur[o] = interval_activation(act_fn, acc);
+                    s.deriv[u + o] = interval_activation_derivative(act_fn, acc);
+                }
+            }
+        }
+        out
+    }
+
+    /// Per-coordinate ranges of `∇k` into `s.adj[..n]`
+    /// ([`snbc_nn::Mlp::gradient_interval`]'s backward pass over the
+    /// derivative ranges [`Self::network_ranges`] left in `s`).
+    // audit:hot
+    fn gradient_ranges(&self, s: &mut BoxScratch) {
+        use snbc_interval::Interval;
+        let sizes = self.mlp.layer_sizes();
+        let params = self.mlp.params();
+        let layers = sizes.len() - 1;
+        s.adj[0] = Interval::point(1.0);
+        for li in (0..layers).rev() {
+            let (fan_in, fan_out) = (sizes[li], sizes[li + 1]);
+            let p = self.param_offsets[li];
+            for o in 0..fan_out {
+                let d = if li + 1 == layers {
+                    Interval::point(1.0)
+                } else {
+                    s.deriv[self.unit_offsets[li] + o]
+                };
+                s.scaled[o] = s.adj[o] * d;
+            }
+            s.next[..fan_in].fill(Interval::point(0.0));
+            for o in 0..fan_out {
+                let sc = s.scaled[o];
+                for (g, w) in s.next[..fan_in].iter_mut().zip(&params[p + o * fan_in..]) {
+                    *g = *g + sc * *w;
+                }
+            }
+            std::mem::swap(&mut s.adj, &mut s.next);
+        }
+    }
+
+    /// The chord relaxation of a single-hidden-layer tanh network:
+    /// `k(x) ∈ aᵀx + b₀ + env`, bounded together with `−h` term by term.
+    // audit:hot
+    fn chord_bound(&self, c: &ChordPoly, s: &mut BoxScratch) -> f64 {
+        use snbc_interval::Interval;
+        let n = self.n;
+        let hidden = self.hidden_units;
+        let params = self.mlp.params();
+        let (b1_off, w2_off) = (n * hidden, n * hidden + hidden);
+        s.affine.fill(0.0);
+        let mut b0 = params[w2_off + hidden];
+        let mut env = Interval::point(0.0);
+        for j in 0..hidden {
+            let z = s.pre[j];
+            let (slope, dev) = chord_envelope(z.lo(), z.hi(), s.tanh_lo[j], s.tanh_hi[j]);
+            let v = params[w2_off + j];
+            let vs = v * slope;
+            for (a, w) in s.affine.iter_mut().zip(&params[j * n..(j + 1) * n]) {
+                *a += vs * w;
+            }
+            b0 += vs * params[b1_off + j];
+            env = env + dev * v;
+        }
+        // Range of (aᵀx + b₀ − h(x)) over the box, term by term as
+        // `&affine − h` would hold it: affine coefficients and merged sums
+        // that are exactly zero are dropped.
+        let mut acc = Interval::point(0.0);
+        for (t, &(part, h_coeff)) in c.parts.iter().enumerate() {
+            let affine = match part {
+                AffinePart::None => None,
+                AffinePart::Constant => (b0.abs() > 0.0).then_some(b0),
+                AffinePart::Var(i) => kept(s.affine[i]).then_some(s.affine[i]),
+            };
+            let coeff = match (affine, h_coeff) {
+                (Some(a), None) => a,
+                (a, Some(hc)) => {
+                    let merged = a.unwrap_or(0.0) + -hc;
+                    if !kept(merged) {
+                        continue;
+                    }
+                    merged
+                }
+                (None, None) => continue,
+            };
+            acc = acc + c.monomials.range_on(t, &s.pows, self.max_exp) * coeff;
+        }
+        let r = acc + env;
+        r.hi().abs().max(r.lo().abs())
+    }
+}
+
+/// Parallel-chord envelope of `tanh` on `[l, u]` given `tl = tanh(l)` and
+/// `tu = tanh(u)`: returns `(s, dev)` with `tanh(z) ∈ s·z + dev` for all
+/// `z ∈ [l, u]`.
+fn chord_envelope(l: f64, u: f64, tl: f64, tu: f64) -> (f64, snbc_interval::Interval) {
     let width = u - l;
     let s = if width < 1e-12 {
-        1.0 - l.tanh().powi(2)
+        1.0 - tl * tl
     } else {
-        (u.tanh() - l.tanh()) / width
+        (tu - tl) / width
     };
     // g(z) = tanh(z) − s·z is extremal at the endpoints or where
     // tanh'(z) = s ⇔ tanh(z) = ±√(1−s).
-    let g = |z: f64| z.tanh() - s * z;
-    let mut lo = g(l).min(g(u));
-    let mut hi = g(l).max(g(u));
+    let (gl, gu) = (tl - s * l, tu - s * u);
+    let mut lo = gl.min(gu);
+    let mut hi = gl.max(gu);
     if (0.0..=1.0).contains(&s) {
         let t = (1.0 - s).sqrt();
         for root in [t.atanh(), (-t).atanh()] {
             if root.is_finite() && root > l && root < u {
-                lo = lo.min(g(root));
-                hi = hi.max(g(root));
+                let g = root.tanh() - s * root;
+                lo = lo.min(g);
+                hi = hi.max(g);
             }
         }
     }
-    (s, Interval::new(lo, hi))
+    (s, snbc_interval::Interval::new(lo, hi))
 }
 
 #[cfg(test)]
@@ -586,7 +1134,7 @@ mod chord_tests {
     #[test]
     fn tanh_envelope_is_sound() {
         for (l, u) in [(-3.0, 2.0), (-0.5, 0.5), (0.1, 4.0), (-4.0, -1.0)] {
-            let (s, dev) = tanh_chord_envelope(l, u);
+            let (s, dev) = chord_envelope(l, u, l.tanh(), u.tanh());
             for i in 0..=100 {
                 let z = l + (u - l) * i as f64 / 100.0;
                 let g = z.tanh() - s * z;
@@ -603,7 +1151,11 @@ mod chord_tests {
         let net = Mlp::new(&[3, 8, 1], Activation::Tanh, 9);
         let h: Polynomial = "0.1*x0 - 0.2*x1".parse().unwrap();
         let bx = vec![Interval::new(-0.8, 0.8); 3];
-        let bound = chord_bound(&net, &h, &bx).expect("single hidden layer");
+        let kernel = InclusionKernel::new(&net, &h);
+        let mut s = kernel.box_scratch();
+        let d_mid = kernel.midpoint_difference(&mut s, &bx);
+        let [_, _, bound] = kernel.bounds(&mut s, &bx, d_mid);
+        assert!(bound.is_finite(), "single hidden layer tanh has a chord bound");
         // Probe the true sup.
         let mut sup: f64 = 0.0;
         for p in snbc_dynamics::sample_box_halton(&[(-0.8, 0.8); 3], 4000) {
@@ -615,8 +1167,322 @@ mod chord_tests {
     #[test]
     fn chord_bound_none_for_deep_networks() {
         let net = Mlp::new(&[2, 4, 4, 1], Activation::Tanh, 1);
-        let bx = vec![Interval::new(-1.0, 1.0); 2];
-        assert!(chord_bound(&net, &Polynomial::zero(), &bx).is_none());
+        let kernel = InclusionKernel::new(&net, &Polynomial::zero());
+        assert!(kernel.chord.is_none());
+    }
+}
+
+#[cfg(test)]
+mod kernel_oracle_tests {
+    use super::*;
+    use snbc_interval::{eval_range, widest_axis, Interval};
+    use snbc_nn::{Activation, Mlp};
+
+    /// The per-box computations of the branch-and-bound closure that
+    /// [`InclusionKernel`] replaced, kept verbatim as its reference:
+    /// `[d(mid), direct, mean-value, chord]`.
+    fn reference_bounds(mlp: &Mlp, h: &Polynomial, bx: &[Interval]) -> [f64; 4] {
+        let n = bx.len();
+        let h_grad: Vec<Polynomial> = (0..n).map(|i| h.partial(i)).collect();
+        let mid: Vec<f64> = bx.iter().map(|iv| iv.mid()).collect();
+        let d_mid = mlp.forward(&mid) - h.eval(&mid);
+        // Direct form.
+        let k_range = mlp.forward_interval(bx);
+        let h_range = eval_range(h, bx);
+        let direct = (k_range - h_range).hi().abs().max((k_range - h_range).lo().abs());
+        // Mean-value form.
+        let kg = mlp.gradient_interval(bx);
+        let mut mv = d_mid.abs();
+        for (i, iv) in bx.iter().enumerate() {
+            let hg = eval_range(&h_grad[i], bx);
+            let gmax = (kg[i] - hg).hi().abs().max((kg[i] - hg).lo().abs());
+            mv += gmax * iv.width() * 0.5;
+        }
+        // Chord relaxation.
+        let chord = chord_bound(mlp, h, bx).unwrap_or(f64::INFINITY);
+        [d_mid, direct, mv, chord]
+    }
+
+    /// CROWN-style bound of `max |k(x) − h(x)|` over the box for
+    /// single-hidden-layer tanh MLPs; `None` for other shapes.
+    fn chord_bound(mlp: &Mlp, h: &Polynomial, bx: &[Interval]) -> Option<f64> {
+        if mlp.layer_sizes().len() != 3 || mlp.activation() != Activation::Tanh {
+            return None;
+        }
+        let n = mlp.input_dim();
+        let hidden = mlp.layer_sizes()[1];
+        let w1 = mlp.weight_matrix(0);
+        let w2 = mlp.weight_matrix(1);
+        let params = mlp.params();
+        let b1_off = n * hidden;
+        let b2_off = b1_off + hidden + hidden;
+        let out_bias = params[b2_off];
+
+        // Affine enclosure of the network: k(x) ∈ aᵀx + b0 + [e_lo, e_hi].
+        let mut a = vec![0.0; n];
+        let mut b0 = out_bias;
+        let mut env = Interval::point(0.0);
+        for j in 0..hidden {
+            // Pre-activation range (exact for the affine map).
+            let mut z = Interval::point(params[b1_off + j]);
+            for (i, iv) in bx.iter().enumerate() {
+                z = z + *iv * w1[(j, i)];
+            }
+            let (l, u) = (z.lo(), z.hi());
+            let (slope, dev) = tanh_chord_envelope(l, u);
+            let v = w2[(0, j)];
+            for (i, ai) in a.iter_mut().enumerate() {
+                *ai += v * slope * w1[(j, i)];
+            }
+            b0 += v * slope * params[b1_off + j];
+            env = env + dev * v;
+        }
+        // Range of (aᵀx + b0 − h(x)) over the box, plus the envelope.
+        let mut affine = Polynomial::constant(b0);
+        for (i, &ai) in a.iter().enumerate() {
+            affine.add_term(ai, snbc_poly::Monomial::var(i));
+        }
+        let poly_part = &affine - h;
+        let r = eval_range(&poly_part, bx) + env;
+        Some(r.hi().abs().max(r.lo().abs()))
+    }
+
+    /// Parallel-chord envelope of `tanh` on `[l, u]`: returns `(s, dev)` with
+    /// `tanh(z) ∈ s·z + dev` for all `z ∈ [l, u]`.
+    fn tanh_chord_envelope(l: f64, u: f64) -> (f64, Interval) {
+        let width = u - l;
+        let s = if width < 1e-12 {
+            1.0 - l.tanh().powi(2)
+        } else {
+            (u.tanh() - l.tanh()) / width
+        };
+        // g(z) = tanh(z) − s·z is extremal at the endpoints or where
+        // tanh'(z) = s ⇔ tanh(z) = ±√(1−s).
+        let g = |z: f64| z.tanh() - s * z;
+        let mut lo = g(l).min(g(u));
+        let mut hi = g(l).max(g(u));
+        if (0.0..=1.0).contains(&s) {
+            let t = (1.0 - s).sqrt();
+            for root in [t.atanh(), (-t).atanh()] {
+                if root.is_finite() && root > l && root < u {
+                    lo = lo.min(g(root));
+                    hi = hi.max(g(root));
+                }
+            }
+        }
+        (s, Interval::new(lo, hi))
+    }
+
+    /// xorshift64*: a fixed, dependency-free stream for the box sample.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Boxes shaped like the branch-and-bound's: random bisection paths
+    /// (widest axis, left or right child) of depth 0–27 from the root.
+    fn bb_boxes(domain: &[(f64, f64)], count: usize, rng: &mut Stream) -> Vec<Vec<Interval>> {
+        let root: Vec<Interval> = domain.iter().map(|&(lo, hi)| Interval::new(lo, hi)).collect();
+        (0..count)
+            .map(|_| {
+                let mut bx = root.clone();
+                for _ in 0..rng.next() % 28 {
+                    let (axis, _) = widest_axis(&bx).expect("non-empty box");
+                    let (l, r) = bx[axis].split();
+                    bx[axis] = if rng.next() % 2 == 0 { l } else { r };
+                }
+                bx
+            })
+            .collect()
+    }
+
+    /// A random `h` over every monomial of degree ≤ `degree`: a dominant
+    /// linear part, as fitted controllers have, plus small terms.
+    fn random_h(n: usize, degree: u32, rng: &mut Stream) -> Polynomial {
+        let basis = monomial_basis(n, degree);
+        let coeffs: Vec<f64> = basis
+            .iter()
+            .map(|m| {
+                let scale = if m.degree() == 1 { 0.8 } else { 0.05 };
+                scale * (2.0 * rng.unit() - 1.0)
+            })
+            .collect();
+        Polynomial::from_coeffs(&coeffs, &basis)
+    }
+
+    fn assert_kernel_matches(net: &Mlp, h: &Polynomial, domain: &[(f64, f64)], rng: &mut Stream) {
+        let kernel = InclusionKernel::new(net, h);
+        let mut s = kernel.box_scratch();
+        for bx in bb_boxes(domain, 250, rng) {
+            let want = reference_bounds(net, h, &bx);
+            let d_mid = kernel.midpoint_difference(&mut s, &bx);
+            let [direct, mv, chord] = kernel.bounds(&mut s, &bx, d_mid);
+            let got = [d_mid, direct, mv, chord];
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{:?} bound {k} on {bx:?}: kernel {g:e}, reference {w:e}",
+                    net.layer_sizes()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_bounds_bitwise() {
+        let mut rng = Stream(0x9e37_79b9_7f4a_7c15);
+        let cases: [(&[usize], Activation, u32, f64); 9] = [
+            (&[2, 8, 1], Activation::Tanh, 2, 1.5),
+            (&[2, 8, 1], Activation::Tanh, 3, 2.0),
+            (&[4, 10, 1], Activation::Tanh, 2, 1.0),
+            (&[6, 10, 1], Activation::Tanh, 1, 2.0),
+            (&[3, 5, 4, 1], Activation::Tanh, 2, 1.0),
+            (&[3, 6, 1], Activation::Relu, 2, 1.0),
+            (&[2, 5, 1], Activation::LeakyRelu(0.1), 2, 1.0),
+            (&[2, 4, 1], Activation::Linear, 1, 1.0),
+            (&[3, 1], Activation::Tanh, 1, 1.0),
+        ];
+        for (seed, (sizes, act, degree, r)) in cases.into_iter().enumerate() {
+            let mut net = Mlp::new(sizes, act, seed as u64 + 1);
+            // Nonzero biases, so every parameter reaches the bounds.
+            let params: Vec<f64> = net.params().iter().map(|&p| p + 0.1 * (rng.unit() - 0.5)).collect();
+            net.set_params(&params);
+            let n = sizes[0];
+            let domain: Vec<(f64, f64)> = (0..n).map(|i| (-r + 0.1 * i as f64, r)).collect();
+            let h = random_h(n, degree, &mut rng);
+            assert_kernel_matches(&net, &h, &domain, &mut rng);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_on_a_fitted_inclusion() {
+        // A Chebyshev fit of the controller itself: h's linear part tracks
+        // the network's chord slopes closely, the regime of the
+        // high-dimensional rows.
+        let mut rng = Stream(7);
+        let net = Mlp::new(&[2, 8, 1], Activation::Tanh, 3);
+        let domain = [(-1.5, 1.5), (-1.0, 2.0)];
+        let opts = ApproxOptions {
+            mesh_spacing: 0.25,
+            ..Default::default()
+        };
+        let fitted =
+            approximate_controller(&|x| net.forward(x), net.lipschitz_bound(), &domain, &opts).unwrap();
+        assert_kernel_matches(&net, &fitted.h, &domain, &mut rng);
+        // h whose linear part is the chord's own `aᵀx` on the root box:
+        // every linear coefficient of `aᵀx + b₀ − h` cancels to exactly
+        // zero there and must be dropped.
+        let kernel = InclusionKernel::new(&net, &Polynomial::zero());
+        let mut s = kernel.box_scratch();
+        let root: Vec<Interval> = domain.iter().map(|&(lo, hi)| Interval::new(lo, hi)).collect();
+        let d_mid = kernel.midpoint_difference(&mut s, &root);
+        kernel.bounds(&mut s, &root, d_mid);
+        let mut h = Polynomial::zero();
+        for (i, &a) in s.affine.iter().enumerate() {
+            h.add_term(a, snbc_poly::Monomial::var(i));
+        }
+        h.add_term(0.25, snbc_poly::Monomial::new(vec![1, 1]));
+        let kernel = InclusionKernel::new(&net, &h);
+        let mut s = kernel.box_scratch();
+        let d_mid = kernel.midpoint_difference(&mut s, &root);
+        let [direct, mv, chord] = kernel.bounds(&mut s, &root, d_mid);
+        let want = reference_bounds(&net, &h, &root);
+        assert_eq!([d_mid, direct, mv, chord].map(f64::to_bits), want.map(f64::to_bits));
+    }
+
+    /// Times the reference computations and the kernel on the same
+    /// branch-and-bound-shaped boxes of Table 1 rows (their controllers and
+    /// `h`), single-threaded:
+    /// `cargo test --release -p snbc -- --ignored --nocapture inclusion_kernel_perf_probe`.
+    #[test]
+    #[ignore = "timing probe, not a check"]
+    fn inclusion_kernel_perf_probe() {
+        use snbc_dynamics::benchmarks;
+        use snbc_nn::{train_controller, ControllerTraining};
+        for k in [1, 3, 6, 8, 9, 10, 12, 13] {
+            let bench = benchmarks::benchmark(k);
+            let domain = bench.system.domain().bounding_box();
+            let net = train_controller(domain, bench.target_law, &ControllerTraining::default());
+            let mut opts = ApproxOptions::default();
+            if domain.len() >= 5 {
+                opts.max_mesh_points = 3000;
+                opts.degree = 1;
+            }
+            let h = approximate_controller(&|x| net.forward(x), net.lipschitz_bound(), domain, &opts)
+                .unwrap()
+                .h;
+            let boxes = bb_boxes(domain, 100_000, &mut Stream(k as u64));
+            let clock = std::time::Instant::now();
+            let mut sink = 0.0;
+            for bx in &boxes {
+                sink += reference_bounds(&net, &h, bx)[1];
+            }
+            let before = clock.elapsed().as_secs_f64() * 1e6 / boxes.len() as f64;
+            let kernel = InclusionKernel::new(&net, &h);
+            let mut s = kernel.box_scratch();
+            let clock = std::time::Instant::now();
+            for bx in &boxes {
+                let d_mid = kernel.midpoint_difference(&mut s, bx);
+                sink -= kernel.bounds(&mut s, bx, d_mid)[0];
+            }
+            let after = clock.elapsed().as_secs_f64() * 1e6 / boxes.len() as f64;
+            println!("{}: {before:.2} → {after:.2} µs per box ({:.1}×), check {sink:e}", bench.name, before / after);
+        }
+    }
+
+    #[test]
+    fn tanh_square_is_powi_two() {
+        // The kernel and the derivative map spell `t.powi(2)` as `t * t`.
+        let mut rng = Stream(3);
+        for _ in 0..100_000 {
+            let t = (8.0 * (2.0 * rng.unit() - 1.0)).tanh();
+            assert_eq!((1.0 - t * t).to_bits(), (1.0 - t.powi(2)).to_bits(), "t = {t:e}");
+        }
+    }
+
+    #[test]
+    fn worst_probes_rank_by_value_then_index() {
+        let mut top = vec![(0.5, 3), (0.7, 9), (0.5, 1), (0.9, 4)];
+        top.extend((10..20).map(|i| (0.1, i)));
+        keep_worst(&mut top);
+        assert_eq!(top.len(), REFUTE_STARTS);
+        assert_eq!(&top[..4], &[(0.9, 4), (0.7, 9), (0.5, 1), (0.5, 3)]);
+        assert_eq!(top[4], (0.1, 10));
+    }
+
+    #[test]
+    fn ascent_gradient_matches_finite_differences() {
+        let net = Mlp::new(&[3, 5, 4, 1], Activation::Tanh, 4);
+        let h: Polynomial = "0.3*x0 - 0.1*x1*x2 + 0.05*x2^2".parse().unwrap();
+        let kernel = InclusionKernel::new(&net, &h);
+        let mut s = kernel.point_scratch();
+        let x = [0.2, -0.4, 0.7];
+        let mut g = [0.0; 3];
+        kernel.difference_at(&x, &mut s);
+        kernel.difference_gradient(&x, &mut s, &mut g);
+        for i in 0..3 {
+            let (mut xp, mut xm) = (x, x);
+            xp[i] += 1e-6;
+            xm[i] -= 1e-6;
+            let d = |p: &[f64]| net.forward(p) - h.eval(p);
+            let fd = (d(&xp) - d(&xm)) / 2e-6;
+            assert!((g[i] - fd).abs() < 1e-6, "∂/∂x{i}: {} vs {fd}", g[i]);
+        }
+        assert_eq!(
+            kernel.difference_at(&x, &mut s).to_bits(),
+            (net.forward(&x) - h.eval(&x)).to_bits()
+        );
     }
 }
 

@@ -149,14 +149,28 @@ pub const MIN_PARALLEL_WAVE: usize = 64;
 /// evaluations have been spent. The result is bitwise identical at any
 /// `SNBC_THREADS` setting.
 ///
+/// `scratch` builds the evaluator's reusable state (buffers that keep a
+/// box evaluation allocation-free), in the style of
+/// [`snbc_par::par_for_chunks_scratch`]: once per parallel evaluation chunk,
+/// and once per search for the waves that run inline. Scratch contents must
+/// not influence verdicts.
+///
 /// When `trace` is recording, each parallel evaluation chunk emits a
 /// `bb-boxes` span on the worker that ran it, so Perfetto timelines and the
 /// self-time profile show the branch-and-bound fan-out per worker.
-pub fn wave_search<F>(root: Vec<Interval>, max_boxes: usize, trace: &Trace, eval: F) -> WaveOutcome
+pub fn wave_search<S, I, F>(
+    root: Vec<Interval>,
+    max_boxes: usize,
+    trace: &Trace,
+    scratch: I,
+    eval: F,
+) -> WaveOutcome
 where
-    F: Fn(&[Interval]) -> BoxEval + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &[Interval]) -> BoxEval + Sync,
 {
     let mut stack: Vec<(Vec<Interval>, usize)> = vec![(root, 0)];
+    let mut inline_scratch: Option<S> = None;
     let mut boxes_processed = 0usize;
     let mut max_depth = 0usize;
     let mut suspicious: Option<(Vec<f64>, f64)> = None;
@@ -181,16 +195,19 @@ where
         let evals: Vec<BoxEval> = if w < MIN_PARALLEL_WAVE {
             // Same computation, no spawns: the engine below this size is
             // pure overhead (docs/PERFORMANCE.md). Identical bits either way.
-            wave.iter().map(|(bx, _)| eval(bx)).collect()
+            let s = inline_scratch.get_or_insert_with(&scratch);
+            wave.iter().map(|(bx, _)| eval(s, bx)).collect()
         } else {
             let wave_ref = &wave;
+            let (scratch, eval) = (&scratch, &eval);
             let chunks: Vec<Vec<BoxEval>> =
                 snbc_par::par_map_collect(w.div_ceil(EVAL_CHUNK), |c| {
                     let lo = c * EVAL_CHUNK;
                     let hi = (lo + EVAL_CHUNK).min(w);
                     let span = trace.begin_span("bb-boxes", Some(c as u64));
+                    let mut s = scratch();
                     let out: Vec<BoxEval> =
-                        wave_ref[lo..hi].iter().map(|(bx, _)| eval(bx)).collect();
+                        wave_ref[lo..hi].iter().map(|(bx, _)| eval(&mut s, bx)).collect();
                     trace.end_span("bb-boxes", span);
                     out
                 });
@@ -332,7 +349,7 @@ impl BranchAndBound {
             RangeTightening::Interval => eval_range(p, bx),
             RangeTightening::Bernstein => bernstein_range(p, bx),
         };
-        let outcome = wave_search(domain.to_vec(), self.max_boxes, trace, |bx| {
+        let outcome = wave_search(domain.to_vec(), self.max_boxes, trace, || (), |(), bx| {
             // Constraint pruning: if some gᵢ is provably negative on the box,
             // the region does not intersect it.
             if constraints.iter().any(|g| range_of(g, bx).hi() < 0.0) {

@@ -3,11 +3,14 @@ use std::ops::{Add, Mul, Neg, Sub};
 
 use snbc_poly::Polynomial;
 
-/// A closed interval `[lo, hi]` with conservative (containment-preserving)
-/// arithmetic.
+/// A closed interval `[lo, hi]` whose arithmetic preserves containment up to
+/// rounding.
 ///
-/// This is the basic abstract domain of the δ-complete verifier; see the
-/// [crate docs](crate) for context.
+/// Bounds are computed in round-to-nearest `f64`, not rounded outward, so an
+/// enclosure can miss the true range by a few ulps of its bounds: a bound
+/// proven with no slack holds only up to that rounding error (see the
+/// rounding caveat in the [crate docs](crate)). This is the basic abstract
+/// domain of the δ-complete verifier.
 ///
 /// # Example
 ///
@@ -84,7 +87,7 @@ impl Interval {
             return Interval::point(1.0);
         }
         // powi exponents are tiny (poly degrees); the cast cannot truncate.
-        let (pl, ph) = (self.lo.powi(e as i32), self.hi.powi(e as i32)); // audit:allow(lossy-cast)
+        let (pl, ph) = (f64::powi(self.lo, e as i32), f64::powi(self.hi, e as i32)); // audit:allow(lossy-cast)
         if e % 2 == 1 || self.lo >= 0.0 {
             // Monotone on the whole interval (odd power, or nonnegative base).
             Interval::new(pl, ph)
@@ -160,7 +163,8 @@ pub fn hull(a: Interval, b: Interval) -> Interval {
 }
 
 /// Interval range bound of a polynomial over a box, by monomial-wise interval
-/// evaluation (conservative: the true range is contained in the result).
+/// evaluation (the true range is contained in the result up to rounding; see
+/// [`Interval`]).
 ///
 /// # Panics
 ///

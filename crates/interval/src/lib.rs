@@ -7,7 +7,8 @@
 //! user-chosen slack δ. dReal's core is interval constraint propagation with
 //! branch-and-prune — exactly what this crate implements:
 //!
-//! * [`Interval`] — closed-interval arithmetic with outward monotonicity,
+//! * [`Interval`] — closed-interval arithmetic, monotone and containment
+//!   preserving up to round-to-nearest error (see the rounding caveat below),
 //! * [`eval_range`] — interval range bounds of a [`snbc_poly::Polynomial`]
 //!   over a box,
 //! * [`BranchAndBound`] — the δ-complete decision procedure for

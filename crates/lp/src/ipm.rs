@@ -84,10 +84,22 @@ pub struct InequalitySolution {
 /// * [`LpError::Numerical`] — normal equations could not be factorized even
 ///   with regularization.
 pub fn solve_standard(a: &Matrix, b: &[f64], c: &[f64], opts: &LpOptions) -> Result<LpSolution, LpError> {
+    solve_standard_rows(&a.transpose(), b, c, opts)
+}
+
+/// [`solve_standard`] given `Aᵀ`, whose rows are `A`'s columns: the
+/// interior-point core reads each column of `A` as one contiguous row of
+/// `Aᵀ` (the inequality form's `G` as it stands).
+fn solve_standard_rows(
+    at: &Matrix,
+    b: &[f64],
+    c: &[f64],
+    opts: &LpOptions,
+) -> Result<LpSolution, LpError> {
     // Telemetry wrapper: a no-op sink skips everything but one null check;
     // the inner loop itself is untouched either way.
     let _span = opts.telemetry.span("lp");
-    let result = solve_standard_inner(a, b, c, opts);
+    let result = solve_standard_inner(at, b, c, opts);
     if opts.telemetry.is_recording() {
         match &result {
             Ok(sol) => {
@@ -107,13 +119,17 @@ pub fn solve_standard(a: &Matrix, b: &[f64], c: &[f64], opts: &LpOptions) -> Res
     result
 }
 
+/// The interior-point core on `at = Aᵀ` (`n × m`). Every product is the
+/// one a loop over `A` forms, summed in the same order: `A·v` is
+/// `at.tr_matvec(v)`, `Aᵀ·v` is `at.matvec(v)`, and the normal equations
+/// and `AAᵀ` accumulate over `at`'s rows.
 fn solve_standard_inner(
-    a: &Matrix,
+    at: &Matrix,
     b: &[f64],
     c: &[f64],
     opts: &LpOptions,
 ) -> Result<LpSolution, LpError> {
-    let (m, n) = (a.nrows(), a.ncols());
+    let (m, n) = (at.ncols(), at.nrows());
     if b.len() != m {
         return Err(LpError::Dimension(format!(
             "b has length {} but A has {} rows",
@@ -133,7 +149,7 @@ fn solve_standard_inner(
     }
 
     // Mehrotra's heuristic starting point.
-    let (mut x, mut y, mut s) = starting_point(a, b, c)?;
+    let (mut x, mut y, mut s) = starting_point(at, b, c)?;
 
     let bnorm = vec_ops::norm2(b).max(1.0);
     let cnorm = vec_ops::norm2(c).max(1.0);
@@ -146,9 +162,9 @@ fn solve_standard_inner(
 
     for iter in 0..opts.max_iterations {
         // Residuals.
-        let ax = a.matvec(&x);
+        let ax = at.tr_matvec(&x);
         let rp: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-        let aty = a.tr_matvec(&y);
+        let aty = at.matvec(&y);
         let rd: Vec<f64> = c
             .iter()
             .zip(&aty)
@@ -229,14 +245,14 @@ fn solve_standard_inner(
             if dk == 0.0 { // audit:allow(float-eq)
                 continue;
             }
-            let col = a.col(k);
+            let col = at.row(k);
             for i in 0..m {
                 let v = dk * col[i];
                 if v == 0.0 { // audit:allow(float-eq)
                     continue;
                 }
-                for j in i..m {
-                    mm[(i, j)] += v * col[j];
+                for (mij, cj) in mm.row_mut(i)[i..].iter_mut().zip(&col[i..]) {
+                    *mij += v * cj;
                 }
             }
         }
@@ -261,7 +277,7 @@ fn solve_standard_inner(
 
         // Predictor (affine) direction: rc = x∘s.
         let rc_aff: Vec<f64> = x.iter().zip(&s).map(|(xi, si)| xi * si).collect();
-        let (dx_aff, _dy_aff, ds_aff) = solve_kkt(a, &chol, &d, &rp, &rd, &rc_aff, &x, &s);
+        let (dx_aff, _dy_aff, ds_aff) = solve_kkt(at, &chol, &d, &rp, &rd, &rc_aff, &x, &s);
         let alpha_p_aff = max_step(&x, &dx_aff);
         let alpha_d_aff = max_step(&s, &ds_aff);
         let mu_aff = {
@@ -277,7 +293,7 @@ fn solve_standard_inner(
         let rc: Vec<f64> = (0..n)
             .map(|i| x[i] * s[i] + dx_aff[i] * ds_aff[i] - sigma * mu)
             .collect();
-        let (dx, dy, ds) = solve_kkt(a, &chol, &d, &rp, &rd, &rc, &x, &s);
+        let (dx, dy, ds) = solve_kkt(at, &chol, &d, &rp, &rd, &rc, &x, &s);
 
         let alpha_p = (opts.step_fraction * max_step(&x, &dx)).min(1.0);
         let alpha_d = (opts.step_fraction * max_step(&s, &ds)).min(1.0);
@@ -328,10 +344,11 @@ fn solve_standard_inner(
     })
 }
 
-/// Solves the Newton system given the factorized normal equations.
+/// Solves the Newton system given the factorized normal equations
+/// (`at = Aᵀ`).
 #[allow(clippy::too_many_arguments)]
 fn solve_kkt(
-    a: &Matrix,
+    at: &Matrix,
     chol: &snbc_linalg::Cholesky,
     d: &[f64],
     rp: &[f64],
@@ -340,20 +357,20 @@ fn solve_kkt(
     _x: &[f64],
     s: &[f64],
 ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let n = a.ncols();
+    let n = at.nrows();
     // rhs = rp + A·S⁻¹·(rc + X·rd)  with D = X/S:
     // A·S⁻¹·rc + A·D·rd.
     let mut tmp = vec![0.0; n];
     for i in 0..n {
         tmp[i] = rc[i] / s[i] + d[i] * rd[i];
     }
-    let mut rhs = a.matvec(&tmp);
+    let mut rhs = at.tr_matvec(&tmp);
     for (r, p) in rhs.iter_mut().zip(rp) {
         *r += p;
     }
     let dy = chol.solve(&rhs);
     // ds = rd − Aᵀdy; dx = −S⁻¹·rc − D·ds.
-    let atdy = a.tr_matvec(&dy);
+    let atdy = at.matvec(&dy);
     let ds: Vec<f64> = rd.iter().zip(&atdy).map(|(r, v)| r - v).collect();
     let dx: Vec<f64> = (0..n).map(|i| -rc[i] / s[i] - d[i] * ds[i]).collect();
     (dx, dy, ds)
@@ -371,33 +388,33 @@ fn max_step(v: &[f64], dv: &[f64]) -> f64 {
 }
 
 /// Mehrotra's starting point: least-squares estimates shifted into the
-/// positive orthant.
-fn starting_point(a: &Matrix, b: &[f64], c: &[f64]) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>), LpError> {
-    let m = a.nrows();
-    // AAᵀ with a little regularization.
+/// positive orthant (`at = Aᵀ`).
+fn starting_point(at: &Matrix, b: &[f64], c: &[f64]) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>), LpError> {
+    let m = at.ncols();
+    // AAᵀ with a little regularization: entry (i, j) sums Aᵢₖ·Aⱼₖ over k
+    // ascending, one row of Aᵀ at a time.
     let mut aat = Matrix::zeros(m, m);
-    for i in 0..m {
-        for j in i..m {
-            let mut acc = 0.0;
-            let ri = a.row(i);
-            let rj = a.row(j);
-            for k in 0..a.ncols() {
-                acc += ri[k] * rj[k];
+    for k in 0..at.nrows() {
+        let r = at.row(k);
+        for i in 0..m {
+            for (aij, rj) in aat.row_mut(i)[i..].iter_mut().zip(&r[i..]) {
+                *aij += r[i] * rj;
             }
-            aat[(i, j)] = acc;
-            aat[(j, i)] = acc;
         }
     }
     for i in 0..m {
+        for j in 0..i {
+            aat[(i, j)] = aat[(j, i)];
+        }
         aat[(i, i)] += 1e-10 * (1.0 + aat[(i, i)]);
     }
     let chol = aat.cholesky()?;
     // x̃ = Aᵀ(AAᵀ)⁻¹ b;  ỹ = (AAᵀ)⁻¹ A c;  s̃ = c − Aᵀỹ.
     let w = chol.solve(b);
-    let x0 = a.tr_matvec(&w);
-    let ac = a.matvec(c);
+    let x0 = at.matvec(&w);
+    let ac = at.tr_matvec(c);
     let y0 = chol.solve(&ac);
-    let aty = a.tr_matvec(&y0);
+    let aty = at.matvec(&y0);
     let s0: Vec<f64> = c.iter().zip(&aty).map(|(ci, v)| ci - v).collect();
 
     let dx = (-x0.iter().copied().fold(f64::INFINITY, f64::min)).max(0.0) + 0.1;
@@ -451,9 +468,9 @@ pub fn solve_inequality(
             rows
         )));
     }
-    let a = g_mat.transpose();
+    // Gᵀ is the standard form's A; its columns are G's rows, read in place.
     let b: Vec<f64> = c.iter().map(|v| -v).collect();
-    let sol = match solve_standard(&a, &b, g_rhs, opts) {
+    let sol = match solve_standard_rows(g_mat, &b, g_rhs, opts) {
         Ok(sol) => sol,
         Err(LpError::Infeasible) => return Err(LpError::Unbounded),
         Err(LpError::Unbounded) => return Err(LpError::Infeasible),

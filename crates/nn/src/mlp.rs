@@ -16,7 +16,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn activate(self, x: f64) -> f64 {
+    /// The activation's value at the pre-activation `x`.
+    pub fn activate(self, x: f64) -> f64 {
         match self {
             Activation::Tanh => x.tanh(),
             Activation::Relu => x.max(0.0),
@@ -33,7 +34,7 @@ impl Activation {
 
     /// Derivative at the pre-activation `x` whose activation is `y`, as a
     /// tape's reverse sweep forms it (`1 − y·y` for tanh).
-    fn slope(self, x: f64, y: f64) -> f64 {
+    pub fn slope(self, x: f64, y: f64) -> f64 {
         match self {
             Activation::Tanh => 1.0 - y * y,
             Activation::Relu => {
@@ -576,7 +577,9 @@ impl Mlp {
     }
 }
 
-fn interval_activation(
+/// Range of the activation `act` over the pre-activation interval `x` (the
+/// map [`Mlp::forward_interval`] applies per hidden unit).
+pub fn interval_activation(
     act: Activation,
     x: snbc_interval::Interval,
 ) -> snbc_interval::Interval {
@@ -594,7 +597,9 @@ fn interval_activation(
     }
 }
 
-fn interval_activation_derivative(
+/// Range of the activation's derivative over the pre-activation interval
+/// `x` (the map [`Mlp::gradient_interval`] applies per hidden unit).
+pub fn interval_activation_derivative(
     act: Activation,
     x: snbc_interval::Interval,
 ) -> snbc_interval::Interval {
@@ -602,7 +607,10 @@ fn interval_activation_derivative(
     match act {
         Activation::Tanh => {
             // d tanh = 1 − tanh²: maximal at the point closest to 0.
-            let d = |v: f64| 1.0 - v.tanh().powi(2);
+            let d = |v: f64| {
+                let t = v.tanh();
+                1.0 - t * t
+            };
             let hi = if x.contains(0.0) {
                 1.0
             } else {

@@ -43,6 +43,9 @@ fn cegis_run_produces_populated_report() {
     let sigma_star = approx.gauge("sigma_star").expect("sigma_star gauge");
     let sigma_tilde = approx.gauge("sigma_tilde").expect("sigma_tilde gauge");
     assert!(sigma_star >= sigma_tilde, "σ* = σ̃ + r_cov·L ≥ σ̃");
+    // A concrete |k − h| never exceeds the certified bound.
+    let witness = approx.gauge("witness").expect("witness gauge");
+    assert!(witness <= sigma_star, "|k − h| = {witness} at a point, above σ* = {sigma_star}");
     assert!(approx.counter("mesh_points").unwrap_or(0) > 0);
     let lp = approx.child("lp").expect("Chebyshev LP span");
     assert!(lp.counter("iterations").unwrap_or(0) > 0);
