@@ -1,40 +1,18 @@
 #!/usr/bin/env bash
-# CI entry point: audit gate first (cheapest, catches policy regressions
+# CI entry point: the static gates first (cheapest, catch policy regressions
 # before a long build), then the rustdoc gate, then release build, then
 # tests. Fail-fast.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> snbc-audit (static analysis gate)"
+echo "==> snbc-audit (call-graph and dataflow gate, no finding tolerated)"
 cargo run -q -p snbc-audit
 
-echo "==> snbc-audit self-test (engine, fixtures, formats)"
+echo "==> cargo clippy (per-site lints: clippy.toml + [workspace.lints.clippy], warnings are errors)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> snbc-audit self-test (engine, fixtures, contracts)"
 cargo test -q -p snbc-audit
-
-echo "==> snbc-audit SARIF artifact (deterministic bytes)"
-mkdir -p target/audit
-cargo run -q -p snbc-audit -- --format sarif --output target/audit/audit.sarif
-cargo run -q -p snbc-audit -- --format json --output target/audit/audit.json
-grep -q '"name":"snbc-audit"' target/audit/audit.sarif
-grep -q '"schema":"snbc-audit/4"' target/audit/audit.json
-grep -q '"rules":\[' target/audit/audit.json
-
-echo "==> snbc-audit determinism (SARIF twice, byte-identical)"
-cargo run -q -p snbc-audit -- --format sarif --output target/audit/audit-2.sarif
-cmp target/audit/audit.sarif target/audit/audit-2.sarif
-rm target/audit/audit-2.sarif
-
-echo "==> snbc-audit graph artifact (call/arch DAG, canonical bytes)"
-cargo run -q -p snbc-audit -- graph --format dot --output target/audit/graph.dot
-cargo run -q -p snbc-audit -- graph --format json --output target/audit/graph.json
-grep -q '^digraph' target/audit/graph.dot
-grep -q '"schema":"snbc-audit-graph/1"' target/audit/graph.json
-
-echo "==> snbc-audit effect-contract gate (absent baseline, tree must be clean)"
-# With an empty/absent baseline every finding is a regression, so this leg
-# proves the tree satisfies the interprocedural contracts (solver-effects,
-# hot-alloc, par-callee) with zero tolerance, on top of the leaf rules.
-cargo run -q -p snbc-audit -- --baseline target/audit/no-such-baseline.txt
 
 echo "==> cargo doc (rustdoc gate, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

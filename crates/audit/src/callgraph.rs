@@ -11,8 +11,8 @@
 //!    functions — path calls narrowed by their `snbc_*` crate head when
 //!    present, otherwise preferring same-crate matches; method calls
 //!    conservatively by name + arity, unioning every match. Unmatched calls
-//!    contribute the `unresolved-call` effect, making each inferred set an
-//!    explicit lower bound. Effects then propagate to a fixpoint: SCC
+//!    (std, vendored stubs) add no edge, so each inferred set is a lower
+//!    bound. Effects then propagate to a fixpoint: SCC
 //!    condensation (iterative Tarjan, so recursion and mutual recursion
 //!    converge) followed by one reverse-topological union pass.
 //!
@@ -135,7 +135,7 @@ pub fn analyze_file(
         if scope.kind != ScopeKind::Fn || scope.is_test {
             continue;
         }
-        let sid = sid as u32; // audit:allow(lossy-cast) — scope ids fit u32
+        let sid = crate::id32(sid);
         let fn_line = tokens[scope.range.0].line;
         let hot = lexed
             .hot_markers
@@ -479,8 +479,6 @@ pub struct CallGraph {
     pub effects: Vec<EffectSet>,
     /// Per-file suppression tables, keyed by workspace-relative path.
     pub suppressions: BTreeMap<String, Vec<Suppression>>,
-    /// Crate dependency edges `(crate, dep)` from the manifests, for dumps.
-    pub crate_deps: Vec<(String, String)>,
 }
 
 /// A step in a reported call chain (converted to `rules::Frame` upstream).
@@ -513,7 +511,7 @@ impl CallGraph {
             index
                 .entry((node.decl.name.clone(), node.decl.arity))
                 .or_default()
-                .push(id as u32); // audit:allow(lossy-cast) — node ids fit u32
+                .push(crate::id32(id));
         }
 
         let mut resolved: Vec<Vec<(usize, Vec<u32>)>> = Vec::with_capacity(nodes.len());
@@ -526,9 +524,7 @@ impl CallGraph {
             let mut res = Vec::new();
             for (ci, call) in node.decl.calls.iter().enumerate() {
                 let callees = resolve_call(&index, &nodes, node, call);
-                if callees.is_empty() {
-                    eff.insert(Effect::UnresolvedCall);
-                } else {
+                if !callees.is_empty() {
                     res.push((ci, callees));
                 }
             }
@@ -542,7 +538,6 @@ impl CallGraph {
             direct,
             effects: Vec::new(),
             suppressions,
-            crate_deps: Vec::new(),
         };
         graph.propagate();
         graph
@@ -555,7 +550,7 @@ impl CallGraph {
         let mut all: Vec<u32> = Vec::new();
         for (id, node) in self.nodes.iter().enumerate() {
             if node.decl.name == name {
-                all.push(id as u32); // audit:allow(lossy-cast) — node ids fit u32
+                all.push(crate::id32(id));
             }
         }
         let same: Vec<u32> = all
@@ -602,21 +597,21 @@ impl CallGraph {
                 continue;
             }
             // (node, next-successor position) work stack.
-            let mut work: Vec<(u32, usize)> = vec![(root as u32, 0)]; // audit:allow(lossy-cast) — node ids fit u32
+            let mut work: Vec<(u32, usize)> = vec![(crate::id32(root), 0)];
             while let Some(&(v, pos)) = work.last() {
                 let v = v as usize;
                 if pos == 0 {
                     idx[v] = counter;
                     low[v] = counter;
                     counter += 1;
-                    stack.push(v as u32); // audit:allow(lossy-cast) — node ids fit u32
+                    stack.push(crate::id32(v));
                     on_stack[v] = true;
                 }
                 if let Some(&w) = succ[v].get(pos) {
                     work.last_mut().expect("tarjan frame").1 += 1;
                     let w = w as usize;
                     if idx[w] == UNSET {
-                        work.push((w as u32, 0)); // audit:allow(lossy-cast) — node ids fit u32
+                        work.push((crate::id32(w), 0));
                     } else if on_stack[w] {
                         low[v] = low[v].min(idx[w]);
                     }
@@ -631,7 +626,7 @@ impl CallGraph {
                         loop {
                             let w = stack.pop().expect("tarjan stack");
                             on_stack[w as usize] = false;
-                            comp[w as usize] = sccs.len() as u32; // audit:allow(lossy-cast) — scc ids fit u32
+                            comp[w as usize] = crate::id32(sccs.len());
                             scc.push(w);
                             if w as usize == v {
                                 break;
@@ -673,7 +668,7 @@ impl CallGraph {
         self.nodes
             .iter()
             .position(|n| n.symbol == symbol)
-            .map(|i| i as u32) // audit:allow(lossy-cast) — node ids fit u32
+            .map(crate::id32)
     }
 
     /// Shortest deterministic call chain from `from` down to a leaf of
@@ -909,29 +904,28 @@ mod tests {
     }
 
     #[test]
-    fn unresolved_calls_are_explicit() {
+    fn unresolved_calls_add_no_effect() {
         let g = graph(&[(
             "nn",
             "crates/nn/src/lib.rs",
             "pub fn f(rng: &mut R) -> f64 { rng.gen_range(0.0, 1.0) }\n",
         )]);
         let f = g.find_symbol("nn::f").unwrap();
-        assert!(g.effects_of(f).contains(Effect::UnresolvedCall));
-        assert!(!g.effects_of(f).contains(Effect::ReadsEnv));
+        assert_eq!(g.effects_of(f), EffectSet::EMPTY);
     }
 
     #[test]
-    fn allow_marker_masks_a_leaf_from_propagation() {
+    fn allow_marker_masks_an_allocation_leaf_from_propagation() {
         let g = graph(&[(
             "sdp",
             "crates/sdp/src/lib.rs",
-            "pub fn dbg_knob() -> bool {\n\
-                 // audit:allow(env-read) — debug-only, cannot affect results\n\
-                 std::env::var(\"SNBC_SDP_DEBUG\").is_ok()\n\
+            "pub fn setup(n: usize) -> Vec<f64> {\n\
+                 // audit:allow(hot-alloc) — setup, once per solve\n\
+                 vec![0.0; n]\n\
              }\n\
-             pub fn solve() -> bool { dbg_knob() }\n",
+             pub fn solve(n: usize) -> usize { setup(n).len() }\n",
         )]);
         let solve = g.find_symbol("sdp::solve").unwrap();
-        assert!(!g.effects_of(solve).contains(Effect::ReadsEnv));
+        assert!(!g.effects_of(solve).contains(Effect::Allocates));
     }
 }

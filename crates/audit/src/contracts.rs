@@ -3,25 +3,28 @@
 //! Each contract names a set of functions and a set of forbidden
 //! [`Effect`]s, and fires on the *boundary*: the call site (or leaf) inside
 //! the governed function where the forbidden effect first enters. Findings
-//! carry the full call chain down to the leaf, exported as SARIF `codeFlows`.
+//! carry the full call chain down to the leaf, printed as `via` lines.
 //!
 //! Three contracts:
 //!
 //! - **`solver-effects`** — the solver stack ([`CONTRACT_CRATES`]) must be
 //!   transitively free of env reads, raw thread spawns, and raw clock reads.
-//!   Leaf violations inside the stack are already caught by the per-site
-//!   rules (`env-read` / `raw-thread` / `raw-instant`); this contract adds
-//!   the *transitive* half, firing on calls that leave the stack and reach a
-//!   forbidden effect elsewhere.
+//!   Direct uses inside the stack are clippy's (`disallowed-methods` in
+//!   clippy.toml); this contract adds the *transitive* half, firing on calls
+//!   that leave the stack and reach a forbidden effect elsewhere.
 //! - **`hot-alloc`** — `// audit:hot` functions must not allocate per
 //!   iteration, directly or through resolved workspace callees. Setup
 //!   allocations are justified with `audit:allow(hot-alloc)` on the site.
 //!   Unresolved calls are *not* flagged (the effect lattice is a lower
-//!   bound); the `unresolved-call` effect still shows in the graph dump.
+//!   bound).
 //! - **`par-callee`** — callables handed to `snbc_par` entry points
 //!   (closures or function paths) must be deterministic: no env reads, no
 //!   clock reads, no nested raw spawns, no unordered float folds. Unresolved
 //!   calls are permitted — forbidding them would outlaw every std method.
+//!
+//! An env, clock or thread leaf outside its owner crate has no leaf-level
+//! marker: the reviewed exception sits on the boundary call, as
+//! `audit:allow(solver-effects)` or `audit:allow(par-callee)`.
 
 use crate::callgraph::{CallGraph, ChainStep};
 use crate::effects::{Effect, EffectSet};
@@ -94,7 +97,7 @@ fn solver_effects(graph: &CallGraph, findings: &mut Vec<Finding>) {
         if !CONTRACT_CRATES.contains(&node.crate_name.as_str()) {
             continue;
         }
-        let id = id as u32; // audit:allow(lossy-cast) — node ids fit u32
+        let id = crate::id32(id);
         for (ci, callees) in &graph.resolved[id as usize] {
             let call = &node.decl.calls[*ci];
             for &effect in SOLVER_FORBIDDEN {
@@ -133,7 +136,7 @@ fn hot_alloc(graph: &CallGraph, findings: &mut Vec<Finding>) {
         if !node.decl.hot {
             continue;
         }
-        let id = id as u32; // audit:allow(lossy-cast) — node ids fit u32
+        let id = crate::id32(id);
         // Direct allocation leaves. Justified sites were already dropped at
         // harvest (`audit:allow(hot-alloc)` masks the leaf).
         for leaf in &node.decl.leaves {
@@ -187,8 +190,8 @@ fn hot_alloc(graph: &CallGraph, findings: &mut Vec<Finding>) {
 
 fn par_callee(graph: &CallGraph, findings: &mut Vec<Finding>) {
     for (id, node) in graph.nodes.iter().enumerate() {
-        let id = id as u32; // audit:allow(lossy-cast) — node ids fit u32
-        for (ci, call) in node.decl.calls.iter().enumerate() {
+        let id = crate::id32(id);
+        for call in &node.decl.calls {
             if call.callable_args.is_empty() {
                 continue;
             }
@@ -267,7 +270,6 @@ fn par_callee(graph: &CallGraph, findings: &mut Vec<Finding>) {
                     }
                 }
             }
-            let _ = ci;
         }
     }
 }

@@ -23,13 +23,13 @@
 //! loop back-edges — a name rebound *after* a sink keeps its taint — which is
 //! the conservative direction for a determinism gate.
 //!
-//! Consumers: `unordered-reduce` v3 (folds over values that flow from
-//! `par_map_collect`/`par_map_reduce`), `swallowed-result` v2 (Result-shaped
-//! bindings with no subsequent use, via [`result_shaped`]), and
-//! `par-capture-race` v1 ([`par_calls`] + [`split_args`] locate the closures
-//! handed to the deterministic runtime; the rule layer inspects their
-//! captures against the enclosing [`FnFlow`]).
+//! Consumers: `unordered-reduce` (folds over values that flow from
+//! `par_map_collect`/`par_map_reduce`) and `par-capture-race` ([`par_calls`]
+//! and [`split_args`] locate the closures handed to the deterministic
+//! runtime; the rule layer inspects their captures against the enclosing
+//! [`FnFlow`]).
 
+use crate::callgraph::PAR_ENTRY_POINTS;
 use crate::syntax::ItemTree;
 use crate::tokenizer::{Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,37 +39,19 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug)]
 pub struct Def {
     pub name: String,
-    /// Token index of the bound name.
-    pub name_tok: usize,
     /// 1-indexed source line of the bound name.
     pub line: usize,
     /// Token range `[lo, hi)` of the initializer / assigned expression.
     pub rhs: (usize, usize),
-    /// Token range `[lo, hi)` of an explicit `: Type` annotation, if any.
-    pub ty: Option<(usize, usize)>,
-    /// Token index just past the statement's terminating `;`.
-    pub stmt_end: usize,
     /// True for `let` bindings; false for reassignments.
     pub is_let: bool,
 }
 
-/// One function parameter with its type annotation range.
-#[derive(Debug)]
-pub struct Param {
-    pub name: String,
-    pub name_tok: usize,
-    pub line: usize,
-    /// Token range `[lo, hi)` of the declared type (empty for `self`).
-    pub ty: (usize, usize),
-}
-
-/// Def-use view of one `fn` scope: parameters and ordered definitions.
+/// Def-use view of one `fn` scope: its ordered definitions.
 #[derive(Debug)]
 pub struct FnFlow {
-    pub fid: u32,
     /// Token range `[lo, hi)` of the fn body between its braces.
     pub body: (usize, usize),
-    pub params: Vec<Param>,
     pub defs: Vec<Def>,
 }
 
@@ -85,9 +67,7 @@ pub struct Hop {
 pub fn fn_flow(tokens: &[Token], tree: &ItemTree, fid: u32) -> FnFlow {
     let scope = &tree.scopes[fid as usize];
     let mut flow = FnFlow {
-        fid,
         body: scope.body,
-        params: collect_params(tokens, scope.range.0, scope.body.0),
         defs: Vec::new(),
     };
     let (lo, hi) = scope.body;
@@ -107,24 +87,18 @@ pub fn fn_flow(tokens: &[Token], tree: &ItemTree, fid: u32) -> FnFlow {
             }
             if is_ident(tokens, n) {
                 let end = stmt_end(tokens, i, hi);
+                // Past an optional `: Type` annotation to the `=`.
                 let mut eq = n + 1;
-                let ty = if txt(tokens, eq) == ":" {
-                    let ty_lo = eq + 1;
+                if txt(tokens, eq) == ":" {
                     while eq < end && txt(tokens, eq) != "=" {
                         eq += 1;
                     }
-                    Some((ty_lo, eq))
-                } else {
-                    None
-                };
+                }
                 if txt(tokens, eq) == "=" {
                     flow.defs.push(Def {
                         name: tokens[n].text.clone(),
-                        name_tok: n,
                         line: tokens[n].line,
                         rhs: (eq + 1, end.saturating_sub(1).max(eq + 1)),
-                        ty,
-                        stmt_end: end,
                         is_let: true,
                     });
                 }
@@ -143,11 +117,8 @@ pub fn fn_flow(tokens: &[Token], tree: &ItemTree, fid: u32) -> FnFlow {
                 let end = stmt_end(tokens, i, hi);
                 flow.defs.push(Def {
                     name: tokens[i].text.clone(),
-                    name_tok: i,
                     line: tokens[i].line,
                     rhs: (eq + 1, end.saturating_sub(1).max(eq + 1)),
-                    ty: None,
-                    stmt_end: end,
                     is_let: false,
                 });
                 i = end;
@@ -160,17 +131,6 @@ pub fn fn_flow(tokens: &[Token], tree: &ItemTree, fid: u32) -> FnFlow {
 }
 
 impl FnFlow {
-    /// First use of `name` at or after token `from` (an ident mention that is
-    /// not a field/method position), or `None`.
-    pub fn use_after(&self, tokens: &[Token], name: &str, from: usize) -> Option<usize> {
-        (from..self.body.1).find(|&k| {
-            is_ident(tokens, k)
-                && tokens[k].text == name
-                && txt(tokens, k.wrapping_sub(1)) != "."
-                && txt(tokens, k + 1) != ":"
-        })
-    }
-
     /// Line of the first `let` of `name` (its definition site), if any.
     pub fn def_line(&self, name: &str) -> Option<usize> {
         self.defs
@@ -232,177 +192,8 @@ pub fn propagate(
     tainted
 }
 
-/// Result-provenance, flow-sensitively per def: a forward pass classifying
-/// each `let` as Result-shaped or not. Seeds: an explicit `: Result<…>`
-/// annotation, a parameter of Result type, an initializer whose outermost
-/// call resolves to a same-file `-> Result` fn (`result_fns`: name → decl
-/// line) or an `Ok(…)`/`Err(…)` constructor, or a plain rebinding of an
-/// already-shaped name. An initializer that unwraps (`?` at top level) or
-/// ends in a consuming adapter (`.ok()`, `.unwrap_or(…)`, …) is *not*
-/// shaped. Returns, per def index, the provenance chain when shaped.
-pub fn result_shaped(
-    flow: &FnFlow,
-    tokens: &[Token],
-    result_fns: &BTreeMap<String, usize>,
-) -> Vec<Option<Vec<Hop>>> {
-    let mut shaped: BTreeMap<String, Vec<Hop>> = BTreeMap::new();
-    for p in &flow.params {
-        if range_has_result_ty(tokens, p.ty) {
-            shaped.insert(
-                p.name.clone(),
-                vec![Hop {
-                    line: p.line,
-                    note: format!("`{}` is a `Result` parameter", p.name),
-                }],
-            );
-        }
-    }
-    let mut out = Vec::with_capacity(flow.defs.len());
-    for def in &flow.defs {
-        let chain = classify_result(def, tokens, result_fns, &shaped);
-        match (&chain, def.is_let) {
-            // A reassignment to a non-Result expression clears the shape.
-            (None, false) | (None, true) => {
-                shaped.remove(&def.name);
-            }
-            (Some(c), _) => {
-                shaped.insert(def.name.clone(), c.clone());
-            }
-        }
-        out.push(chain);
-    }
-    out
-}
-
-fn classify_result(
-    def: &Def,
-    tokens: &[Token],
-    result_fns: &BTreeMap<String, usize>,
-    shaped: &BTreeMap<String, Vec<Hop>>,
-) -> Option<Vec<Hop>> {
-    if let Some(ty) = def.ty {
-        if range_has_result_ty(tokens, ty) {
-            return Some(vec![Hop {
-                line: def.line,
-                note: format!("`{}` declared `: Result<…>` here", def.name),
-            }]);
-        }
-    }
-    let (lo, hi) = def.rhs;
-    // `?` at top level unwraps the Ok value — no longer a Result.
-    let mut depth = 0i32;
-    let mut last_call: Option<usize> = None;
-    for k in lo..hi {
-        match txt(tokens, k) {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "?" if depth == 0 => return None,
-            _ => {
-                if depth == 0 && is_ident(tokens, k) && txt(tokens, k + 1) == "(" {
-                    last_call = Some(k);
-                }
-            }
-        }
-    }
-    if let Some(m) = last_call {
-        let name = tokens[m].text.as_str();
-        if RESULT_CONSUMERS.contains(&name) && txt(tokens, m.wrapping_sub(1)) == "." {
-            return None;
-        }
-        if matches!(name, "Ok" | "Err") {
-            return Some(vec![Hop {
-                line: def.line,
-                note: format!("`{}` bound from a `{name}(…)` constructor here", def.name),
-            }]);
-        }
-        if let Some(&decl_line) = result_fns.get(name) {
-            return Some(vec![
-                Hop {
-                    line: def.line,
-                    note: format!("`{}` bound from fallible `{name}(…)` here", def.name),
-                },
-                Hop {
-                    line: decl_line,
-                    note: format!("`{name}` declared `-> Result<…>` here"),
-                },
-            ]);
-        }
-    }
-    // Plain rebinding (`let b = a;` / `let b = &a;`) of a shaped name.
-    let mut k = lo;
-    while k < hi && matches!(txt(tokens, k), "&" | "mut") {
-        k += 1;
-    }
-    if k + 1 >= hi && is_ident(tokens, k) {
-        if let Some(chain) = shaped.get(tokens[k].text.as_str()) {
-            let mut c = vec![Hop {
-                line: def.line,
-                note: format!("`{}` rebinds `{}` here", def.name, tokens[k].text),
-            }];
-            c.extend(chain.iter().cloned());
-            return Some(c);
-        }
-    }
-    None
-}
-
-/// Adapters that consume a Result (the binding they produce is not one).
-const RESULT_CONSUMERS: &[&str] = &[
-    "ok",
-    "err",
-    "is_ok",
-    "is_err",
-    "unwrap",
-    "expect",
-    "unwrap_or",
-    "unwrap_or_else",
-    "unwrap_or_default",
-    "map_or",
-    "map_or_else",
-];
-
-/// True when a type-annotation token range names a Result (std `Result`,
-/// or a crate alias like `SdpResult` — by convention they end in "Result").
-fn range_has_result_ty(tokens: &[Token], (lo, hi): (usize, usize)) -> bool {
-    (lo..hi).any(|k| {
-        is_ident(tokens, k)
-            && tokens[k].text.ends_with("Result")
-            && txt(tokens, k.wrapping_sub(1)) != "."
-    })
-}
-
-/// Same-file fns whose header declares `-> Result`-shaped returns:
-/// name → 1-indexed declaration line.
-pub fn result_fns(tokens: &[Token], tree: &ItemTree) -> BTreeMap<String, usize> {
-    let mut out = BTreeMap::new();
-    for scope in &tree.scopes {
-        if scope.kind != crate::syntax::ScopeKind::Fn {
-            continue;
-        }
-        let (lo, hi) = (scope.range.0, scope.body.0);
-        let arrow = (lo..hi).find(|&k| txt(tokens, k) == "->");
-        if let Some(a) = arrow {
-            if range_has_result_ty(tokens, (a + 1, hi)) {
-                out.insert(scope.name.clone(), tokens[lo].line);
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // `snbc_par` call-site geometry (for the capture-race rule).
-
-/// `snbc_par` entry points that accept callables.
-pub const PAR_ENTRY_POINTS: &[&str] = &[
-    "par_map_collect",
-    "par_map_reduce",
-    "par_for_chunks",
-    "par_for_chunks_scratch",
-    "par_for_each_mut",
-    "join",
-    "join3",
-];
 
 /// One call to an `snbc_par` entry point inside a fn body.
 #[derive(Debug)]
@@ -416,7 +207,7 @@ pub struct ParCall {
     pub args: Vec<(usize, usize)>,
 }
 
-/// Locate free calls to [`PAR_ENTRY_POINTS`] in `[lo, hi)`. `accept` is the
+/// Locate free calls to the [`PAR_ENTRY_POINTS`] in `[lo, hi)`. `accept` is the
 /// alias-resolution predicate (token index, canonical `snbc_par::…` path) —
 /// the rule layer closes over its `ScopeTable`.
 pub fn par_calls(
@@ -679,66 +470,26 @@ fn match_bracket(tokens: &[Token], i: usize, hi: usize) -> usize {
     hi
 }
 
-/// Parameters of a fn header `[lo, hi)`: split the paren list at top-level
-/// commas; each segment is `[mut] name: Type`.
-fn collect_params(tokens: &[Token], lo: usize, hi: usize) -> Vec<Param> {
-    let mut out = Vec::new();
-    let mut i = lo;
-    while i < hi && txt(tokens, i) != "(" {
-        i += 1;
-    }
-    if i >= hi {
-        return out;
-    }
-    let close = match_paren(tokens, i, hi);
-    let mut seg_start = i + 1;
-    let mut depth = 0i32;
-    for j in i + 1..=close.min(hi.saturating_sub(1)) {
-        let t = txt(tokens, j);
-        let at_end = j == close;
-        if matches!(t, "(" | "[" | "<") {
-            depth += 1;
-        } else if matches!(t, ")" | "]" | ">") && !at_end {
-            depth -= 1;
-        }
-        if at_end || (t == "," && depth == 0) {
-            let name_tok = (seg_start..j)
-                .find(|&k| is_ident(tokens, k) && !matches!(txt(tokens, k), "mut" | "self"));
-            if let Some(n) = name_tok {
-                let colon = (n..j).find(|&k| txt(tokens, k) == ":");
-                out.push(Param {
-                    name: tokens[n].text.clone(),
-                    name_tok: n,
-                    line: tokens[n].line,
-                    ty: colon.map_or((j, j), |c| (c + 1, j)),
-                });
-            }
-            seg_start = j + 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::syntax::ItemTree;
     use crate::tokenizer::tokenize;
 
-    fn flow_of(src: &str) -> (Vec<Token>, ItemTree, FnFlow) {
+    fn flow_of(src: &str) -> (Vec<Token>, FnFlow) {
         let lexed = tokenize(src);
         let tree = ItemTree::build(&lexed.tokens);
-        let fid = (0..tree.scopes.len() as u32)
-            .find(|&s| tree.scopes[s as usize].kind == crate::syntax::ScopeKind::Fn)
+        let fid = (0..tree.scopes.len())
+            .find(|&s| tree.scopes[s].kind == crate::syntax::ScopeKind::Fn)
             .expect("fn scope");
-        let flow = fn_flow(&lexed.tokens, &tree, fid);
-        (lexed.tokens, tree, flow)
+        let flow = fn_flow(&lexed.tokens, &tree, crate::id32(fid));
+        (lexed.tokens, flow)
     }
 
     #[test]
     fn defs_capture_lets_and_reassignments() {
         let src = "fn f() {\n  let a = 1;\n  let mut b: f64 = 2.0;\n  b += 3.0;\n  let (x, y) = pair();\n}\n";
-        let (_, _, flow) = flow_of(src);
+        let (tokens, flow) = flow_of(src);
         let names: Vec<(&str, bool)> = flow
             .defs
             .iter()
@@ -746,13 +497,14 @@ mod tests {
             .collect();
         // Destructuring stays out; the reassignment is tracked.
         assert_eq!(names, vec![("a", true), ("b", true), ("b", false)]);
-        assert!(flow.defs[1].ty.is_some());
+        // The annotated `let` still finds its initializer past the type.
+        assert_eq!(tokens[flow.defs[1].rhs.0].text, "2.0");
     }
 
     #[test]
     fn taint_flows_through_rebinds_not_scalar_indexing() {
         let src = "fn f(n: usize) {\n  let xs = par_map_collect(n, |i| i as f64);\n  let ys = xs;\n  let tail = &ys[1..];\n  let one = xs[0];\n}\n";
-        let (tokens, _, flow) = flow_of(src);
+        let (tokens, flow) = flow_of(src);
         let tainted = propagate(&flow, &tokens, |k| {
             (tokens[k].text == "par_map_collect").then(|| "`par_map_collect(…)`".to_string())
         });
@@ -766,35 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn result_shape_tracks_calls_and_consumers() {
-        let src = "fn helper() -> Result<u32, String> { Ok(1) }\n\
-                   fn f() {\n  let a = helper();\n  let b = a;\n  let c = helper().ok();\n  let d = helper()?;\n}\n";
-        let lexed = tokenize(src);
-        let tree = ItemTree::build(&lexed.tokens);
-        let fns = result_fns(&lexed.tokens, &tree);
-        assert_eq!(fns.get("helper"), Some(&1));
-        let fid = (0..tree.scopes.len() as u32)
-            .find(|&s| tree.scopes[s as usize].name == "f")
-            .unwrap();
-        let flow = fn_flow(&lexed.tokens, &tree, fid);
-        let shaped = result_shaped(&flow, &lexed.tokens, &fns);
-        let by_name: BTreeMap<&str, bool> = flow
-            .defs
-            .iter()
-            .zip(&shaped)
-            .map(|(d, s)| (d.name.as_str(), s.is_some()))
-            .collect();
-        assert_eq!(by_name["a"], true, "direct fallible call");
-        assert_eq!(by_name["b"], true, "rebinding keeps the shape");
-        assert_eq!(by_name["c"], false, ".ok() consumes the Result");
-        assert_eq!(by_name["d"], false, "`?` unwraps the Result");
-    }
-
-    #[test]
     fn par_call_geometry_finds_closures_and_args() {
         let src = "fn f(n: usize, out: &mut [f64]) {\n  par_for_chunks(&mut out[..], 4, |lo, chunk| {\n    let s = lo;\n    chunk[0] = s as f64;\n  });\n}\n";
         let lexed = tokenize(src);
-        let tree = ItemTree::build(&lexed.tokens);
         let calls = par_calls(&lexed.tokens, (0, lexed.tokens.len()), |_, _| true);
         assert_eq!(calls.len(), 1);
         assert_eq!(calls[0].name, "par_for_chunks");
@@ -803,6 +529,5 @@ mod tests {
         assert!(params.contains("lo") && params.contains("chunk"));
         let locals = local_lets(&lexed.tokens, body);
         assert!(locals.contains("s"));
-        let _ = tree;
     }
 }

@@ -5,7 +5,9 @@
 //! [`crate::callgraph`]). The lattice is a flat powerset: a function's effect
 //! set is the union of its leaves and its callees' sets, so propagation is a
 //! monotone fixpoint and SCC condensation makes it a single reverse-
-//! topological pass.
+//! topological pass. The lattice holds exactly what the contracts of
+//! [`crate::contracts`] forbid somewhere: hidden inputs (env, clock), raw
+//! threads, allocation, and unordered float folds.
 //!
 //! Leaves are recognized from token shapes, alias-resolved through the
 //! [`crate::scopes::ScopeTable`] — so `use std::thread::spawn as sp; sp(..)`
@@ -16,8 +18,9 @@
 //! **Ownership masking**: a leaf inside the crate that *owns* the effect
 //! (e.g. the `SNBC_THREADS` read inside `crates/par`) is sanctioned wrapper
 //! behavior and produces no leaf, so it never propagates to callers. The
-//! owner lists mirror the crate gating of the syntactic rules
-//! ([`crate::THREAD_OWNER_CRATES`] and friends).
+//! owner lists ([`crate::THREAD_OWNER_CRATES`] and friends) match the crates
+//! that take the corresponding clippy `disallowed-methods` entries as
+//! reviewed `#[expect]`s.
 
 use crate::scopes::{path_is, ScopeTable};
 use crate::syntax::ItemTree;
@@ -33,49 +36,27 @@ pub enum Effect {
     ReadsTime,
     /// `std::env::var{,_os}` / `vars{,_os}`.
     ReadsEnv,
-    /// `panic!`-family macros, `.unwrap()` / `.expect()`.
-    Panics,
     /// Heap allocation: `vec!`/`format!`, collection constructors,
     /// `.to_vec()`/`.collect()`/`.to_string()`/… tails.
     Allocates,
     /// A float reduction whose evaluation order is not canonical
-    /// (`nondet-iter` / `unordered-reduce` sites, fed in by the rule layer).
+    /// (`unordered-reduce` sites, fed in by the rule layer).
     UnorderedFpFold,
-    /// Filesystem / stream IO: `std::fs`/`std::io` calls, `print!`-family.
-    Io,
-    /// At least one call could not be resolved to a workspace function; the
-    /// inferred set is a lower bound.
-    UnresolvedCall,
 }
 
 impl Effect {
-    pub const ALL: [Effect; 8] = [
-        Effect::SpawnsThread,
-        Effect::ReadsTime,
-        Effect::ReadsEnv,
-        Effect::Panics,
-        Effect::Allocates,
-        Effect::UnorderedFpFold,
-        Effect::Io,
-        Effect::UnresolvedCall,
-    ];
-
     pub fn name(self) -> &'static str {
         match self {
             Effect::SpawnsThread => "spawns-thread",
             Effect::ReadsTime => "reads-time",
             Effect::ReadsEnv => "reads-env",
-            Effect::Panics => "panics",
             Effect::Allocates => "allocates",
             Effect::UnorderedFpFold => "unordered-fp-fold",
-            Effect::Io => "io",
-            Effect::UnresolvedCall => "unresolved-call",
         }
     }
 
-    fn bit(self) -> u16 {
-        // Discriminants are 0..=7, so the cast is exact. audit:allow(lossy-cast)
-        1u16 << (self as u16)
+    fn bit(self) -> u8 {
+        1u8 << (self as u8)
     }
 
     /// Crates whose direct use of this effect is sanctioned wrapper behavior
@@ -91,13 +72,12 @@ impl Effect {
     }
 
     /// The rule id whose `audit:allow(...)` marker masks a leaf of this
-    /// effect (a justified leaf must not propagate either).
+    /// effect (a justified leaf must not propagate either). Env, clock and
+    /// thread leaves have none: outside their owner crates they are reviewed
+    /// at the contract boundary (`audit:allow(solver-effects)` or
+    /// `audit:allow(par-callee)`).
     pub fn allow_rule_id(self) -> Option<&'static str> {
         match self {
-            Effect::SpawnsThread => Some("raw-thread"),
-            Effect::ReadsTime => Some("raw-instant"),
-            Effect::ReadsEnv => Some("env-read"),
-            Effect::Panics => Some("panicking"),
             Effect::Allocates => Some("hot-alloc"),
             Effect::UnorderedFpFold => Some("unordered-reduce"),
             _ => None,
@@ -111,20 +91,12 @@ impl fmt::Display for Effect {
     }
 }
 
-/// A set of effects, as a bitmask over [`Effect::ALL`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EffectSet(u16);
+/// A set of effects, as a bitmask over the [`Effect`] discriminants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EffectSet(u8);
 
 impl EffectSet {
     pub const EMPTY: EffectSet = EffectSet(0);
-
-    pub fn of(effects: &[Effect]) -> EffectSet {
-        let mut s = EffectSet::EMPTY;
-        for &e in effects {
-            s.insert(e);
-        }
-        s
-    }
 
     pub fn insert(&mut self, e: Effect) {
         self.0 |= e.bit();
@@ -136,30 +108,6 @@ impl EffectSet {
 
     pub fn union_with(&mut self, other: EffectSet) {
         self.0 |= other.0;
-    }
-
-    pub fn intersects(self, other: EffectSet) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    pub fn iter(self) -> impl Iterator<Item = Effect> {
-        Effect::ALL.into_iter().filter(move |e| self.contains(*e))
-    }
-
-    /// Canonical comma-joined names, e.g. `"reads-env, allocates"`.
-    pub fn names(self) -> String {
-        let mut out = String::new();
-        for e in self.iter() {
-            if !out.is_empty() {
-                out.push_str(", ");
-            }
-            out.push_str(e.name());
-        }
-        out
     }
 }
 
@@ -176,11 +124,8 @@ pub struct Leaf {
 
 const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os"];
 
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
-const IO_MACROS: &[&str] = &["print", "println", "eprint", "eprintln", "dbg"];
 
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 /// Method tails that allocate their result. `.clone()` and `.push()` are
 /// deliberately absent: cloning a Copy scalar or pushing into a pre-reserved
 /// buffer is the *fix* for hot-loop allocation, and flagging them would bury
@@ -223,21 +168,15 @@ pub fn leaf_effects(tokens: &[Token], tree: &ItemTree, scopes: &ScopeTable) -> V
 
         // Macro invocations: `name!(...)`.
         if text(i + 1) == "!" {
-            if PANIC_MACROS.contains(&name) {
-                push(&mut out, Effect::Panics, format!("`{name}!`"));
-            } else if ALLOC_MACROS.contains(&name) {
+            if ALLOC_MACROS.contains(&name) {
                 push(&mut out, Effect::Allocates, format!("`{name}!` allocation"));
-            } else if IO_MACROS.contains(&name) {
-                push(&mut out, Effect::Io, format!("`{name}!`"));
             }
             continue;
         }
 
         // Method calls: `.name(...)`.
         if i > 0 && text(i - 1) == "." && is_called(tokens, i) {
-            if PANIC_METHODS.contains(&name) {
-                push(&mut out, Effect::Panics, format!("`.{name}()`"));
-            } else if ALLOC_METHODS.contains(&name) {
+            if ALLOC_METHODS.contains(&name) {
                 push(&mut out, Effect::Allocates, format!("`.{name}()` allocation"));
             }
             continue;
@@ -275,14 +214,6 @@ pub fn leaf_effects(tokens: &[Token], tree: &ItemTree, scopes: &ScopeTable) -> V
                 Effect::Allocates,
                 format!("`{}::{}` allocation", short[1], short[0]),
             );
-            continue;
-        }
-        // std::fs / std::io entry points, resolved or written with a std head.
-        let r = scopes.resolve_at(tokens, tree, i);
-        if (r.resolved || r.path.starts_with("std::"))
-            && (r.path.starts_with("std::fs::") || r.path.starts_with("std::io::"))
-        {
-            push(&mut out, Effect::Io, format!("`{}`", r.path));
         }
     }
     out
@@ -333,21 +264,17 @@ mod tests {
     #[test]
     fn effect_set_bit_ops() {
         let mut s = EffectSet::EMPTY;
-        assert!(s.is_empty());
+        assert!(!s.contains(Effect::ReadsEnv));
         s.insert(Effect::ReadsEnv);
-        s.insert(Effect::Allocates);
-        assert!(s.contains(Effect::ReadsEnv));
-        assert!(!s.contains(Effect::Io));
-        assert_eq!(s.names(), "reads-env, allocates");
-        let mut t = EffectSet::of(&[Effect::Io]);
+        let mut t = EffectSet::EMPTY;
+        t.insert(Effect::Allocates);
         t.union_with(s);
-        assert!(t.contains(Effect::ReadsEnv) && t.contains(Effect::Io));
-        assert!(t.intersects(EffectSet::of(&[Effect::Io, Effect::Panics])));
-        assert!(!s.intersects(EffectSet::of(&[Effect::Panics])));
+        assert!(t.contains(Effect::ReadsEnv) && t.contains(Effect::Allocates));
+        assert!(!t.contains(Effect::ReadsTime));
     }
 
     #[test]
-    fn recognizes_macro_and_method_leaves() {
+    fn recognizes_allocating_macros_and_methods() {
         let src = "fn f(v: Option<u8>) -> u8 {\n\
                        let s = vec![1u8];\n\
                        println!(\"x\");\n\
@@ -355,10 +282,10 @@ mod tests {
                        v.unwrap()\n\
                    }\n";
         let got = leaves(src);
-        let effects: Vec<Effect> = got.iter().map(|(e, _, _)| *e).collect();
+        let effects: Vec<(Effect, usize)> = got.iter().map(|(e, l, _)| (*e, *l)).collect();
         assert_eq!(
             effects,
-            vec![Effect::Allocates, Effect::Io, Effect::Allocates, Effect::Panics],
+            vec![(Effect::Allocates, 2), (Effect::Allocates, 4)],
             "{got:?}"
         );
     }
@@ -398,26 +325,16 @@ mod tests {
     }
 
     #[test]
-    fn io_paths_and_turbofish() {
-        let src = "use std::fs;\n\
-                   fn f(xs: &[u64]) -> Vec<u64> {\n\
-                       let _s = fs::read_to_string(\"p\");\n\
+    fn turbofish_collect_is_an_allocation() {
+        let src = "fn f(xs: &[u64]) -> Vec<u64> {\n\
                        xs.iter().copied().collect::<Vec<u64>>()\n\
                    }\n";
-        let got = leaves(src);
-        assert!(
-            got.iter().any(|(e, l, _)| *e == Effect::Io && *l == 3),
-            "{got:?}"
-        );
-        assert!(
-            got.iter().any(|(e, l, _)| *e == Effect::Allocates && *l == 4),
-            "{got:?}"
-        );
+        assert_eq!(leaves(src).len(), 1, "{:?}", leaves(src));
     }
 
     #[test]
     fn test_code_has_no_leaves() {
-        let src = "#[cfg(test)]\nmod t { fn f() { panic!(\"x\"); } }\n";
+        let src = "#[cfg(test)]\nmod t { fn f() { let v = vec![1]; } }\n";
         assert!(leaves(src).is_empty());
     }
 }

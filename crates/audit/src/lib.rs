@@ -1,187 +1,93 @@
-//! `snbc-audit` — numerical-soundness static analysis for the SNBC workspace.
+//! `snbc-audit` — whole-program determinism analysis for the SNBC workspace.
 //!
-//! The from-scratch interior-point solvers (`snbc-lp`, `snbc-sdp`) and the
-//! factorization kernels under them (`snbc-linalg`) stand in for MOSEK-class
-//! solvers; a silent NaN or an exact-float-equality branch inside an IPM
-//! iteration can turn a "verified" barrier certificate into a wrong answer.
-//! This crate is the standing gate against that class of bug:
+//! The from-scratch interior-point solvers (`snbc-lp`, `snbc-sdp`) stand in
+//! for MOSEK-class solvers, and certificates must come out bitwise identical
+//! at any thread count. Clippy (root `clippy.toml` and
+//! `[workspace.lints.clippy]`) guards each call site: exact float
+//! comparisons, lossy casts, panics and swallowed `Result`s in solver code,
+//! hash-order iteration, raw threads, clocks, environment reads and prints.
+//! This crate keeps only what needs the whole program or a dataflow view:
 //!
 //! - a comment/string-aware tokenizer ([`tokenizer`]) — no `syn`, std only;
 //! - a brace-matched item tree ([`syntax`]) mapping every token to its
 //!   scope, statement span, and structural `#[cfg(test)]`/`#[test]` status;
-//! - per-scope `use`-alias symbol tables ([`scopes`]) so rules resolve
-//!   renamed imports instead of pattern-matching raw paths;
-//! - a statement-level dataflow engine ([`dataflow`]): per-function def-use
-//!   chains tracking value provenance across `let` rebinds, reassignments,
-//!   and projections, plus `snbc_par` call/closure geometry — the substrate
-//!   for the provenance-aware rules;
-//! - soundness + determinism rules ([`rules`]): exact float comparisons,
-//!   panicking calls and swallowed `Result`s in solver library code (def-use
-//!   based: a dead `Result` binding is flagged wherever it hides), lossy
-//!   numeric casts, `HashMap`/`HashSet` iteration, raw `thread::spawn` /
-//!   `Instant::now` / `std::env` reads / `println!`-family printing outside
-//!   their owner crates, unordered float reductions over values that *flow*
-//!   from parallel output (however many bindings away), and `snbc_par`
-//!   closures capturing mutable or interior-mutable shared state
-//!   (`par-capture-race`);
+//! - per-scope `use`-alias symbol tables ([`scopes`]);
+//! - a statement-level dataflow engine ([`dataflow`]) powering the two
+//!   per-file rules ([`rules`]): `unordered-reduce` (float folds over values
+//!   that flow from parallel output) and `par-capture-race` (`snbc_par`
+//!   closures touching shared mutable state);
 //! - an interprocedural effect engine: per-function effect leaves
 //!   ([`effects`]), a workspace call graph with SCC-fixpoint propagation
-//!   ([`callgraph`]), and declarative contracts over the propagated sets
-//!   ([`contracts`]) — solver crates transitively env/thread/clock-free,
-//!   `// audit:hot` functions transitively allocation-free, parallel
-//!   callees fold-order-safe;
+//!   ([`callgraph`]), and the contracts over it ([`contracts`]) — solver
+//!   crates transitively env/thread/clock-free (`solver-effects`),
+//!   `// audit:hot` functions transitively allocation-free (`hot-alloc`),
+//!   parallel callees deterministic (`par-callee`);
 //! - architecture rules ([`arch`]): Cargo.toml dependencies must match the
-//!   DESIGN.md DAG, externals limited to `rand`/`proptest`/`criterion`/`serde`;
-//! - a versioned regression baseline ([`baseline`], format v2) with
-//!   statement-scoped `// audit:allow(<rule>)` suppressions;
-//! - deterministic machine reports ([`sarif`] over the canonical [`json`]
-//!   encoder): `--format json` (`snbc-audit/4`, findings carry call chains
-//!   and def-use chains, with a self-describing rule-version catalog) and
-//!   `--format sarif` (SARIF 2.1.0 with `codeFlows`), byte-identical
-//!   across runs and `SNBC_THREADS`; [`graphout`] dumps the call/arch graph
-//!   as canonical JSON or DOT (`snbc-audit graph`).
+//!   DESIGN.md DAG, externals limited to `rand`/`proptest`/`criterion`/`serde`.
 //!
-//! The binary exits non-zero on regressions, so `ci.sh` and the tier-1 test
-//! suite can use it as a gate; `snbc-audit explain <rule>` documents each
-//! rule. See `docs/AUDIT.md` for the full catalog and formats. The runtime
-//! counterpart is the `sanitize` cargo feature on
-//! `snbc-linalg`/`snbc-lp`/`snbc-sdp`, which asserts finiteness and step
-//! invariants inside the hot loops themselves.
+//! `snbc-audit [--root <dir>]` prints every finding and exits 1 on any; a
+//! reviewed exception is a `// audit:allow(<rule>)` marker on the statement.
+//! See `docs/AUDIT.md`. The runtime counterpart is the `sanitize` cargo
+//! feature on `snbc-linalg`/`snbc-lp`/`snbc-sdp`.
 
 pub mod arch;
 pub mod callgraph;
 pub mod contracts;
 pub mod dataflow;
 pub mod effects;
-pub mod graphout;
-pub mod json;
-pub mod sarif;
+pub mod rules;
 pub mod scopes;
 pub mod syntax;
-pub mod baseline;
-pub mod rules;
 pub mod tokenizer;
 
 use callgraph::{CallGraph, FileAnalysis};
-use rules::{Finding, ScanOptions};
+use rules::Finding;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Crates whose `src/` trees must not contain panicking calls: the solver
-/// stack that the verifier side of CEGIS leans on, plus the batch service
-/// (`portfolio`), whose job loop must degrade malformed input and cache
-/// defects to typed errors rather than abort a fleet run.
-pub const SOLVER_CRATES: &[&str] = &["linalg", "lp", "sdp", "sos", "interval", "portfolio"];
-
-/// Crates allowed to touch `std::thread` directly: the deterministic parallel
-/// runtime itself and the telemetry sink (thread-name labels). Everything
-/// else must route parallelism through `snbc-par` (`raw-thread` rule).
+/// Crates whose direct `std::thread` spawns are sanctioned: the
+/// deterministic parallel runtime itself and the telemetry sink (thread-name
+/// labels). Their spawn leaves do not propagate.
 pub const THREAD_OWNER_CRATES: &[&str] = &["par", "telemetry"];
 
-/// Crates allowed to call `Instant::now()` directly: the trace clock itself
-/// plus the observability crates that wrap it. Everything else must time
-/// through `snbc_trace::Stopwatch` / `snbc_trace::now_us` so all timings sit
-/// on the single trace epoch (`raw-instant` rule).
+/// Crates whose direct clock reads are sanctioned: the trace clock itself
+/// plus the observability crates that wrap it. Their clock leaves do not
+/// propagate.
 pub const INSTANT_OWNER_CRATES: &[&str] = &["trace", "telemetry", "par"];
 
-/// Crates allowed to read the process environment: the deterministic runtime
+/// Crates whose environment reads are sanctioned: the deterministic runtime
 /// (`SNBC_THREADS`), the CLI (user-facing flags), and the audit tool itself.
-/// Everywhere else an env read is a hidden input that breaks run-report
-/// reproducibility (`env-read` rule).
+/// Their env leaves do not propagate.
 pub const ENV_OWNER_CRATES: &[&str] = &["par", "cli", "audit"];
 
-/// Crates whose own code may perform unordered float folds: the parallel
-/// runtime, whose reduction trees are deterministic by construction. The
-/// `unordered-fp-fold` effect is masked at leaves inside these crates.
+/// The deterministic runtime, whose own reduction trees and worker state are
+/// deterministic by construction: exempt from `unordered-reduce` and
+/// `par-capture-race`, and its `unordered-fp-fold` leaves are masked.
 pub const FOLD_OWNER_CRATES: &[&str] = &["par"];
 
-/// Crates whose library code may print to stdout/stderr directly: the CLI
-/// (whose job is terminal output) and the audit tool itself. Everywhere else
-/// a `println!`/`eprintln!` in library code bypasses the observability
-/// surfaces (progress events, telemetry, tracing) and pollutes stdout that
-/// callers may be piping (`raw-print` rule; `src/bin/` targets and
-/// `src/main.rs` are exempt as binary entry points).
-pub const PRINT_OWNER_CRATES: &[&str] = &["cli", "audit"];
-
-/// Configuration for a workspace audit run.
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// Workspace root (the directory holding the top-level `Cargo.toml`).
-    pub root: PathBuf,
-    /// Workspace-relative glob filters for *reported* findings (`--paths`).
-    /// Empty means everything. The scan itself always covers the whole
-    /// workspace — interprocedural contracts need the full call graph — so
-    /// incremental mode narrows the report, never the analysis: a finding in
-    /// `crates/lp` caused by an edit in `crates/linalg` still shows up when
-    /// you filter to either crate.
-    pub paths: Vec<String>,
+/// Narrow an index to the `u32` ids of scopes and call-graph nodes.
+pub(crate) fn id32(i: usize) -> u32 {
+    u32::try_from(i).expect("fewer than 2^32 scopes and call-graph nodes")
 }
 
-impl AuditConfig {
-    pub fn new(root: PathBuf) -> AuditConfig {
-        AuditConfig { root, paths: Vec::new() }
-    }
-}
-
-/// Match a workspace-relative path against a `--paths` pattern. `*` matches
-/// any run of characters **including `/`**, `?` matches one character. A
-/// pattern with no metacharacters also matches as a directory prefix, so
-/// `--paths crates/lp` means `crates/lp/**`.
-pub fn glob_match(pattern: &str, text: &str) -> bool {
-    if !pattern.contains('*') && !pattern.contains('?') {
-        let prefix = pattern.trim_end_matches('/');
-        if text == prefix {
-            return true;
-        }
-        return text.starts_with(prefix) && text.as_bytes().get(prefix.len()) == Some(&b'/');
-    }
-    // Classic two-pointer wildcard match with star backtracking.
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let (mut star, mut mark) = (usize::MAX, 0usize);
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
-            star = pi;
-            mark = ti;
-            pi += 1;
-        } else if star != usize::MAX {
-            pi = star + 1;
-            mark += 1;
-            ti = mark;
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '*' {
-        pi += 1;
-    }
-    pi == p.len()
-}
-
-/// Result of a workspace audit: all unsuppressed findings, sorted, plus the
-/// linked call graph the effect contracts ran over (kept for `graph` dumps).
+/// Result of a workspace audit: all unsuppressed findings, sorted.
 #[derive(Debug, Default)]
 pub struct AuditReport {
     pub findings: Vec<Finding>,
     /// Files scanned (workspace-relative), for reporting/coverage checks.
     pub files_scanned: usize,
-    pub graph: CallGraph,
 }
 
-/// Walk `crates/*/src/**/*.rs` plus every `crates/*/Cargo.toml` and apply all
-/// rules: pass 1 scans each file (syntactic rules + call-graph harvest),
-/// pass 2 links the workspace graph, propagates effects, and runs the
-/// contracts. IO problems are hard errors: an unreadable source file must
-/// fail the gate, not silently shrink its coverage.
-pub fn audit_workspace(cfg: &AuditConfig) -> Result<AuditReport, String> {
-    let crates_dir = cfg.root.join("crates");
+/// Walk `crates/*/src/**/*.rs` plus every `crates/*/Cargo.toml` under
+/// `root` and apply all rules: pass 1 scans each file (dataflow rules +
+/// call-graph harvest), pass 2 links the workspace graph, propagates
+/// effects, and runs the contracts. IO problems are hard errors: an
+/// unreadable source file must fail the gate, not silently shrink its
+/// coverage.
+pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
+    let crates_dir = root.join("crates");
     let mut report = AuditReport::default();
     let mut analyses: Vec<FileAnalysis> = Vec::new();
-    let mut crate_deps: Vec<(String, String)> = Vec::new();
 
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?
@@ -201,49 +107,33 @@ pub fn audit_workspace(cfg: &AuditConfig) -> Result<AuditReport, String> {
         if manifest_path.is_file() {
             let manifest = fs::read_to_string(&manifest_path)
                 .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-            let rel = rel_path(&cfg.root, &manifest_path);
+            let rel = rel_path(root, &manifest_path);
             report
                 .findings
                 .extend(arch::check_manifest(&crate_name, &rel, &manifest));
-            for dep in arch::parse_dependencies(&manifest) {
-                if dep.section != "dependencies" {
-                    continue;
-                }
-                if let Some(dir) = crate_dir_of_package(&dep.name) {
-                    crate_deps.push((crate_name.clone(), dir));
-                }
-            }
         }
 
         let src_dir = crate_dir.join("src");
         if !src_dir.is_dir() {
             continue;
         }
-        let opts = ScanOptions::for_crate(&crate_name);
         let mut sources = Vec::new();
         collect_rs_files(&src_dir, &mut sources)?;
         sources.sort();
         for path in sources {
             let src = fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let rel = rel_path(&cfg.root, &path);
-            let scan = rules::scan_source_full(&rel, &src, opts, &crate_name);
+            let rel = rel_path(root, &path);
+            let scan = rules::scan_source_full(&rel, &src, &crate_name);
             report.findings.extend(scan.findings);
             analyses.push(scan.analysis);
             report.files_scanned += 1;
         }
     }
 
-    crate_deps.sort();
-    crate_deps.dedup();
-    report.graph = CallGraph::build(&analyses);
-    report.graph.crate_deps = crate_deps;
-    report.findings.extend(contracts::check(&report.graph));
-    if !cfg.paths.is_empty() {
-        report
-            .findings
-            .retain(|f| cfg.paths.iter().any(|p| glob_match(p, &f.file)));
-    }
+    report
+        .findings
+        .extend(contracts::check(&CallGraph::build(&analyses)));
     report.findings.sort();
     Ok(report)
 }
@@ -255,47 +145,37 @@ pub fn audit_files(files: &[(&str, &str, &str)]) -> AuditReport {
     let mut report = AuditReport::default();
     let mut analyses: Vec<FileAnalysis> = Vec::new();
     for (crate_name, rel, src) in files {
-        let opts = ScanOptions::for_crate(crate_name);
-        let scan = rules::scan_source_full(rel, src, opts, crate_name);
+        let scan = rules::scan_source_full(rel, src, crate_name);
         report.findings.extend(scan.findings);
         analyses.push(scan.analysis);
         report.files_scanned += 1;
     }
-    report.graph = CallGraph::build(&analyses);
-    report.findings.extend(contracts::check(&report.graph));
+    report
+        .findings
+        .extend(contracts::check(&CallGraph::build(&analyses)));
     report.findings.sort();
     report
 }
 
-/// Map an internal package name to its crate directory (`snbc-linalg` →
-/// "linalg"; the `crates/core` package is plain `snbc`). External packages
-/// return None.
-fn crate_dir_of_package(package: &str) -> Option<String> {
-    if package == "snbc" {
-        return Some("core".to_string());
-    }
-    package.strip_prefix("snbc-").map(|rest| rest.to_string())
-}
-
-/// Render findings grouped by rule, for terminal output.
+/// Render sorted findings grouped by rule, for terminal output. Contract
+/// findings list their call chain as indented `via` lines.
 pub fn render_findings(findings: &[Finding]) -> String {
     let mut out = String::new();
-    for rule in rules::RULES.iter().map(|info| info.rule) {
-        let of_rule: Vec<&Finding> = findings.iter().filter(|f| f.rule == rule).collect();
-        if of_rule.is_empty() {
-            continue;
+    for (i, f) in findings.iter().enumerate() {
+        if i == 0 || findings[i - 1].rule != f.rule {
+            let count = findings[i..]
+                .iter()
+                .take_while(|g| g.rule == f.rule)
+                .count();
+            out.push_str(&format!("[{}] {count} finding(s)\n", f.rule.id()));
         }
-        out.push_str(&format!("[{}] {} finding(s)\n", rule.id(), of_rule.len()));
-        for f in of_rule {
-            out.push_str(&format!("  {}:{}: {}\n", f.file, f.line, f.message));
-            // Contract findings carry the interprocedural call chain; skip
-            // frame 0 (the flagged site itself, already printed above).
-            for frame in f.chain.iter().skip(1) {
-                out.push_str(&format!(
-                    "    via {}:{}: {}\n",
-                    frame.file, frame.line, frame.note
-                ));
-            }
+        out.push_str(&format!("  {}:{}: {}\n", f.file, f.line, f.message));
+        // Frame 0 is the flagged site itself, already printed above.
+        for frame in f.chain.iter().skip(1) {
+            out.push_str(&format!(
+                "    via {}:{}: {}\n",
+                frame.file, frame.line, frame.note
+            ));
         }
     }
     out
@@ -310,7 +190,8 @@ fn rel_path(root: &Path, path: &Path) -> String {
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     for entry in fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))? {
-        let entry = entry.map_err(|e| format!("cannot read dir entry under {}: {e}", dir.display()))?;
+        let entry =
+            entry.map_err(|e| format!("cannot read dir entry under {}: {e}", dir.display()))?;
         let path = entry.path();
         if path.is_dir() {
             collect_rs_files(&path, out)?;
@@ -332,41 +213,18 @@ mod tests {
             .join("../..")
             .canonicalize()
             .unwrap();
-        let report = audit_workspace(&AuditConfig::new(root)).unwrap();
-        // The workspace has 14 crates with ~90 source files; if we ever scan
-        // fewer than 50 something is broken in the walker.
-        assert!(report.files_scanned > 50, "only scanned {}", report.files_scanned);
-    }
-
-    #[test]
-    fn glob_match_semantics() {
-        // `*` crosses `/`.
-        assert!(glob_match("crates/*/src/*.rs", "crates/lp/src/lib.rs"));
-        assert!(glob_match("crates/*", "crates/lp/src/solver/ipm.rs"));
-        assert!(glob_match("*ipm*", "crates/lp/src/solver/ipm.rs"));
-        assert!(!glob_match("crates/*/tests/*.rs", "crates/lp/src/lib.rs"));
-        // `?` is exactly one character.
-        assert!(glob_match("crates/l?/src/lib.rs", "crates/lp/src/lib.rs"));
-        assert!(!glob_match("crates/l?/src/lib.rs", "crates/linalg/src/lib.rs"));
-        // A literal pattern is a directory prefix (or exact match).
-        assert!(glob_match("crates/lp", "crates/lp/src/lib.rs"));
-        assert!(glob_match("crates/lp/", "crates/lp/src/lib.rs"));
-        assert!(glob_match("crates/lp/src/lib.rs", "crates/lp/src/lib.rs"));
-        assert!(!glob_match("crates/lp", "crates/lp2/src/lib.rs"));
-    }
-
-    #[test]
-    fn paths_filter_narrows_the_report_not_the_scan() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap();
-        let mut cfg = AuditConfig::new(root);
-        cfg.paths = vec!["crates/does-not-exist".to_string()];
-        let report = audit_workspace(&cfg).unwrap();
-        // Same full coverage as the unfiltered run…
-        assert!(report.files_scanned > 50);
-        // …and every finding outside the filter is dropped.
-        assert!(report.findings.is_empty());
+        let report = audit_workspace(&root).unwrap();
+        // The workspace has 18 crates with ~100 source files; if we ever
+        // scan fewer than 50 something is broken in the walker.
+        assert!(
+            report.files_scanned > 50,
+            "only scanned {}",
+            report.files_scanned
+        );
+        assert!(
+            report.findings.is_empty(),
+            "{}",
+            render_findings(&report.findings)
+        );
     }
 }

@@ -1,103 +1,42 @@
-//! `snbc-audit` binary: run the workspace audit, diff against the checked-in
-//! baseline, and gate on regressions.
+//! `snbc-audit` binary: audit the workspace and gate on any finding.
 //!
 //! ```text
-//! snbc-audit [--root <dir>] [--baseline <file>] [--update-baseline] [--list]
-//!            [--format text|json|sarif] [--output <file>] [--paths <glob>[,<glob>...]]
-//! snbc-audit explain <rule-id>
-//! snbc-audit graph [--root <dir>] [--format json|dot] [--output <file>]
+//! snbc-audit [--root <dir>]
 //! ```
 //!
-//! In `json`/`sarif` mode the document is the **only** thing written to
-//! stdout (diagnostics go to stderr) and its bytes are deterministic:
-//! identical across runs and across `SNBC_THREADS` values. `--output` writes
-//! the document to a file instead. The gate semantics are unchanged by the
-//! format.
-//!
-//! Exit codes: 0 = clean vs baseline, 1 = regressions, 2 = usage/IO error.
+//! Prints every finding (contract findings with their call chains) and exits
+//! 0 when there are none, 1 when there are any, 2 on a usage or IO error.
 
-use snbc_audit::graphout::{render_graph_dot, render_graph_json};
-use snbc_audit::rules::{Rule, RULES};
-use snbc_audit::sarif::{render_json_report, render_sarif, Report};
-use snbc_audit::{audit_workspace, baseline, render_findings, AuditConfig};
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "binary entry point: the terminal is its output"
+)]
+
+use snbc_audit::{audit_workspace, render_findings};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+const USAGE: &str = "snbc-audit [--root <dir>]";
 
 fn main() -> ExitCode {
     match run() {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(msg) => {
-            eprintln!("snbc-audit: error: {msg}");
+            eprintln!("snbc-audit: error: {msg}\nusage: {USAGE}");
             ExitCode::from(2)
         }
     }
 }
 
-const USAGE: &str = "snbc-audit [--root <dir>] [--baseline <file>] [--update-baseline] [--list] \
-                     [--format text|json|sarif] [--output <file>] \
-                     [--paths <glob>[,<glob>...]] | snbc-audit explain <rule-id> \
-                     | snbc-audit graph [--root <dir>] [--format json|dot] [--output <file>]";
-
 fn run() -> Result<bool, String> {
-    let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update = false;
-    let mut list = false;
-    let mut format = Format::Text;
-    let mut output: Option<PathBuf> = None;
-    let mut paths: Vec<String> = Vec::new();
-
+    // Default root: the workspace this binary was built from (crates/audit/../..).
+    let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "explain" => {
-                let id = args.next().ok_or("explain needs a rule id")?;
-                return explain(&id);
-            }
-            "graph" => return graph_dump(args),
-            "--root" => root = Some(PathBuf::from(args.next().ok_or("--root needs a value")?)),
-            "--baseline" => {
-                baseline_path =
-                    Some(PathBuf::from(args.next().ok_or("--baseline needs a value")?))
-            }
-            "--update-baseline" => update = true,
-            "--list" => list = true,
-            "--format" => {
-                format = match args.next().ok_or("--format needs a value")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}` (text|json|sarif)")),
-                }
-            }
-            "--output" => {
-                output = Some(PathBuf::from(args.next().ok_or("--output needs a value")?))
-            }
-            // Incremental mode: report only findings whose workspace-relative
-            // path matches one of the globs. Repeatable; commas also split.
-            "--paths" => {
-                let value = args.next().ok_or("--paths needs a value")?;
-                paths.extend(
-                    value
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|p| !p.is_empty())
-                        .map(str::to_string),
-                );
-            }
+            "--root" => root = PathBuf::from(args.next().ok_or("--root needs a value")?),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(true);
@@ -105,202 +44,23 @@ fn run() -> Result<bool, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-
-    // Default root: the workspace this binary was built from (crates/audit/../..).
-    let root = match root {
-        Some(r) => r,
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    };
     let root = root
         .canonicalize()
         .map_err(|e| format!("cannot resolve root: {e}"))?;
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("audit-baseline.txt"));
 
-    let report = audit_workspace(&AuditConfig { root: root.clone(), paths: paths.clone() })?;
-
-    // A filtered view must never rewrite or gate against the whole-workspace
-    // baseline: the unmatched findings it cannot see would read as fixed.
-    if !paths.is_empty() && update {
-        return Err("--paths cannot be combined with --update-baseline".to_string());
-    }
-
-    // Diagnostics go to stdout in text mode, stderr otherwise: machine modes
-    // must keep stdout byte-clean for the document.
-    let diag = |msg: &str| {
-        if format == Format::Text {
-            println!("{msg}");
-        } else {
-            eprintln!("{msg}");
-        }
-    };
-
-    diag(&format!(
+    let report = audit_workspace(&root)?;
+    println!(
         "snbc-audit: scanned {} source files, {} finding(s)",
         report.files_scanned,
         report.findings.len()
-    ));
-    if list && !report.findings.is_empty() && format == Format::Text {
-        print!("{}", render_findings(&report.findings));
-    }
-
-    match format {
-        Format::Text => {}
-        Format::Json | Format::Sarif => {
-            let doc = Report::new(report.files_scanned, report.findings.clone());
-            let text = match format {
-                Format::Json => render_json_report(&doc),
-                _ => render_sarif(&doc),
-            };
-            match &output {
-                Some(path) => {
-                    std::fs::write(path, text.as_bytes())
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    diag(&format!("snbc-audit: report written to {}", path.display()));
-                }
-                None => println!("{text}"),
-            }
-        }
-    }
-
-    if update {
-        std::fs::write(&baseline_path, baseline::render(&report.findings))
-            .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        diag(&format!(
-            "snbc-audit: baseline written to {}",
-            baseline_path.display()
-        ));
+    );
+    if report.findings.is_empty() {
+        println!("snbc-audit: OK (no findings)");
         return Ok(true);
     }
-
-    let tolerated = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?;
-        baseline::parse(&text)?
-    } else {
-        diag(&format!(
-            "snbc-audit: no baseline at {} (treating all findings as regressions)",
-            baseline_path.display()
-        ));
-        baseline::Baseline::default()
-    };
-
-    let diff = baseline::diff(&report.findings, &tolerated);
-    for (rule, recorded, current) in &diff.stale {
-        diag(&format!(
-            "snbc-audit: baseline entries for [{}] are stale (recorded v{recorded}, rule is v{current}) — its findings count as regressions until --update-baseline",
-            rule.id()
-        ));
-    }
-    for (rule, file, current, allowed) in &diff.improvements {
-        diag(&format!(
-            "snbc-audit: improvement: [{}] {} now {} (baseline tolerates {}) — consider --update-baseline",
-            rule.id(),
-            file,
-            current,
-            allowed
-        ));
-    }
-    if diff.is_clean() {
-        diag("snbc-audit: OK (no regressions vs baseline)");
-        return Ok(true);
-    }
-
-    eprintln!("snbc-audit: REGRESSIONS vs {}:", baseline_path.display());
-    for (rule, file, current, allowed) in &diff.regressions {
-        eprintln!(
-            "  [{}] {}: {} finding(s), baseline tolerates {}",
-            rule.id(),
-            file,
-            current,
-            allowed
-        );
-        for f in report
-            .findings
-            .iter()
-            .filter(|f| f.rule == *rule && &f.file == file)
-        {
-            eprintln!("    {}:{}: {}", f.file, f.line, f.message);
-            for frame in f.chain.iter().skip(1) {
-                eprintln!("      via {}:{}: {}", frame.file, frame.line, frame.note);
-            }
-        }
-    }
+    print!("{}", render_findings(&report.findings));
     eprintln!(
-        "snbc-audit: fix the findings, annotate `// audit:allow(<rule>)` where exactness is intended, or run with --update-baseline"
+        "snbc-audit: fix the findings, or mark a reviewed exception with `// audit:allow(<rule>)` on the statement"
     );
     Ok(false)
-}
-
-/// `snbc-audit graph`: link the workspace call/arch graph and dump it as
-/// canonical JSON (default) or Graphviz DOT. The dump bytes are deterministic
-/// across runs and `SNBC_THREADS` values, like the audit reports.
-fn graph_dump(mut args: impl Iterator<Item = String>) -> Result<bool, String> {
-    let mut root: Option<PathBuf> = None;
-    let mut dot = false;
-    let mut output: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => root = Some(PathBuf::from(args.next().ok_or("--root needs a value")?)),
-            "--format" => {
-                dot = match args.next().ok_or("--format needs a value")?.as_str() {
-                    "json" => false,
-                    "dot" => true,
-                    other => return Err(format!("unknown graph format `{other}` (json|dot)")),
-                }
-            }
-            "--output" => {
-                output = Some(PathBuf::from(args.next().ok_or("--output needs a value")?))
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(true);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    let root = match root {
-        Some(r) => r,
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    };
-    let root = root
-        .canonicalize()
-        .map_err(|e| format!("cannot resolve root: {e}"))?;
-    let report = audit_workspace(&AuditConfig::new(root))?;
-    let text = if dot {
-        render_graph_dot(&report.graph)
-    } else {
-        render_graph_json(&report.graph)
-    };
-    match &output {
-        Some(path) => {
-            std::fs::write(path, text.as_bytes())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            eprintln!("snbc-audit: graph written to {}", path.display());
-        }
-        None => println!("{text}"),
-    }
-    Ok(true)
-}
-
-/// `snbc-audit explain <rule>`: print one rule's metadata, or list all rules
-/// when the id is unknown.
-fn explain(id: &str) -> Result<bool, String> {
-    match Rule::from_id(id) {
-        Some(rule) => {
-            let info = rule.info();
-            println!("{} (v{})", info.id, info.version);
-            println!("  summary:   {}", info.summary);
-            println!("  rationale: {}", info.rationale);
-            println!("  fix:       {}", info.fix);
-            println!("  suppress:  // audit:allow({}) on the statement (any of its lines) or the line above", info.id);
-            Ok(true)
-        }
-        None => {
-            eprintln!("snbc-audit: unknown rule `{id}`. Known rules:");
-            for info in RULES {
-                eprintln!("  {:18} v{}  {}", info.id, info.version, info.summary);
-            }
-            Err(format!("unknown rule `{id}`"))
-        }
-    }
 }

@@ -1,36 +1,21 @@
-//! The soundness + determinism rules applied to tokenized Rust source.
-//!
-//! Rule identifiers (used in baselines and `// audit:allow(...)` markers):
+//! The two per-file dataflow rules, plus the finding types every rule
+//! reports through.
 //!
 //! | id | what it flags |
 //! |---|---|
-//! | `float-eq` | `==` / `!=` with a float literal on either side |
-//! | `panicking` | `.unwrap()` / `.expect()` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in solver-crate library code |
-//! | `lossy-cast` | `as` casts to a numeric type narrower than 64 bits (`f32`, `i8..i32`, `u8..u32`) |
-//! | `raw-thread` | `thread::spawn` outside `crates/par` / `crates/telemetry` |
-//! | `raw-instant` | `Instant::now` outside `crates/trace` / `crates/telemetry` / `crates/par` |
-//! | `nondet-iter` | iterating a `HashMap` / `HashSet` in non-test library code |
-//! | `swallowed-result` | `let _ =` / bare `.ok();` discarding a value in solver crates |
-//! | `env-read` | `std::env::var{,_os}` / `vars{,_os}` outside `crates/par`, `crates/cli`, `crates/audit` |
-//! | `raw-print` | `print!`/`println!`/`eprint!`/`eprintln!` in library code outside `crates/cli` / `crates/audit` and bin targets |
-//! | `unordered-reduce` | `+=` / `.sum()` accumulation over `par_map_collect` output outside `crates/par` |
-//! | `solver-effects` | solver-stack call that transitively reaches an env/clock/thread effect outside the stack |
-//! | `hot-alloc` | allocation (direct or through a resolved callee) in an `// audit:hot` function |
-//! | `par-callee` | callable passed to an `snbc_par` entry point that carries a nondeterministic effect |
+//! | `unordered-reduce` | `+=` / `.sum()`-family / `mul_add` folds over values that flow from `par_map_collect` / `par_map_reduce` output, outside `crates/par` |
+//! | `par-capture-race` | an `snbc_par` closure that writes a capture, pokes captured interior-mutable state, or aliases the call's `&mut` output argument, outside `crates/par` |
 //!
-//! `raw-thread`, `raw-instant`, and `env-read` detect their *leaves* through
-//! the effect engine ([`crate::effects`]): call-shaped, alias-resolved sites
-//! only, so a renamed import (`use std::thread::spawn as sp`) is caught and a
-//! `use` declaration's tokens are not. The three contract rules come from
-//! [`crate::contracts`] over the linked [`crate::callgraph`] and carry their
-//! full call chain ([`Frame`]) down to the leaf.
+//! The interprocedural contracts (`solver-effects`, `hot-alloc`,
+//! `par-callee`) come from [`crate::contracts`] over the linked
+//! [`crate::callgraph`], and `arch` from [`crate::arch`]; all of them report
+//! through [`Finding`], with the call or def-use chain in [`Frame`]s.
 //!
 //! Rules are **scope-aware**: they run over the [`crate::syntax::ItemTree`]
 //! (so `#[cfg(test)]` / `#[test]` items are skipped structurally, nested
 //! items included) and resolve names through the per-scope
-//! [`crate::scopes::ScopeTable`], so `use std::collections::HashMap as Map`
-//! does not hide a nondeterministic map and `use myclock::Instant` does not
-//! false-positive the clock rule. Suppressions attach to the **enclosing
+//! [`crate::scopes::ScopeTable`], so `use snbc_par::par_map_collect as pm`
+//! is still a parallel call. Suppressions attach to the **enclosing
 //! statement span**: a `// audit:allow(<rule>)` on any line of a multi-line
 //! statement, or on the line directly above it, silences that rule inside
 //! the statement.
@@ -44,280 +29,28 @@ use crate::tokenizer::{tokenize, Lexed, Token, TokenKind};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Rule identity. `Arch` findings come from `arch.rs`, not from token scans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Rule identity, in report order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    FloatEq,
-    Panicking,
-    LossyCast,
-    RawThread,
-    RawInstant,
-    NondetIter,
-    SwallowedResult,
-    EnvRead,
-    RawPrint,
+    Arch,
     UnorderedReduce,
     ParCaptureRace,
     SolverEffects,
     HotAlloc,
     ParCallee,
-    Arch,
 }
-
-/// Static metadata for one rule: identity, a semantic version (bumping it
-/// invalidates only that rule's baseline-v2 entries), and the prose used by
-/// `snbc-audit explain <rule>` and the SARIF rule table.
-#[derive(Debug)]
-pub struct RuleInfo {
-    pub rule: Rule,
-    pub id: &'static str,
-    /// Bumped whenever the rule's matching semantics tighten or change.
-    pub version: u32,
-    /// One-line summary (SARIF `shortDescription`).
-    pub summary: &'static str,
-    /// Why the rule exists (SARIF `fullDescription`, `explain` output).
-    pub rationale: &'static str,
-    /// Suggested fix (SARIF `help`, `explain` output).
-    pub fix: &'static str,
-}
-
-/// All rules, in the canonical report order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        rule: Rule::Arch,
-        id: "arch",
-        version: 1,
-        summary: "Cargo.toml dependencies must match the DESIGN.md DAG",
-        rationale: "The workspace layering (linalg under the solvers, observability \
-                    crates at the bottom, core above everything) is what keeps the \
-                    from-scratch solver stack auditable; an undeclared edge silently \
-                    couples layers and invalidates the DESIGN.md inventory.",
-        fix: "Remove the dependency, or update DESIGN.md and the arch table in \
-              crates/audit/src/arch.rs together.",
-    },
-    RuleInfo {
-        rule: Rule::Panicking,
-        id: "panicking",
-        version: 1,
-        summary: "panicking call in solver library code",
-        rationale: "The LP/SDP/SOS/interval stack stands in for MOSEK-class solvers \
-                    inside the CEGIS loop; a panic there aborts certificate synthesis \
-                    instead of surfacing a recoverable SdpError the verifier can act on.",
-        fix: "Return a Result (SdpError or a crate error) instead of .unwrap()/.expect()/ \
-              panic!; annotate `// audit:allow(panicking)` only for invariants that are \
-              genuinely unreachable.",
-    },
-    RuleInfo {
-        rule: Rule::FloatEq,
-        id: "float-eq",
-        version: 1,
-        summary: "exact float comparison against a literal",
-        rationale: "Exact `==`/`!=` against float literals inside IPM iterations or \
-                    barrier checks turns rounding noise into control-flow divergence — \
-                    a 'verified' certificate can hinge on one ulp.",
-        fix: "Compare with an explicit tolerance ((a - b).abs() < eps), or annotate \
-              `// audit:allow(float-eq)` where exactness is intended (sentinels, \
-              sign checks against 0.0).",
-    },
-    RuleInfo {
-        rule: Rule::LossyCast,
-        id: "lossy-cast",
-        version: 1,
-        summary: "numeric cast to a type narrower than 64 bits",
-        rationale: "`as f32`/`as i32`-style casts silently truncate; solver indices and \
-                    residuals must stay at full width until an explicit, checked \
-                    narrowing.",
-        fix: "Use the 64-bit type, TryFrom, or an explicit clamped conversion; annotate \
-              `// audit:allow(lossy-cast)` when the narrowing is intended.",
-    },
-    RuleInfo {
-        rule: Rule::RawThread,
-        id: "raw-thread",
-        // v3: leaves come from the effect engine — call-shaped and
-        // alias-resolved, so renamed fn imports are caught and `use`
-        // declarations are no longer flagged.
-        version: 3,
-        summary: "raw thread::spawn outside the deterministic runtime",
-        rationale: "All parallelism must go through snbc-par: its index-ordered \
-                    reductions and SNBC_THREADS pool are what make certificates bitwise \
-                    identical at any thread count, and it rethrows worker panics at \
-                    scope exit. A raw spawn bypasses all three guarantees.",
-        fix: "Use snbc_par::{join, par_map_collect, par_map_reduce, par_for_chunks}; \
-              annotate `// audit:allow(raw-thread)` only inside sanctioned runtime code.",
-    },
-    RuleInfo {
-        rule: Rule::RawInstant,
-        id: "raw-instant",
-        // v3: effect-engine leaves (call-shaped, alias-resolved; also covers
-        // `SystemTime::now`).
-        version: 3,
-        summary: "raw Instant::now / SystemTime::now outside the trace clock owners",
-        rationale: "Every timestamp must sit on the single snbc-trace epoch so run \
-                    reports and Perfetto timelines line up; a raw Instant::now creates \
-                    a second clock that drifts from the trace.",
-        fix: "Time with snbc_trace::Stopwatch or snbc_trace::now_us; annotate \
-              `// audit:allow(raw-instant)` only inside the clock-owner crates.",
-    },
-    RuleInfo {
-        rule: Rule::NondetIter,
-        id: "nondet-iter",
-        version: 1,
-        summary: "iteration over a HashMap/HashSet in library code",
-        rationale: "HashMap/HashSet iteration order is randomized per process; any \
-                    float reduction, output vector, or counterexample list built by \
-                    iterating one breaks the bitwise-identical-certificates contract \
-                    (docs/PARALLELISM.md) in a way the SNBC_THREADS matrix cannot catch.",
-        fix: "Use BTreeMap/BTreeSet, or collect and sort by a stable key before \
-              iterating; annotate `// audit:allow(nondet-iter)` when the order provably \
-              cannot reach any output (pure membership sets).",
-    },
-    RuleInfo {
-        rule: Rule::SwallowedResult,
-        id: "swallowed-result",
-        // v2: def-use based — beyond `let _ =` and bare `.ok();`, any named
-        // binding of a Result-shaped value (explicit `: Result<…>` type,
-        // a same-file `-> Result` callee, an `Ok`/`Err` constructor, or a
-        // rebinding thereof) with no subsequent use is a swallow, including
-        // `_`-prefixed names.
-        version: 2,
-        summary: "Result binding with no subsequent use in solver code",
-        rationale: "The solver crates signal numerical failure through Results \
-                    (SdpError); `let _ =`, a bare `.ok();`, or a named Result \
-                    binding that is never read again makes an infeasible solve or a \
-                    failed factorization vanish instead of reaching telemetry and \
-                    the CEGIS round logic. The def-use pass proves the binding dead \
-                    instead of guessing from its name.",
-        fix: "Propagate with `?`, handle the Err arm explicitly, or document the \
-              discard with `// audit:allow(swallowed-result)` and a reason.",
-    },
-    RuleInfo {
-        rule: Rule::EnvRead,
-        id: "env-read",
-        // v2: effect-engine leaves — renamed imports (`use std::env::var as
-        // v`) are now caught at the call site.
-        version: 2,
-        summary: "environment read outside the sanctioned config surfaces",
-        rationale: "Run reports are only reproducible if every input is visible: \
-                    SNBC_THREADS is read once by snbc-par and recorded in telemetry, \
-                    and the CLI owns user-facing flags. An ad-hoc std::env::var deep in \
-                    a solver changes behavior invisibly to the report.",
-        fix: "Thread the setting through a config struct or the CLI, or read it in \
-              crates/par; annotate `// audit:allow(env-read)` for debug-only escape \
-              hatches that cannot affect results.",
-    },
-    RuleInfo {
-        rule: Rule::RawPrint,
-        id: "raw-print",
-        version: 1,
-        summary: "print!-family macro in library code outside the output owners",
-        rationale: "Library crates have structured output surfaces — progress events \
-                    (snbc-metrics), telemetry counters, and the trace — and stdout \
-                    belongs to machine-readable streams the CLI pipes (`--progress -` \
-                    NDJSON, certificates). A stray println! in a solver or the CEGIS \
-                    loop corrupts piped output and bypasses every sink the batch \
-                    service fans events into; only the CLI, the audit tool, and bin \
-                    targets own the terminal.",
-        fix: "Emit a ProgressEvent / telemetry counter / trace span instead, or move \
-              the printing to the CLI layer; annotate `// audit:allow(raw-print)` \
-              only for env-gated debug escape hatches that never run by default.",
-    },
-    RuleInfo {
-        rule: Rule::UnorderedReduce,
-        id: "unordered-reduce",
-        // v3: provenance-aware — the dataflow engine follows the
-        // par_map_collect/par_map_reduce result through `let` rebinds and
-        // slice projections, so a fold three bindings away is still caught;
-        // findings carry the def-use chain as SARIF codeFlows.
-        version: 3,
-        summary: "order-sensitive FP fold over a value that flows from parallel output",
-        rationale: "Float reductions over parallel-produced data must have one \
-                    canonical evaluation order; snbc_par::par_map_reduce's fixed chunk \
-                    grid plus serial index-ascending fold is that order. Ad-hoc \
-                    `+=`/`.sum()`/`mul_add` loops over values that *flow from* \
-                    par_map_collect output — however many `let` rebinds away — are \
-                    easy to reorder accidentally during refactors; the def-use chain \
-                    on each finding shows every hop back to the par call.",
-        fix: "Use snbc_par::par_map_reduce, or keep the serial fold and annotate \
-              `// audit:allow(unordered-reduce)` noting why the order is fixed \
-              (index-ascending over the already-ordered output).",
-    },
-    RuleInfo {
-        rule: Rule::ParCaptureRace,
-        id: "par-capture-race",
-        version: 1,
-        summary: "snbc_par closure captures mutable or interior-mutable shared state",
-        rationale: "Closures handed to snbc_par entry points run concurrently: one \
-                    that mutates a captured local, pokes captured Cell/RefCell/Mutex/\
-                    atomic state, or reaches a buffer also passed as the call's \
-                    `&mut` output argument races against its siblings — a data race \
-                    the borrow checker misses behind interior mutability, and a \
-                    determinism hole even when it is technically synchronized \
-                    (lock acquisition order varies with SNBC_THREADS).",
-        fix: "Return the value from the closure and let the runtime's index-ordered \
-              collect own the output; move shared scratch to par_for_chunks_scratch's \
-              per-worker buffers; annotate `// audit:allow(par-capture-race)` only \
-              with an argument why the access cannot race or reorder.",
-    },
-    RuleInfo {
-        rule: Rule::SolverEffects,
-        id: "solver-effects",
-        version: 1,
-        summary: "solver-stack call transitively reaching env/clock/thread effects",
-        rationale: "The per-site rules catch a leaf *inside* the solver stack, but a \
-                    call that leaves the stack and reaches std::env::var three frames \
-                    down is just as much a hidden input. The call graph propagates \
-                    spawns-thread / reads-time / reads-env to a fixpoint and this \
-                    contract fires on the boundary edge, with the full chain attached.",
-        fix: "Thread the setting/clock through a config struct or the sanctioned \
-              wrappers (snbc-par, snbc-trace), or annotate the boundary call with \
-              `// audit:allow(solver-effects)` and a reason.",
-    },
-    RuleInfo {
-        rule: Rule::HotAlloc,
-        id: "hot-alloc",
-        version: 1,
-        summary: "allocation inside an `// audit:hot` function",
-        rationale: "Functions marked `// audit:hot` are per-iteration kernels (learner \
-                    epochs, Schur assembly, counterexample ascent); an allocation \
-                    there — direct, or through any resolved workspace callee — turns \
-                    O(1) inner-loop work into allocator traffic that dominates the \
-                    profile. The effect lattice is a lower bound: unresolved calls \
-                    are not flagged but show as `unresolved-call` in the graph dump.",
-        fix: "Hoist the buffer out of the loop and reuse it (fill/copy_from_slice \
-              instead of vec!/collect), or justify a setup allocation with \
-              `// audit:allow(hot-alloc)` on its statement.",
-    },
-    RuleInfo {
-        rule: Rule::ParCallee,
-        id: "par-callee",
-        version: 1,
-        summary: "nondeterministic callable handed to an snbc_par entry point",
-        rationale: "snbc-par's determinism guarantee assumes the callables it runs \
-                    are pure with respect to scheduling: a closure that reads the \
-                    environment, samples a clock, spawns threads, or folds floats in \
-                    a noncanonical order produces different bits at different thread \
-                    counts even under the fixed chunk grid.",
-        fix: "Move env/clock reads out of the callable (capture the value instead), \
-              and route reductions through par_map_reduce's index-ordered fold; \
-              annotate `// audit:allow(par-callee)` only with a determinism argument.",
-    },
-];
 
 impl Rule {
-    pub fn info(self) -> &'static RuleInfo {
-        RULES.iter().find(|r| r.rule == self).expect("rule metadata")
-    }
-
+    /// The id used in reports and `// audit:allow(<id>)` markers.
     pub fn id(self) -> &'static str {
-        self.info().id
-    }
-
-    pub fn version(self) -> u32 {
-        self.info().version
-    }
-
-    pub fn from_id(id: &str) -> Option<Rule> {
-        RULES.iter().find(|r| r.id == id).map(|r| r.rule)
+        match self {
+            Rule::Arch => "arch",
+            Rule::UnorderedReduce => "unordered-reduce",
+            Rule::ParCaptureRace => "par-capture-race",
+            Rule::SolverEffects => "solver-effects",
+            Rule::HotAlloc => "hot-alloc",
+            Rule::ParCallee => "par-callee",
+        }
     }
 }
 
@@ -327,8 +60,8 @@ impl fmt::Display for Rule {
     }
 }
 
-/// One step of an interprocedural call chain, from the reported site down to
-/// the effect leaf. Exported as SARIF `codeFlows`.
+/// One step of a call or def-use chain, from the reported site down to the
+/// effect leaf or value origin.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Frame {
     pub file: String,
@@ -337,8 +70,8 @@ pub struct Frame {
     pub note: String,
 }
 
-/// One violation, reported against a workspace-relative path. Effect-contract
-/// findings carry the call chain to the leaf; per-site findings leave it empty.
+/// One violation, reported against a workspace-relative path, with its
+/// chain (empty for `arch`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     pub rule: Rule,
@@ -348,66 +81,13 @@ pub struct Finding {
     pub chain: Vec<Frame>,
 }
 
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file, self.line, self.rule, self.message
-        )
-    }
-}
-
-/// Per-file scan options, derived from the crate the file belongs to.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScanOptions {
-    /// `panicking` (library code of solver crates only).
-    pub check_panicking: bool,
-    /// `raw-thread` (everywhere except the thread-owner crates).
-    pub check_raw_thread: bool,
-    /// `raw-instant` (everywhere except the clock-owner crates).
-    pub check_raw_instant: bool,
-    /// `swallowed-result` (solver crates only).
-    pub check_swallowed_result: bool,
-    /// `env-read` (everywhere except par/cli/audit).
-    pub check_env_read: bool,
-    /// `raw-print` (everywhere except cli/audit; bin targets exempted
-    /// per-file in [`scan_source_full`]).
-    pub check_raw_print: bool,
-    /// `unordered-reduce` (everywhere except par itself).
-    pub check_unordered_reduce: bool,
-    /// `par-capture-race` (everywhere except par itself, whose internals
-    /// legitimately manage the shared worker state).
-    pub check_par_capture_race: bool,
-}
-
-impl ScanOptions {
-    /// The canonical per-crate gating, shared by the workspace walk and the
-    /// in-memory [`crate::audit_files`] entry point.
-    pub fn for_crate(crate_name: &str) -> ScanOptions {
-        ScanOptions {
-            check_panicking: crate::SOLVER_CRATES.contains(&crate_name),
-            check_raw_thread: !crate::THREAD_OWNER_CRATES.contains(&crate_name),
-            check_raw_instant: !crate::INSTANT_OWNER_CRATES.contains(&crate_name),
-            check_swallowed_result: crate::SOLVER_CRATES.contains(&crate_name),
-            check_env_read: !crate::ENV_OWNER_CRATES.contains(&crate_name),
-            check_raw_print: !crate::PRINT_OWNER_CRATES.contains(&crate_name),
-            check_unordered_reduce: crate_name != "par",
-            check_par_capture_race: crate_name != "par",
-        }
-    }
-}
-
 /// Shared context handed to every rule: the token stream plus the syntax and
 /// symbol layers built over it.
-pub struct RuleCtx<'a> {
-    pub file: &'a str,
-    pub tokens: &'a [Token],
-    pub tree: &'a ItemTree,
-    pub scopes: &'a ScopeTable,
-    /// Effect leaves of the file (shared with the call-graph harvest).
-    pub leaves: &'a [Leaf],
-    pub opts: ScanOptions,
+struct RuleCtx<'a> {
+    file: &'a str,
+    tokens: &'a [Token],
+    tree: &'a ItemTree,
+    scopes: &'a ScopeTable,
 }
 
 /// A finding still carrying its anchor token, so suppression can look up the
@@ -430,15 +110,18 @@ impl RuleCtx<'_> {
     }
 
     fn path_is(&self, i: usize, canonical: &str, min_segments: usize) -> bool {
-        path_is(self.scopes, self.tokens, self.tree, i, canonical, min_segments)
+        path_is(
+            self.scopes,
+            self.tokens,
+            self.tree,
+            i,
+            canonical,
+            min_segments,
+        )
     }
 
-    fn hit(&self, rule: Rule, tok: usize, message: String) -> Hit {
-        self.hit_chain(rule, tok, message, Vec::new())
-    }
-
-    /// A hit carrying a def-use chain (rendered as SARIF `codeFlows`): the
-    /// flagged site first, then the provenance hops, origin last.
+    /// A hit carrying a def-use chain: the flagged site first, then the
+    /// provenance hops, origin last.
     fn hit_chain(&self, rule: Rule, tok: usize, message: String, chain: Vec<Frame>) -> Hit {
         (
             tok,
@@ -477,15 +160,17 @@ pub struct FileScan {
     pub analysis: FileAnalysis,
 }
 
-/// Scan one source file and return its (unsuppressed) findings.
-pub fn scan_source(rel_path: &str, src: &str, opts: ScanOptions) -> Vec<Finding> {
-    scan_source_full(rel_path, src, opts, "").findings
+/// Scan one source file of `crate_name` and return its (unsuppressed)
+/// findings.
+pub fn scan_source(rel_path: &str, src: &str, crate_name: &str) -> Vec<Finding> {
+    scan_source_full(rel_path, src, crate_name).findings
 }
 
-/// Full per-file pass: tokenize once, compute effect leaves once, run every
-/// syntactic rule, and harvest the [`FileAnalysis`] for the call-graph layer.
-/// `crate_name` drives leaf ownership masking (empty = no crate, mask nothing).
-pub fn scan_source_full(rel_path: &str, src: &str, opts: ScanOptions, crate_name: &str) -> FileScan {
+/// Full per-file pass: tokenize once, run both dataflow rules, and harvest
+/// the [`FileAnalysis`] for the call-graph layer. The runtime crate itself
+/// ([`crate::FOLD_OWNER_CRATES`]) is exempt from both rules: its reduction
+/// trees and worker state are deterministic by construction.
+pub fn scan_source_full(rel_path: &str, src: &str, crate_name: &str) -> FileScan {
     let lexed = tokenize(src);
     let tree = ItemTree::build(&lexed.tokens);
     let scopes = ScopeTable::build(&lexed.tokens, &tree);
@@ -495,50 +180,23 @@ pub fn scan_source_full(rel_path: &str, src: &str, opts: ScanOptions, crate_name
         tokens: &lexed.tokens,
         tree: &tree,
         scopes: &scopes,
-        leaves: &leaves,
-        opts,
     };
 
     let mut hits: Vec<Hit> = Vec::new();
-    hits.extend(float_eq(&ctx));
-    hits.extend(lossy_cast(&ctx));
-    if opts.check_panicking {
-        hits.extend(panicking(&ctx));
-    }
-    if opts.check_raw_thread {
-        hits.extend(raw_thread(&ctx));
-    }
-    if opts.check_raw_instant {
-        hits.extend(raw_instant(&ctx));
-    }
-    let nondet_hits = nondet_iter(&ctx);
-    if opts.check_swallowed_result {
-        hits.extend(swallowed_result(&ctx));
-    }
-    if opts.check_env_read {
-        hits.extend(env_read(&ctx));
-    }
-    // Binary entry points (`src/main.rs`, `src/bin/*`) own their terminal:
-    // printing there is the whole point, regardless of the crate.
-    if opts.check_raw_print && !is_bin_target(rel_path) {
-        hits.extend(raw_print(&ctx));
-    }
-    let reduce_hits = if opts.check_unordered_reduce {
-        unordered_reduce(&ctx)
-    } else {
-        Vec::new()
-    };
-    if opts.check_par_capture_race {
+    if !crate::FOLD_OWNER_CRATES.contains(&crate_name) {
+        hits.extend(unordered_reduce(&ctx));
         hits.extend(par_capture_race(&ctx));
     }
 
     // Unsuppressed fold-order hazards feed the effect lattice as
     // `unordered-fp-fold` leaves (a suppressed site was argued safe and must
     // not poison callers).
-    let fold_leaves: Vec<Leaf> = nondet_hits
+    let fold_leaves: Vec<Leaf> = hits
         .iter()
-        .chain(reduce_hits.iter())
-        .filter(|(tok, f)| !is_suppressed(&lexed, &tree, f.rule.id(), *tok, f.line))
+        .filter(|(tok, f)| {
+            f.rule == Rule::UnorderedReduce
+                && !is_suppressed(&lexed, &tree, f.rule.id(), *tok, f.line)
+        })
         .map(|&(tok, ref f)| Leaf {
             effect: Effect::UnorderedFpFold,
             tok,
@@ -556,9 +214,11 @@ pub fn scan_source_full(rel_path: &str, src: &str, opts: ScanOptions, crate_name
         &fold_leaves,
     );
 
-    hits.extend(nondet_hits);
-    hits.extend(reduce_hits);
-    let mut findings = apply_suppressions(hits, &lexed, &tree);
+    let mut findings: Vec<Finding> = hits
+        .into_iter()
+        .filter(|(tok, f)| !is_suppressed(&lexed, &tree, f.rule.id(), *tok, f.line))
+        .map(|(_, f)| f)
+        .collect();
     findings.sort();
     FileScan { findings, analysis }
 }
@@ -570,356 +230,8 @@ fn is_suppressed(lexed: &Lexed, tree: &ItemTree, rule_id: &str, tok: usize, line
     callgraph::suppressed_at(&lexed.suppressions, rule_id, &stmt_lines, line)
 }
 
-/// Drop findings whose enclosing statement span (or the line directly above
-/// it) carries an `audit:allow(<rule>)` marker.
-fn apply_suppressions(hits: Vec<Hit>, lexed: &Lexed, tree: &ItemTree) -> Vec<Finding> {
-    hits.into_iter()
-        .filter(|(tok, f)| !is_suppressed(lexed, tree, f.rule.id(), *tok, f.line))
-        .map(|(_, f)| f)
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Token-level soundness rules.
-
-fn float_eq(ctx: &RuleCtx) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if ctx.in_test(i) || tok.kind != TokenKind::Punct {
-            continue;
-        }
-        if (tok.text == "==" || tok.text == "!=") && float_operand(ctx.tokens, i) {
-            hits.push(ctx.hit(
-                Rule::FloatEq,
-                i,
-                format!(
-                    "exact float comparison `{}` — use a tolerance or annotate audit:allow(float-eq)",
-                    tok.text
-                ),
-            ));
-        }
-    }
-    hits
-}
-
-fn lossy_cast(ctx: &RuleCtx) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if ctx.in_test(i) || tok.kind != TokenKind::Ident || tok.text != "as" {
-            continue;
-        }
-        if let Some(next) = ctx.tokens.get(i + 1) {
-            if next.kind == TokenKind::Ident && is_narrow_numeric(&next.text) {
-                hits.push(ctx.hit(
-                    Rule::LossyCast,
-                    i,
-                    format!("potentially lossy cast `as {}`", next.text),
-                ));
-            }
-        }
-    }
-    hits
-}
-
-fn panicking(ctx: &RuleCtx) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if ctx.in_test(i) || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let next = ctx.tokens.get(i + 1);
-        let is_macro_bang = matches!(next, Some(n) if n.kind == TokenKind::Punct && n.text == "!");
-        let msg = match tok.text.as_str() {
-            "panic" | "unreachable" | "todo" | "unimplemented" if is_macro_bang => {
-                Some(format!("`{}!` in solver library code", tok.text))
-            }
-            "unwrap" | "expect" => {
-                let dotted = i > 0 && ctx.text(i - 1) == ".";
-                let called = matches!(next, Some(n) if n.text == "(");
-                if dotted && called {
-                    Some(format!(
-                        "`.{}()` in solver library code — return an Error instead",
-                        tok.text
-                    ))
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        if let Some(msg) = msg {
-            hits.push(ctx.hit(Rule::Panicking, i, msg));
-        }
-    }
-    hits
-}
-
-/// `raw-thread` v3: `spawns-thread` effect leaves. Call-shaped and
-/// alias-resolved, so `use std::thread::spawn as sp; sp(..)` is caught at the
-/// call site and `use` declarations are not flagged. Scoped `s.spawn(..)`
-/// inside `thread::scope` is a method call and produces no leaf.
-fn raw_thread(ctx: &RuleCtx) -> Vec<Hit> {
-    ctx.leaves
-        .iter()
-        .filter(|l| l.effect == Effect::SpawnsThread)
-        .map(|l| {
-            ctx.hit(
-                Rule::RawThread,
-                l.tok,
-                "raw `thread::spawn` — route parallelism through `snbc-par` \
-                 (deterministic reduction + panic propagation) or annotate \
-                 audit:allow(raw-thread)"
-                    .to_string(),
-            )
-        })
-        .collect()
-}
-
-/// `raw-instant` v3: `reads-time` effect leaves (`Instant::now` and
-/// `SystemTime::now`, alias-aware).
-fn raw_instant(ctx: &RuleCtx) -> Vec<Hit> {
-    ctx.leaves
-        .iter()
-        .filter(|l| l.effect == Effect::ReadsTime)
-        .map(|l| {
-            ctx.hit(
-                Rule::RawInstant,
-                l.tok,
-                "raw `Instant::now` — use `snbc_trace::Stopwatch` (or \
-                 `snbc_trace::now_us`) so timings share the trace clock, or \
-                 annotate audit:allow(raw-instant)"
-                    .to_string(),
-            )
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Scope-aware determinism + error-hygiene rules.
-
-const NONDET_TYPES: &[&str] = &["std::collections::HashMap", "std::collections::HashSet"];
-
-/// Methods whose call on a hash collection observes iteration order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-];
-
 /// Chain tails that reduce an iterator into one value.
 const REDUCE_METHODS: &[&str] = &["sum", "product", "fold", "reduce"];
-
-fn nondet_iter(ctx: &RuleCtx) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for_each_fn(ctx, |ctx, fid| {
-        let tracked = tracked_vars(ctx, fid, |ctx, i| {
-            NONDET_TYPES.iter().any(|t| ctx.path_is(i, t, 1))
-        });
-        if tracked.is_empty() {
-            return;
-        }
-        let scope = &ctx.tree.scopes[fid as usize];
-        let (lo, hi) = scope.body;
-        let mut i = lo;
-        while i < hi {
-            if ctx.in_test(i) || ctx.tree.enclosing_fn(i) != Some(fid) {
-                i += 1;
-                continue;
-            }
-            // `for pat in [&][mut] var {` — iterating the collection itself.
-            if ctx.text(i) == "for" {
-                if let Some((var_tok, var)) = for_loop_head(ctx, i, hi) {
-                    if tracked.contains(var) && ctx.text(var_tok + 1) == "{" {
-                        hits.push(ctx.hit(
-                            Rule::NondetIter,
-                            var_tok,
-                            format!(
-                                "iterating `{var}` (HashMap/HashSet) — order is \
-                                 nondeterministic; use BTreeMap/BTreeSet or sort a \
-                                 collected Vec, or annotate audit:allow(nondet-iter)"
-                            ),
-                        ));
-                    }
-                }
-            }
-            // `var.iter()` / `.keys()` / … anywhere in the body.
-            if ctx.is_ident(i)
-                && ITER_METHODS.contains(&ctx.text(i))
-                && ctx.text(i + 1) == "("
-                && i >= 2
-                && ctx.text(i - 1) == "."
-                && ctx.is_ident(i - 2)
-                && tracked.contains(ctx.text(i - 2))
-            {
-                let var = ctx.text(i - 2).to_string();
-                hits.push(ctx.hit(
-                    Rule::NondetIter,
-                    i,
-                    format!(
-                        "`{var}.{}()` iterates a HashMap/HashSet — order is \
-                         nondeterministic; use BTreeMap/BTreeSet or sort a collected \
-                         Vec, or annotate audit:allow(nondet-iter)",
-                        ctx.text(i)
-                    ),
-                ));
-            }
-            i += 1;
-        }
-    });
-    hits
-}
-
-fn swallowed_result(ctx: &RuleCtx) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if ctx.in_test(i) || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        // `let _ = expr;` (the wildcard exactly, not `_named`).
-        if tok.text == "let"
-            && ctx.text(i + 1) == "_"
-            && matches!(ctx.text(i + 2), "=" | ":")
-        {
-            hits.push(ctx.hit(
-                Rule::SwallowedResult,
-                i,
-                "`let _ =` discards a value in solver code — errors must surface as \
-                 SdpError/telemetry; handle it or annotate audit:allow(swallowed-result)"
-                    .to_string(),
-            ));
-        }
-        // Bare `.ok();` as a whole statement: the Result is dropped on the floor.
-        if tok.text == "ok"
-            && ctx.text(i - 1) == "."
-            && ctx.text(i + 1) == "("
-            && ctx.text(i + 2) == ")"
-            && ctx.text(i + 3) == ";"
-            && stmt_discards_value(ctx, i)
-        {
-            hits.push(ctx.hit(
-                Rule::SwallowedResult,
-                i,
-                "bare `.ok();` swallows a Result in solver code — handle the Err arm \
-                 or annotate audit:allow(swallowed-result)"
-                    .to_string(),
-            ));
-        }
-    }
-    // v2 def-use leg: a `let`-bound name that the dataflow engine shapes as
-    // a live `Result` (from a Result-returning fn, a Result-typed param, or
-    // a rebind of one — consumers like `?`/`.ok()` clear the shape) and that
-    // is never used again after its own statement is a swallowed Result no
-    // wildcard pattern can spot.
-    let result_fns = dataflow::result_fns(ctx.tokens, ctx.tree);
-    for_each_fn(ctx, |ctx, fid| {
-        let flow = dataflow::fn_flow(ctx.tokens, ctx.tree, fid);
-        let shaped = dataflow::result_shaped(&flow, ctx.tokens, &result_fns);
-        for (def, hops) in flow.defs.iter().zip(shaped.iter()) {
-            let Some(hops) = hops else { continue };
-            if !def.is_let || def.name == "_" || ctx.in_test(def.name_tok) {
-                continue;
-            }
-            if flow.use_after(ctx.tokens, &def.name, def.stmt_end).is_some() {
-                continue;
-            }
-            hits.push(ctx.hit_chain(
-                Rule::SwallowedResult,
-                def.name_tok,
-                format!(
-                    "`{}` binds a Result that is never used afterwards — the Err \
-                     arm is dead; handle it, drop the binding, or annotate \
-                     audit:allow(swallowed-result)",
-                    def.name
-                ),
-                ctx.chain_from_hops(
-                    def.line,
-                    format!("`{}` bound here, never read again", def.name),
-                    hops,
-                ),
-            ));
-        }
-    });
-    hits
-}
-
-/// True when the statement containing token `i` never binds or returns the
-/// value (no `let`, `=`, or `return` before the call).
-fn stmt_discards_value(ctx: &RuleCtx, i: usize) -> bool {
-    let sid = match ctx.tree.stmt_of.get(i) {
-        Some(&s) if s != crate::syntax::NO_STMT => s,
-        _ => return true,
-    };
-    let mut j = i;
-    while j > 0 && ctx.tree.stmt_of.get(j - 1) == Some(&sid) {
-        j -= 1;
-        if matches!(ctx.text(j), "let" | "=" | "return" | "=>") {
-            return false;
-        }
-    }
-    true
-}
-
-/// True for files compiled as binary entry points rather than library code:
-/// `src/main.rs` and anything under `src/bin/`.
-fn is_bin_target(rel_path: &str) -> bool {
-    rel_path.ends_with("src/main.rs") || rel_path.contains("/src/bin/")
-}
-
-/// `raw-print` v1: `print!`/`println!`/`eprint!`/`eprintln!` macro invocations
-/// in non-test library code. Macros cannot be renamed by `use` aliasing the
-/// way functions can, so a plain text match on `ident !` is exact here (the
-/// same shape `panicking` uses for `panic!`).
-fn raw_print(ctx: &RuleCtx) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if ctx.in_test(i) || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let is_macro_bang = matches!(
-            ctx.tokens.get(i + 1),
-            Some(n) if n.kind == TokenKind::Punct && n.text == "!"
-        );
-        if is_macro_bang
-            && matches!(tok.text.as_str(), "print" | "println" | "eprint" | "eprintln")
-        {
-            hits.push(ctx.hit(
-                Rule::RawPrint,
-                i,
-                format!(
-                    "`{}!` in library code — route output through progress events / \
-                     telemetry / the CLI layer, or annotate audit:allow(raw-print)",
-                    tok.text
-                ),
-            ));
-        }
-    }
-    hits
-}
-
-/// `env-read` v2: `reads-env` effect leaves (alias-aware, call-shaped).
-fn env_read(ctx: &RuleCtx) -> Vec<Hit> {
-    ctx.leaves
-        .iter()
-        .filter(|l| l.effect == Effect::ReadsEnv)
-        .map(|l| {
-            ctx.hit(
-                Rule::EnvRead,
-                l.tok,
-                format!(
-                    "{} outside the sanctioned config surfaces — hidden inputs break \
-                     run-report reproducibility; thread it through a config/CLI flag \
-                     or annotate audit:allow(env-read)",
-                    l.what
-                ),
-            )
-        })
-        .collect()
-}
 
 /// `unordered-reduce` v3: provenance-aware. The dataflow engine seeds taint
 /// at `par_map_collect`/`par_map_reduce` calls and follows it through `let`
@@ -1218,85 +530,9 @@ fn match_bracket_tokens(tokens: &[Token], i: usize, hi: usize) -> usize {
 fn for_each_fn(ctx: &RuleCtx, mut body: impl FnMut(&RuleCtx, u32)) {
     for (sid, scope) in ctx.tree.scopes.iter().enumerate() {
         if scope.kind == ScopeKind::Fn && !scope.is_test {
-            body(ctx, sid as u32); // audit:allow(lossy-cast) — scope ids fit u32
+            body(ctx, crate::id32(sid));
         }
     }
-}
-
-/// Collect local variable names in fn `fid` whose parameter type or `let`
-/// statement matches `is_target` (e.g. "mentions a resolved HashMap", or
-/// "calls par_map_collect").
-fn tracked_vars(
-    ctx: &RuleCtx,
-    fid: u32,
-    is_target: impl Fn(&RuleCtx, usize) -> bool,
-) -> BTreeSet<String> {
-    let mut tracked = BTreeSet::new();
-    let scope = &ctx.tree.scopes[fid as usize];
-
-    // Parameters: split the header's paren list at top-level commas; each
-    // segment is `name: Type`.
-    let (hdr_lo, hdr_hi) = (scope.range.0, scope.body.0);
-    let mut i = hdr_lo;
-    while i < hdr_hi && ctx.text(i) != "(" {
-        i += 1;
-    }
-    if i < hdr_hi {
-        let close = match_paren_tokens(ctx.tokens, i, hdr_hi);
-        let mut seg_start = i + 1;
-        let mut depth = 0usize;
-        for j in i + 1..=close.min(hdr_hi.saturating_sub(1)) {
-            let t = ctx.text(j);
-            let at_end = j == close;
-            if matches!(t, "(" | "[" | "<") {
-                depth += 1;
-            } else if matches!(t, ")" | "]" | ">") && !at_end {
-                depth = depth.saturating_sub(1);
-            }
-            if at_end || (t == "," && depth == 0) {
-                // Segment [seg_start, j).
-                let name = (seg_start..j)
-                    .find(|&k| ctx.is_ident(k) && !matches!(ctx.text(k), "mut" | "self"))
-                    .map(|k| ctx.text(k).to_string());
-                let hit = (seg_start..j).any(|k| {
-                    ctx.is_ident(k) && ctx.text(k.wrapping_sub(1)) != "." && is_target(ctx, k)
-                });
-                if let (Some(name), true) = (name, hit) {
-                    tracked.insert(name);
-                }
-                seg_start = j + 1;
-            }
-        }
-    }
-
-    // `let` bindings in the body (anonymous blocks included, nested fns not).
-    let (lo, hi) = scope.body;
-    let mut i = lo;
-    while i < hi {
-        if ctx.text(i) == "let"
-            && ctx.is_ident(i)
-            && ctx.tree.enclosing_fn(i) == Some(fid)
-        {
-            let mut n = i + 1;
-            if ctx.text(n) == "mut" {
-                n += 1;
-            }
-            if ctx.is_ident(n) && ctx.text(n) != "_" {
-                let name = ctx.text(n).to_string();
-                let end = let_stmt_end(ctx.tokens, i, hi);
-                let hit = (i..end).any(|k| {
-                    ctx.is_ident(k) && ctx.text(k.wrapping_sub(1)) != "." && is_target(ctx, k)
-                });
-                if hit {
-                    tracked.insert(name);
-                }
-                i = end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    tracked
 }
 
 /// For a `for` token at `i`, locate the loop's iterated expression: returns
@@ -1361,30 +597,6 @@ fn chain_has_reduce(ctx: &RuleCtx, i: usize, hi: usize) -> Option<usize> {
     None
 }
 
-/// Extent of a `let` statement: from the `let` to its `;` at zero
-/// paren/bracket/brace depth (clamped to `hi`).
-fn let_stmt_end(tokens: &[Token], i: usize, hi: usize) -> usize {
-    let (mut p, mut b, mut k) = (0i32, 0i32, 0i32);
-    let mut j = i;
-    while j < hi {
-        match tokens[j].text.as_str() {
-            "(" => p += 1,
-            ")" => p -= 1,
-            "[" => k += 1,
-            "]" => k -= 1,
-            "{" => b += 1,
-            "}" => b -= 1,
-            ";" if p == 0 && b == 0 && k == 0 => return j + 1,
-            _ => {}
-        }
-        if p < 0 || b < 0 || k < 0 {
-            return j;
-        }
-        j += 1;
-    }
-    hi
-}
-
 fn match_brace_tokens(tokens: &[Token], i: usize, hi: usize) -> usize {
     let mut depth = 0usize;
     let mut j = i;
@@ -1423,298 +635,28 @@ fn match_paren_tokens(tokens: &[Token], i: usize, hi: usize) -> usize {
     hi
 }
 
-/// True when either operand of the comparator at `i` is a float literal
-/// (allowing a unary minus on the literal side).
-fn float_operand(tokens: &[Token], i: usize) -> bool {
-    let prev_float = i > 0 && tokens[i - 1].kind == TokenKind::Float;
-    let next_float = match tokens.get(i + 1) {
-        Some(t) if t.kind == TokenKind::Float => true,
-        Some(t) if t.kind == TokenKind::Punct && t.text == "-" => {
-            matches!(tokens.get(i + 2), Some(t2) if t2.kind == TokenKind::Float)
-        }
-        _ => false,
-    };
-    prev_float || next_float
-}
-
-fn is_narrow_numeric(ty: &str) -> bool {
-    matches!(ty, "f32" | "i8" | "i16" | "i32" | "u8" | "u16" | "u32")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const LIB: ScanOptions = ScanOptions {
-        check_panicking: true,
-        check_raw_thread: true,
-        check_raw_instant: true,
-        check_swallowed_result: true,
-        check_env_read: true,
-        check_raw_print: true,
-        check_unordered_reduce: true,
-        check_par_capture_race: true,
-    };
-    const NON_SOLVER: ScanOptions = ScanOptions {
-        check_panicking: false,
-        check_raw_thread: true,
-        check_raw_instant: true,
-        check_swallowed_result: false,
-        check_env_read: true,
-        check_raw_print: true,
-        check_unordered_reduce: true,
-        check_par_capture_race: true,
-    };
-    const OWNER: ScanOptions = ScanOptions {
-        check_panicking: false,
-        check_raw_thread: false,
-        check_raw_instant: false,
-        check_swallowed_result: false,
-        check_env_read: false,
-        check_raw_print: false,
-        check_unordered_reduce: false,
-        check_par_capture_race: false,
-    };
+    /// A non-runtime crate: both rules apply.
+    const LIB: &str = "core";
+    /// The runtime crate: both rules are off.
+    const RUNTIME: &str = "par";
 
-    fn rules_of(src: &str, opts: ScanOptions) -> Vec<Rule> {
-        scan_source("a.rs", src, opts).into_iter().map(|f| f.rule).collect()
+    fn lines_of(src: &str, crate_name: &str) -> Vec<(Rule, usize)> {
+        scan_source("a.rs", src, crate_name)
+            .into_iter()
+            .map(|f| (f.rule, f.line))
+            .collect()
     }
 
-    #[test]
-    fn flags_exact_float_comparisons() {
-        let src = "fn f(x: f64) -> bool { x == 0.0 }\nfn g(x: f64) -> bool { 1e-9 != x }\n";
-        let found = scan_source("a.rs", src, NON_SOLVER);
-        assert_eq!(found.len(), 2);
-        assert!(found.iter().all(|f| f.rule == Rule::FloatEq));
-        assert_eq!(found[0].line, 1);
-        assert_eq!(found[1].line, 2);
-    }
-
-    #[test]
-    fn negative_literal_rhs_is_flagged() {
-        let found = scan_source("a.rs", "fn f(x: f64) -> bool { x == -1.5 }", NON_SOLVER);
-        assert_eq!(found.len(), 1);
-    }
-
-    #[test]
-    fn integer_comparisons_are_fine() {
-        let found = scan_source("a.rs", "fn f(n: usize) -> bool { n == 0 && n != 3 }", LIB);
-        assert!(found.is_empty());
-    }
-
-    #[test]
-    fn flags_panicking_in_solver_lib_only() {
-        let src = "fn f(v: Option<u8>) -> u8 { v.unwrap() }";
-        assert_eq!(scan_source("a.rs", src, LIB).len(), 1);
-        assert!(scan_source("a.rs", src, NON_SOLVER).is_empty());
-    }
-
-    #[test]
-    fn unwrap_as_plain_ident_is_not_a_call() {
-        let src = "fn unwrap() {} fn g() { unwrap(); let x = 3; x; }";
-        assert!(scan_source("a.rs", src, LIB).is_empty());
-    }
-
-    #[test]
-    fn flags_macros() {
-        let src = "fn f() { panic!(\"x\"); unreachable!(); }";
-        let found = scan_source("a.rs", src, LIB);
-        assert_eq!(found.len(), 2);
-        assert!(found.iter().all(|f| f.rule == Rule::Panicking));
-    }
-
-    #[test]
-    fn flags_lossy_casts() {
-        let src = "fn f(x: f64, n: usize) -> f32 { let y = n as u32; x as f32 }";
-        let found = scan_source("a.rs", src, NON_SOLVER);
-        assert_eq!(found.len(), 2);
-        assert!(found.iter().all(|f| f.rule == Rule::LossyCast));
-    }
-
-    #[test]
-    fn widening_casts_are_fine() {
-        let src = "fn f(n: u32) -> f64 { let y = n as u64; n as f64 }";
-        assert!(scan_source("a.rs", src, LIB).is_empty());
-    }
-
-    #[test]
-    fn cfg_test_mod_is_skipped() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { None::<u8>.unwrap(); assert!(0.0 == 0.0); }\n}\n";
-        assert!(scan_source("a.rs", src, LIB).is_empty());
-    }
-
-    #[test]
-    fn code_after_test_mod_is_still_scanned() {
-        let src = "#[cfg(test)]\nmod tests { fn t() {} }\nfn f(v: Option<u8>) -> u8 { v.unwrap() }\n";
-        let found = scan_source("a.rs", src, LIB);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].line, 3);
-    }
-
-    #[test]
-    fn same_line_suppression() {
-        let src = "fn f(x: f64) -> bool { x == 0.0 } // audit:allow(float-eq)";
-        assert!(scan_source("a.rs", src, NON_SOLVER).is_empty());
-    }
-
-    #[test]
-    fn previous_line_suppression() {
-        let src = "// audit:allow(panicking)\nfn f(v: Option<u8>) -> u8 { v.unwrap() }";
-        assert!(scan_source("a.rs", src, LIB).is_empty());
-    }
-
-    #[test]
-    fn multiline_statement_suppression() {
-        // The marker sits above the statement; the finding is two lines into
-        // it. Pre-statement-span suppression this leaked through.
-        let src = "fn f(v: Option<u64>) -> u64 {\n    // audit:allow(panicking)\n    v.map(|x| x + 1)\n        .unwrap()\n}\n";
-        assert!(scan_source("a.rs", src, LIB).is_empty());
-        // A marker for a different rule still does not suppress.
-        let src2 = "fn f(v: Option<u64>) -> u64 {\n    // audit:allow(float-eq)\n    v.map(|x| x + 1)\n        .unwrap()\n}\n";
-        assert_eq!(scan_source("a.rs", src2, LIB).len(), 1);
-    }
-
-    #[test]
-    fn flags_raw_thread_spawn() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\nfn g() { thread::spawn(work); }\n";
-        let found = scan_source("a.rs", src, NON_SOLVER);
-        assert_eq!(found.len(), 2);
-        assert!(found.iter().all(|f| f.rule == Rule::RawThread));
-        assert_eq!(found[0].line, 1);
-        assert_eq!(found[1].line, 2);
-    }
-
-    #[test]
-    fn thread_scope_and_owner_crates_are_fine() {
-        let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
-        assert!(scan_source("a.rs", scoped, NON_SOLVER).is_empty());
-        let raw = "fn f() { std::thread::spawn(|| {}); }";
-        assert!(scan_source("a.rs", raw, OWNER).is_empty());
-    }
-
-    #[test]
-    fn flags_raw_instant_now() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\nfn g() { let t = Instant::now(); }\n";
-        let found = scan_source("a.rs", src, NON_SOLVER);
-        assert_eq!(found.len(), 2);
-        assert!(found.iter().all(|f| f.rule == Rule::RawInstant));
-    }
-
-    #[test]
-    fn instant_through_alias_is_flagged() {
-        let src = "use std::time::Instant as Clock;\nfn f() { let t = Clock::now(); }";
-        let found = scan_source("a.rs", src, NON_SOLVER);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, Rule::RawInstant);
-    }
-
-    #[test]
-    fn foreign_instant_is_not_flagged() {
-        let src = "use myclock::Instant;\nfn f() { let t = Instant::now(); }";
-        assert!(scan_source("a.rs", src, NON_SOLVER).is_empty());
-    }
-
-    #[test]
-    fn method_now_is_not_flagged() {
-        let src = "fn f(c: Clock) { let t = c.now(); }";
-        assert!(scan_source("a.rs", src, NON_SOLVER).is_empty());
-    }
-
-    #[test]
-    fn nondet_iter_flags_for_loop_and_methods() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f(m: &HashMap<u32, f64>) -> f64 {\n\
-                       let mut s = 0.0;\n\
-                       for (_k, v) in m { s = s + v; }\n\
-                       for k in m.keys() { s = s + *k as f64; }\n\
-                       s\n\
-                   }\n";
-        let found = scan_source("a.rs", src, ScanOptions::default());
-        let nd: Vec<_> = found.iter().filter(|f| f.rule == Rule::NondetIter).collect();
-        assert_eq!(nd.len(), 2, "{found:?}");
-        assert_eq!(nd[0].line, 4);
-        assert_eq!(nd[1].line, 5);
-    }
-
-    #[test]
-    fn nondet_iter_sees_through_aliases() {
-        let src = "use std::collections::HashMap as Map;\n\
-                   fn f() {\n\
-                       let m: Map<u32, u32> = Map::new();\n\
-                       for v in m.values() { drop(v); }\n\
-                   }\n";
-        let found = rules_of(src, ScanOptions::default());
-        assert!(found.contains(&Rule::NondetIter), "{found:?}");
-    }
-
-    #[test]
-    fn nondet_lookup_is_fine() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f(m: &HashMap<u32, f64>) -> Option<f64> {\n\
-                       let x = m.get(&3).copied();\n\
-                       m.len();\n\
-                       x\n\
-                   }\n";
-        assert!(scan_source("a.rs", src, ScanOptions::default()).is_empty());
-    }
-
-    #[test]
-    fn btree_iteration_is_fine() {
-        let src = "use std::collections::BTreeMap;\n\
-                   fn f(m: &BTreeMap<u32, f64>) {\n\
-                       for v in m.values() { drop(v); }\n\
-                   }\n";
-        assert!(scan_source("a.rs", src, ScanOptions::default()).is_empty());
-    }
-
-    #[test]
-    fn nondet_iter_exempt_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n  use std::collections::HashSet;\n  fn t() { let s: HashSet<u32> = HashSet::new(); for v in s.iter() { drop(v); } }\n}\n";
-        assert!(scan_source("a.rs", src, ScanOptions::default()).is_empty());
-    }
-
-    #[test]
-    fn swallowed_let_underscore_flagged_in_solver_code() {
-        let src = "fn f() { let _ = compute(); }";
-        let found = scan_source("a.rs", src, LIB);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, Rule::SwallowedResult);
-        assert!(scan_source("a.rs", src, NON_SOLVER).is_empty());
-    }
-
-    #[test]
-    fn named_underscore_binding_is_fine() {
-        let src = "fn f() { let _keep = compute(); }";
-        assert!(scan_source("a.rs", src, LIB).is_empty());
-    }
-
-    #[test]
-    fn bare_ok_statement_flagged_bound_ok_fine() {
-        let bare = "fn f() { fallible().ok(); }";
-        let found = scan_source("a.rs", bare, LIB);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, Rule::SwallowedResult);
-        let bound = "fn f() -> Option<u8> { let x = fallible().ok(); x }";
-        assert!(scan_source("a.rs", bound, LIB).is_empty());
-    }
-
-    #[test]
-    fn env_read_flagged_and_alias_aware() {
-        let src = "fn f() -> bool { std::env::var_os(\"X\").is_some() }";
-        let found = scan_source("a.rs", src, NON_SOLVER);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, Rule::EnvRead);
-        let aliased = "use std::env;\nfn f() -> bool { env::var(\"X\").is_ok() }";
-        assert_eq!(scan_source("a.rs", aliased, NON_SOLVER).len(), 1);
-        let owner = "fn f() -> bool { std::env::var_os(\"X\").is_some() }";
-        assert!(scan_source("a.rs", owner, OWNER).is_empty());
-    }
-
-    #[test]
-    fn env_macro_and_local_var_fn_are_fine() {
-        // `env!` is compile-time; a local fn named `var` is not std's.
-        let src = "fn f() { let p = env!(\"CARGO_MANIFEST_DIR\"); var(3); p; }\nfn var(x: u8) {}";
-        assert!(scan_source("a.rs", src, NON_SOLVER).is_empty());
+    /// `xs.iter().sum()` over par output on line 3, preceded by `marker` on
+    /// line 2 and followed by `trailer` on line 3.
+    fn sum_over_par(marker: &str, trailer: &str) -> String {
+        format!(
+            "fn f(n: usize) -> f64 {{\n    let xs = snbc_par::par_map_collect(n, |i| i as f64);{marker}\n    xs.iter().sum::<f64>(){trailer}\n}}\n"
+        )
     }
 
     #[test]
@@ -1725,28 +667,22 @@ mod tests {
                        for r in &results { acc += *r; }\n\
                        acc\n\
                    }\n";
-        let found = scan_source("a.rs", src, NON_SOLVER);
-        let ur: Vec<_> = found.iter().filter(|f| f.rule == Rule::UnorderedReduce).collect();
-        assert_eq!(ur.len(), 1, "{found:?}");
-        assert_eq!(ur[0].line, 4);
+        assert_eq!(lines_of(src, LIB), vec![(Rule::UnorderedReduce, 4)]);
     }
 
     #[test]
     fn unordered_reduce_flags_sum_chain() {
-        let src = "fn f(n: usize) -> f64 {\n\
-                       let xs = snbc_par::par_map_collect(n, |i| i as f64);\n\
-                       xs.iter().sum::<f64>()\n\
-                   }\n";
-        let found = rules_of(src, NON_SOLVER);
-        assert!(found.contains(&Rule::UnorderedReduce), "{found:?}");
+        assert_eq!(
+            lines_of(&sum_over_par("", ""), LIB),
+            vec![(Rule::UnorderedReduce, 3)]
+        );
     }
 
     #[test]
-    fn ordinary_loops_and_par_crate_are_fine() {
+    fn ordinary_loops_and_the_runtime_crate_are_fine() {
         let plain = "fn f(xs: &[f64]) -> f64 { let mut a = 0.0; for x in xs { a += x; } a }";
-        assert!(scan_source("a.rs", plain, NON_SOLVER).is_empty());
-        let par_owner = "fn f(n: usize) -> f64 {\n let r = snbc_par::par_map_collect(n, |i| i as f64);\n let mut a = 0.0; for x in &r { a += x; } a }";
-        assert!(scan_source("a.rs", par_owner, OWNER).is_empty());
+        assert!(lines_of(plain, LIB).is_empty());
+        assert!(lines_of(&sum_over_par("", ""), RUNTIME).is_empty());
     }
 
     #[test]
@@ -1755,82 +691,59 @@ mod tests {
                        let r = snbc_par::par_map_collect(n, |i| i as f64);\n\
                        r[0] + r[n - 1]\n\
                    }\n";
-        assert!(scan_source("a.rs", src, NON_SOLVER).is_empty());
+        assert!(lines_of(src, LIB).is_empty());
     }
 
     #[test]
-    fn suppression_is_rule_specific() {
-        let src = "fn f(x: f64) -> bool { x == 0.0 } // audit:allow(panicking)";
-        assert_eq!(scan_source("a.rs", src, NON_SOLVER).len(), 1);
+    fn cfg_test_items_are_skipped_and_code_after_them_is_not() {
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{}}}\n", sum_over_par("", ""));
+        assert!(lines_of(&in_test, LIB).is_empty());
+        let after = format!(
+            "#[cfg(test)]\nmod tests {{ fn t() {{}} }}\n{}",
+            sum_over_par("", "")
+        );
+        assert_eq!(lines_of(&after, LIB), vec![(Rule::UnorderedReduce, 5)]);
     }
 
     #[test]
-    fn new_rules_honor_suppressions() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f(m: &HashMap<u32, f64>) {\n\
-                       // audit:allow(nondet-iter)\n\
-                       for v in m.values() { drop(v); }\n\
+    fn same_line_and_previous_line_suppression() {
+        let same = sum_over_par("", " // audit:allow(unordered-reduce)");
+        assert!(lines_of(&same, LIB).is_empty());
+        let above = sum_over_par("\n    // audit:allow(unordered-reduce)", "");
+        assert!(lines_of(&above, LIB).is_empty());
+    }
+
+    #[test]
+    fn multiline_statement_suppression_is_rule_specific() {
+        // The marker sits above the statement; the finding is two lines into
+        // it.
+        let src = "fn f(n: usize) -> f64 {\n\
+                   let xs = snbc_par::par_map_collect(n, |i| i as f64);\n\
+                   // audit:allow(unordered-reduce)\n\
+                   xs.iter()\n\
+                   .map(|x| x * 2.0)\n\
+                   .sum::<f64>()\n\
                    }\n";
-        assert!(scan_source("a.rs", src, ScanOptions::default()).is_empty());
+        assert!(lines_of(src, LIB).is_empty());
+        // A marker for a different rule does not suppress.
+        let other = src.replace("unordered-reduce", "hot-alloc");
+        assert_eq!(lines_of(&other, LIB), vec![(Rule::UnorderedReduce, 6)]);
     }
 
     #[test]
-    fn renamed_imports_in_nested_use_groups_are_seen() {
-        // `use std::{env, thread as th}` must register `th` → `std::thread`
-        // so `th::spawn` is recognized as a raw spawn, and `env` alongside it.
-        let src = "use std::{env, thread as th};\n\
-                   fn f() { th::spawn(|| {}); let v = env::var(\"X\"); v.is_ok(); }";
-        let found = rules_of(src, NON_SOLVER);
-        assert!(found.contains(&Rule::RawThread), "{found:?}");
-        assert!(found.contains(&Rule::EnvRead), "{found:?}");
-        // A renamed *function* import dodges text-keyed scans entirely: the
-        // call site's ident is `sp`, never `spawn`. The finding must anchor
-        // at the call (line 2), not at the `use` declaration.
-        let renamed_fn = "use std::{env as e, thread::spawn as sp};\n\
-                          fn f() { sp(|| {}); let v = e::var(\"X\"); v.is_ok(); }";
-        let found = scan_source("a.rs", renamed_fn, NON_SOLVER);
-        let threads: Vec<_> = found.iter().filter(|f| f.rule == Rule::RawThread).collect();
-        assert_eq!(threads.len(), 1, "{found:?}");
-        assert_eq!(threads[0].line, 2, "must flag the call, not the import: {found:?}");
-        assert!(found.iter().any(|f| f.rule == Rule::EnvRead && f.line == 2), "{found:?}");
-    }
-
-    #[test]
-    fn raw_print_flags_all_four_macros_in_lib_code() {
-        let src = "fn f() { println!(\"a\"); eprintln!(\"b\"); print!(\"c\"); eprint!(\"d\"); }";
-        let found = scan_source("crates/x/src/lib.rs", src, NON_SOLVER);
-        let hits: Vec<_> = found.iter().filter(|f| f.rule == Rule::RawPrint).collect();
-        assert_eq!(hits.len(), 4, "{found:?}");
-    }
-
-    #[test]
-    fn raw_print_skips_bin_targets_owner_crates_and_tests() {
-        let src = "fn f() { println!(\"a\"); }";
-        assert!(scan_source("crates/x/src/main.rs", src, NON_SOLVER).is_empty());
-        assert!(scan_source("crates/x/src/bin/tool.rs", src, NON_SOLVER).is_empty());
-        assert!(scan_source("crates/cli/src/lib.rs", src, OWNER).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { println!(\"a\"); }\n}\n";
-        assert!(scan_source("crates/x/src/lib.rs", in_test, NON_SOLVER).is_empty());
-    }
-
-    #[test]
-    fn raw_print_ignores_non_macro_idents_and_honors_suppression() {
-        // A method or fn named `println` without the bang is not the macro.
-        let src = "fn f(w: W) { w.println(); print(3); }\nfn print(x: u8) {}";
-        assert!(scan_source("crates/x/src/lib.rs", src, NON_SOLVER).is_empty());
-        let allowed =
-            "fn f() {\n    // audit:allow(raw-print) — env-gated debug trace\n    eprintln!(\"dbg\");\n}";
-        assert!(scan_source("crates/x/src/lib.rs", allowed, NON_SOLVER).is_empty());
-    }
-
-    #[test]
-    fn rule_ids_roundtrip() {
-        for info in RULES {
-            assert_eq!(Rule::from_id(info.id), Some(info.rule));
-            assert_eq!(info.rule.id(), info.id);
-            assert!(info.rule.version() >= 1);
-            assert!(!info.rationale.is_empty());
-            assert!(!info.fix.is_empty());
-        }
+    fn suppressed_folds_do_not_become_effect_leaves() {
+        let leaves = |src: &str| -> usize {
+            scan_source_full("a.rs", src, LIB)
+                .analysis
+                .fns
+                .iter()
+                .map(|f| f.leaves.len())
+                .sum()
+        };
+        assert_eq!(leaves(&sum_over_par("", "")), 1);
+        assert_eq!(
+            leaves(&sum_over_par("", " // audit:allow(unordered-reduce)")),
+            0
+        );
     }
 }

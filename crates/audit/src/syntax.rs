@@ -306,7 +306,7 @@ impl Builder<'_> {
             body: (j + 1, close),
             is_test: item_test,
         });
-        let sid = (self.scopes.len() - 1) as u32; // audit:allow(lossy-cast) — scope ids fit u32
+        let sid = crate::id32(self.scopes.len() - 1);
         for k in i..=j.min(hi - 1) {
             self.scope_of[k] = sid;
             if item_test {
@@ -349,12 +349,14 @@ impl Builder<'_> {
                     first = None;
                 }
                 "where" if angle == 0 => break,
-                _ if angle == 0 && t.kind == crate::tokenizer::TokenKind::Ident => {
-                    if first.is_none() && t.text != "dyn" {
-                        first = Some(t.text.as_str());
-                        if after_for {
-                            break;
-                        }
+                _ if angle == 0
+                    && t.kind == crate::tokenizer::TokenKind::Ident
+                    && first.is_none()
+                    && t.text != "dyn" =>
+                {
+                    first = Some(t.text.as_str());
+                    if after_for {
+                        break;
                     }
                 }
                 _ => {}
@@ -459,7 +461,7 @@ fn compute_stmts(tokens: &[Token]) -> (Vec<Stmt>, Vec<u32>) {
             Some(id) => id,
             None => {
                 stmts.push(Stmt { start_line: line, end_line: line, lines: Vec::new() });
-                let id = (stmts.len() - 1) as u32; // audit:allow(lossy-cast) — stmt ids fit u32
+                let id = crate::id32(stmts.len() - 1);
                 frame.open = Some(id);
                 id
             }

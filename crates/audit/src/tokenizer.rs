@@ -5,11 +5,11 @@
 //! It produces just enough structure for the audit rules:
 //!
 //! - identifiers / keywords, with line numbers;
-//! - numeric literals, classified as float-like or integer-like;
+//! - numeric literals (so `1.5` and `0..n` lex apart);
 //! - one- and two-character punctuation (`==`, `!=`, `::`, …);
 //! - comments and string/char literals are consumed, never tokenized —
-//!   except that `// audit:allow(<rule>)` markers are extracted so rules can
-//!   honor inline suppressions.
+//!   except that `// audit:allow(<rule>)` and `// audit:hot` markers are
+//!   extracted so rules can honor inline suppressions and hot functions.
 //!
 //! Raw strings (`r"…"`, `r#"…"#`), nested block comments, char literals
 //! (including `'\''`), and lifetimes (`'a`, which must *not* open a char
@@ -28,10 +28,8 @@ pub struct Token {
 pub enum TokenKind {
     /// Identifier or keyword.
     Ident,
-    /// Integer-looking literal (`3`, `0x1F`, `10_000`, `7u32`).
-    Int,
-    /// Float-looking literal (`0.0`, `1e-9`, `2.5f64`, `3f32`).
-    Float,
+    /// Numeric literal (`3`, `0x1F`, `1e-9`, `2.5f64`).
+    Number,
     /// Punctuation, one or two characters (`==`, `!=`, `::`, `(`, `.`).
     Punct,
 }
@@ -136,9 +134,9 @@ pub fn tokenize(src: &str) -> Lexed {
                 });
             }
             _ if c.is_ascii_digit() => {
-                let (end, kind) = scan_number(bytes, i);
+                let end = scan_number(bytes, i);
                 out.tokens.push(Token {
-                    kind,
+                    kind: TokenKind::Number,
                     text: src[i..end].to_string(),
                     line,
                 });
@@ -310,15 +308,15 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn scan_number(bytes: &[u8], start: usize) -> (usize, TokenKind) {
+/// End of the numeric literal starting at `start`.
+fn scan_number(bytes: &[u8], start: usize) -> usize {
     let mut i = start;
-    let mut float = false;
     if bytes[i] == b'0' && matches!(bytes.get(i + 1), Some(&b'x') | Some(&b'o') | Some(&b'b')) {
         i += 2;
         while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
             i += 1;
         }
-        return (i, TokenKind::Int);
+        return i;
     }
     while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
         i += 1;
@@ -328,7 +326,6 @@ fn scan_number(bytes: &[u8], start: usize) -> (usize, TokenKind) {
         && bytes[i] == b'.'
         && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit())
     {
-        float = true;
         i += 1;
         while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
             i += 1;
@@ -338,7 +335,6 @@ fn scan_number(bytes: &[u8], start: usize) -> (usize, TokenKind) {
         && !matches!(bytes.get(i + 1), Some(b) if b.is_ascii_alphabetic() || *b == b'.' || *b == b'_')
     {
         // Trailing-dot float like `1.`
-        float = true;
         i += 1;
     }
     // Exponent.
@@ -348,7 +344,6 @@ fn scan_number(bytes: &[u8], start: usize) -> (usize, TokenKind) {
             j += 1;
         }
         if bytes.get(j).is_some_and(|b| b.is_ascii_digit()) {
-            float = true;
             i = j;
             while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
                 i += 1;
@@ -356,15 +351,10 @@ fn scan_number(bytes: &[u8], start: usize) -> (usize, TokenKind) {
         }
     }
     // Suffix (`f64`, `u32`, …).
-    let sfx_start = i;
     while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
         i += 1;
     }
-    let suffix = std::str::from_utf8(&bytes[sfx_start..i]).unwrap_or("");
-    if suffix.starts_with('f') {
-        float = true;
-    }
-    (i, if float { TokenKind::Float } else { TokenKind::Int })
+    i
 }
 
 fn scan_allow_marker(comment: &str, start_line: usize, out: &mut Vec<Suppression>) {
@@ -419,28 +409,22 @@ mod tests {
     }
 
     #[test]
-    fn float_vs_int_literals() {
+    fn numeric_literals_lex_whole() {
         let toks = kinds("let x = 0.0; let y = 1e-9; let z = 3f64; let n = 42; let h = 0xFF;");
-        let floats: Vec<_> = toks
+        let numbers: Vec<_> = toks
             .iter()
-            .filter(|(k, _)| *k == TokenKind::Float)
+            .filter(|(k, _)| *k == TokenKind::Number)
             .map(|(_, t)| t.as_str())
             .collect();
-        assert_eq!(floats, vec!["0.0", "1e-9", "3f64"]);
-        let ints: Vec<_> = toks
-            .iter()
-            .filter(|(k, _)| *k == TokenKind::Int)
-            .map(|(_, t)| t.as_str())
-            .collect();
-        assert_eq!(ints, vec!["42", "0xFF"]);
+        assert_eq!(numbers, vec!["0.0", "1e-9", "3f64", "42", "0xFF"]);
     }
 
     #[test]
     fn range_is_not_a_float() {
         let toks = kinds("for i in 0..10 {}");
-        assert!(toks.contains(&(TokenKind::Int, "0".into())));
+        assert!(toks.contains(&(TokenKind::Number, "0".into())));
         assert!(toks.contains(&(TokenKind::Punct, "..".into())));
-        assert!(toks.contains(&(TokenKind::Int, "10".into())));
+        assert!(toks.contains(&(TokenKind::Number, "10".into())));
     }
 
     #[test]
@@ -469,13 +453,13 @@ mod tests {
 
     #[test]
     fn allow_markers_extracted_with_lines() {
-        let src = "let a = 1;\nx == 0.0; // audit:allow(float-eq)\n/* audit:allow(panicking) */\n";
+        let src = "let a = 1;\nx == 0.0; // audit:allow(unordered-reduce)\n/* audit:allow(hot-alloc) */\n";
         let lexed = tokenize(src);
         assert_eq!(
             lexed.suppressions,
             vec![
-                Suppression { rule: "float-eq".into(), line: 2 },
-                Suppression { rule: "panicking".into(), line: 3 },
+                Suppression { rule: "unordered-reduce".into(), line: 2 },
+                Suppression { rule: "hot-alloc".into(), line: 3 },
             ]
         );
     }

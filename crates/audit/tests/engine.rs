@@ -1,151 +1,51 @@
-//! End-to-end tests of the audit engine against fixture sources with known
-//! violations, exercising rule hits, scope/alias awareness, suppressions,
-//! machine formats, and baseline diffing.
+//! End-to-end tests of the per-file dataflow rules against fixture sources
+//! with known violations: exact (rule, line) hits, def-use chains, the
+//! runtime crate's exemption, and statement-scoped suppressions.
 
-use snbc_audit::baseline;
-use snbc_audit::rules::{scan_source, Finding, Rule, ScanOptions};
-use snbc_audit::sarif::{
-    parse_json_report, parse_sarif, render_json_report, render_sarif, Report,
-};
+use snbc_audit::rules::{scan_source, Rule};
 
-const VIOLATIONS: &str = include_str!("fixtures/violations.rs");
 const SUPPRESSED: &str = include_str!("fixtures/suppressed.rs");
 const CLEAN: &str = include_str!("fixtures/clean.rs");
-const NONDET_ITER: &str = include_str!("fixtures/nondet_iter.rs");
-const SWALLOWED: &str = include_str!("fixtures/swallowed_result.rs");
-const ENV_READ: &str = include_str!("fixtures/env_read.rs");
 const UNORDERED: &str = include_str!("fixtures/unordered_reduce.rs");
 const PAR_RACE: &str = include_str!("fixtures/par_capture_race.rs");
 
-/// Options a solver crate (lp/sdp/sos/linalg/interval) is scanned with.
-const SOLVER_OPTS: ScanOptions = ScanOptions {
-    check_panicking: true,
-    check_raw_thread: true,
-    check_raw_instant: true,
-    check_swallowed_result: true,
-    check_env_read: true,
-    check_raw_print: true,
-    check_unordered_reduce: true,
-    check_par_capture_race: true,
-};
+/// Any crate other than the runtime: both rules apply.
+const LIB: &str = "core";
+/// The runtime crate, whose internals both rules exempt.
+const RUNTIME: &str = "par";
 
-/// Options a non-solver, non-owner crate is scanned with.
-const NON_SOLVER_OPTS: ScanOptions = ScanOptions {
-    check_panicking: false,
-    check_raw_thread: true,
-    check_raw_instant: true,
-    check_swallowed_result: false,
-    check_env_read: true,
-    check_raw_print: true,
-    check_unordered_reduce: true,
-    check_par_capture_race: true,
-};
-
-fn hits(src: &str, opts: ScanOptions) -> Vec<(Rule, usize)> {
-    scan_source("fixture.rs", src, opts)
+fn hits(src: &str, crate_name: &str) -> Vec<(Rule, usize)> {
+    scan_source("fixture.rs", src, crate_name)
         .into_iter()
         .map(|f| (f.rule, f.line))
         .collect()
 }
 
 #[test]
-fn violations_fixture_exact_rule_and_line_hits() {
-    let expected = vec![
-        (Rule::FloatEq, 7),
-        (Rule::FloatEq, 11),
-        (Rule::FloatEq, 15),
-        (Rule::LossyCast, 19),
-        (Rule::LossyCast, 19),
-        (Rule::Panicking, 27),
-        (Rule::Panicking, 31),
-        (Rule::Panicking, 35),
-        (Rule::Panicking, 39),
-    ];
-    let mut got = hits(VIOLATIONS, SOLVER_OPTS);
-    got.sort_by_key(|&(r, l)| (l, r));
-    let mut want = expected;
-    want.sort_by_key(|&(r, l)| (l, r));
-    assert_eq!(got, want);
-}
-
-#[test]
-fn panicking_rule_only_applies_to_solver_crates() {
-    let got = hits(VIOLATIONS, ScanOptions::default());
-    assert!(
-        got.iter().all(|&(rule, _)| rule != Rule::Panicking),
-        "panicking findings present with check_panicking=false: {got:?}"
-    );
-    // Float/cast rules still fire.
-    assert!(got.iter().any(|&(rule, _)| rule == Rule::FloatEq));
-    assert!(got.iter().any(|&(rule, _)| rule == Rule::LossyCast));
-}
-
-#[test]
 fn suppressions_silence_only_the_named_rule_on_the_statement() {
-    let got = hits(SUPPRESSED, SOLVER_OPTS);
     // Everything is suppressed — including a finding two lines into a
     // multi-line statement — except the wrong-rule and blank-line-gap cases
     // and the closure-scoping regression: an `audit:allow` *inside* a closure
     // body must not silence findings on the enclosing statement's own lines.
     assert_eq!(
-        got,
+        hits(SUPPRESSED, LIB),
         vec![
-            (Rule::FloatEq, 25),
-            (Rule::FloatEq, 31),
-            (Rule::LossyCast, 35),
+            (Rule::UnorderedReduce, 25),
+            (Rule::UnorderedReduce, 32),
+            (Rule::UnorderedReduce, 37),
         ]
     );
 }
 
 #[test]
 fn clean_fixture_has_zero_findings() {
-    let got = hits(CLEAN, SOLVER_OPTS);
+    let got = hits(CLEAN, LIB);
     assert!(got.is_empty(), "unexpected findings: {got:?}");
 }
 
 #[test]
-fn nondet_iter_fixture_exact_hits() {
-    let got = hits(NONDET_ITER, NON_SOLVER_OPTS);
-    assert_eq!(
-        got,
-        vec![
-            (Rule::NondetIter, 11),
-            (Rule::NondetIter, 20),
-            (Rule::NondetIter, 25),
-        ],
-        "positive sites flagged; lookups, BTreeMap, suppressed and test code exempt"
-    );
-}
-
-#[test]
-fn swallowed_result_fixture_exact_hits() {
-    let got = hits(SWALLOWED, SOLVER_OPTS);
-    assert_eq!(
-        got,
-        vec![
-            (Rule::SwallowedResult, 7),
-            (Rule::SwallowedResult, 11),
-            (Rule::SwallowedResult, 15),
-            (Rule::SwallowedResult, 19),
-            (Rule::SwallowedResult, 24),
-        ]
-    );
-    // The rule is scoped to solver crates.
-    assert!(hits(SWALLOWED, NON_SOLVER_OPTS).is_empty());
-}
-
-#[test]
-fn env_read_fixture_exact_hits() {
-    let got = hits(ENV_READ, NON_SOLVER_OPTS);
-    assert_eq!(got, vec![(Rule::EnvRead, 9), (Rule::EnvRead, 13)]);
-    // Env-owner crates (par/cli/audit) scan with the check off.
-    let owner = ScanOptions { check_env_read: false, ..NON_SOLVER_OPTS };
-    assert!(hits(ENV_READ, owner).is_empty());
-}
-
-#[test]
 fn unordered_reduce_fixture_exact_hits() {
-    let got = hits(UNORDERED, NON_SOLVER_OPTS);
+    let got = hits(UNORDERED, LIB);
     assert_eq!(
         got,
         vec![
@@ -157,20 +57,23 @@ fn unordered_reduce_fixture_exact_hits() {
             (Rule::UnorderedReduce, 67),
         ]
     );
-    // snbc-par itself scans with the check off.
-    let par = ScanOptions { check_unordered_reduce: false, ..NON_SOLVER_OPTS };
-    assert!(hits(UNORDERED, par).is_empty());
+    // snbc-par itself is exempt.
+    assert!(hits(UNORDERED, RUNTIME).is_empty());
 }
 
 #[test]
 fn unordered_reduce_findings_carry_def_use_chains() {
-    let findings = scan_source("fixture.rs", UNORDERED, NON_SOLVER_OPTS);
+    let findings = scan_source("fixture.rs", UNORDERED, LIB);
     // The rebound-sum case (sink @ 53): sink frame first, then the def-use
     // chain walking `zs` ← `ys` ← `parts` ← par_map_collect.
     let f = findings.iter().find(|f| f.line == 53).expect("sink @ 53");
     let lines: Vec<usize> = f.chain.iter().map(|fr| fr.line).collect();
     assert_eq!(lines, vec![53, 52, 51, 50], "sink, then defs newest-first");
-    assert!(f.chain[3].note.contains("par_map_collect"), "{}", f.chain[3].note);
+    assert!(
+        f.chain[3].note.contains("par_map_collect"),
+        "{}",
+        f.chain[3].note
+    );
     // The single-hop cases still carry (sink, binding) chains.
     let f = findings.iter().find(|f| f.line == 10).expect("sink @ 10");
     assert_eq!(
@@ -181,7 +84,7 @@ fn unordered_reduce_findings_carry_def_use_chains() {
 
 #[test]
 fn par_capture_race_fixture_exact_hits() {
-    let got = hits(PAR_RACE, NON_SOLVER_OPTS);
+    let got = hits(PAR_RACE, LIB);
     assert_eq!(
         got,
         vec![
@@ -193,14 +96,13 @@ fn par_capture_race_fixture_exact_hits() {
             (Rule::ParCaptureRace, 40),
         ]
     );
-    // snbc-par's own internals scan with the check off.
-    let par = ScanOptions { check_par_capture_race: false, ..NON_SOLVER_OPTS };
-    assert!(hits(PAR_RACE, par).is_empty());
+    // snbc-par's own internals are exempt.
+    assert!(hits(PAR_RACE, RUNTIME).is_empty());
 }
 
 #[test]
 fn par_capture_race_findings_carry_capture_chains() {
-    let findings = scan_source("fixture.rs", PAR_RACE, NON_SOLVER_OPTS);
+    let findings = scan_source("fixture.rs", PAR_RACE, LIB);
     // The captured-accumulator case: hazard site, the par call it escapes
     // into, and the captured variable's definition.
     let f = findings.iter().find(|f| f.line == 9).expect("hazard @ 9");
@@ -209,111 +111,14 @@ fn par_capture_race_findings_carry_capture_chains() {
         vec![9, 8, 7],
         "hazard, par call, capture definition"
     );
-    assert!(f.chain[1].note.contains("par_for_chunks"), "{}", f.chain[1].note);
-    assert!(f.message.contains("snbc_par::par_for_chunks"), "{}", f.message);
-}
-
-#[test]
-fn machine_formats_roundtrip_fixture_findings() {
-    let findings = scan_source("fixture.rs", VIOLATIONS, SOLVER_OPTS);
-    let report = Report::new(1, findings);
-    let json = render_json_report(&report);
-    assert_eq!(parse_json_report(&json).unwrap(), report);
-    assert_eq!(render_json_report(&parse_json_report(&json).unwrap()), json);
-    let sarif = render_sarif(&report);
-    assert_eq!(parse_sarif(&sarif).unwrap(), report);
-    assert_eq!(render_sarif(&parse_sarif(&sarif).unwrap()), sarif);
-}
-
-#[test]
-fn committed_baseline_parses_and_is_current() {
-    // The checked-in workspace baseline must stay parseable, stale-free, and
-    // empty: every finding in tree is fixed or carries a justified allow.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../audit-baseline.txt");
-    let text = std::fs::read_to_string(path).expect("read audit-baseline.txt");
-    let b = baseline::parse(&text).expect("committed baseline must parse");
-    assert_eq!(b.format_version, baseline::FORMAT_VERSION);
-    assert!(b.stale_rules().is_empty(), "stale: {:?}", b.stale_rules());
     assert!(
-        b.entries.is_empty(),
-        "the workspace baseline must stay empty; entries: {:?}",
-        b.entries
+        f.chain[1].note.contains("par_for_chunks"),
+        "{}",
+        f.chain[1].note
     );
-}
-
-#[test]
-fn v1_baseline_upgrades_cleanly() {
-    // A legacy v1 file (entry lines only) is grandfathered at current rule
-    // versions, and re-rendering it produces v2.
-    let findings = scan_source("fixture.rs", VIOLATIONS, SOLVER_OPTS);
-    let v1 = {
-        // Render entries without the v2 header, mimicking the old format.
-        let b = baseline::parse(&baseline::render(&findings)).unwrap();
-        let mut out = String::new();
-        for ((rule, file), count) in &b.entries {
-            out.push_str(&format!("{} {} {}\n", rule.id(), file, count));
-        }
-        out
-    };
-    let upgraded = baseline::parse(&v1).unwrap();
-    assert_eq!(upgraded.format_version, 1);
-    assert!(upgraded.stale_rules().is_empty());
-    assert!(baseline::diff(&findings, &upgraded).is_clean());
-    // Round-trip through render: now v2, same tolerances.
-    let v2 = baseline::render(&findings);
-    let b2 = baseline::parse(&v2).unwrap();
-    assert_eq!(b2.format_version, 2);
-    assert_eq!(b2.entries, upgraded.entries);
-}
-
-#[test]
-fn baseline_roundtrip_tolerates_existing_debt() {
-    let findings = scan_source("fixture.rs", VIOLATIONS, SOLVER_OPTS);
-    assert!(!findings.is_empty());
-    // A baseline generated from the current findings diffs clean.
-    let b = baseline::parse(&baseline::render(&findings)).unwrap();
-    assert!(baseline::diff(&findings, &b).is_clean());
-}
-
-#[test]
-fn baseline_catches_regressions_and_reports_improvements() {
-    let findings = scan_source("fixture.rs", VIOLATIONS, SOLVER_OPTS);
-    let b = baseline::parse(&baseline::render(&findings)).unwrap();
-
-    // One extra float-eq beyond the tolerated count is a regression.
-    let mut more = findings.clone();
-    more.push(Finding {
-        rule: Rule::FloatEq,
-        file: "fixture.rs".to_string(),
-        line: 999,
-        message: String::new(),
-        chain: Vec::new(),
-    });
-    let d = baseline::diff(&more, &b);
-    assert_eq!(d.regressions.len(), 1);
-    let (rule, ref file, current, tolerated) = d.regressions[0];
-    assert_eq!(rule, Rule::FloatEq);
-    assert_eq!(file, "fixture.rs");
-    assert_eq!(current, tolerated + 1);
-
-    // A finding in a file with no baseline entry is also a regression.
-    let fresh = vec![Finding {
-        rule: Rule::Panicking,
-        file: "other.rs".to_string(),
-        line: 1,
-        message: String::new(),
-        chain: Vec::new(),
-    }];
-    assert!(!baseline::diff(&fresh, &b).is_clean());
-
-    // Fixing findings shows up as improvements, never as failures.
-    let fewer: Vec<Finding> = findings
-        .iter()
-        .filter(|f| f.rule != Rule::Panicking)
-        .cloned()
-        .collect();
-    let d = baseline::diff(&fewer, &b);
-    assert!(d.is_clean());
-    assert_eq!(d.improvements.len(), 1);
-    assert_eq!(d.improvements[0].0, Rule::Panicking);
+    assert!(
+        f.message.contains("snbc_par::par_for_chunks"),
+        "{}",
+        f.message
+    );
 }

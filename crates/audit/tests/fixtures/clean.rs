@@ -1,27 +1,28 @@
 //! Audit fixture: zero findings expected.
 
-pub fn tolerant_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() < 1e-9
+pub fn serial_sum(xs: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for x in xs {
+        acc += x;
+    }
+    acc
 }
 
-pub fn integer_eq(a: i64, b: i64) -> bool {
-    a == b
+pub fn indexed_par_output(n: usize) -> f64 {
+    let parts = snbc_par::par_map_collect(n, |i| i as f64);
+    parts[0] + parts[n - 1]
 }
 
-pub fn widening_casts(x: u32, v: f32) -> (u64, f64) {
-    (u64::from(x), f64::from(v))
+pub fn pure_par_closure(n: usize, scale: f64) -> Vec<f64> {
+    snbc_par::par_map_collect(n, |i| i as f64 * scale)
 }
 
-pub fn operators_in_strings() -> &'static str {
-    // Tokenizer must not find violations inside strings or comments:
-    // x == 0.5, v.unwrap(), panic!("no"), 1.0 as f32.
-    "x == 0.5 && v.unwrap() && (1.0 as f32)"
+pub fn code_in_strings_and_comments() -> &'static str {
+    // The tokenizer must not see code inside strings or comments:
+    // let xs = snbc_par::par_map_collect(n, f); xs.iter().sum::<f64>()
+    "let xs = snbc_par::par_map_collect(n, f); xs.iter().sum::<f64>()"
 }
 
 pub fn raw_string() -> &'static str {
-    r#"y != 2.5 "nested" .expect("nope")"#
-}
-
-pub fn fallible(v: Option<u64>) -> Result<u64, &'static str> {
-    v.ok_or("empty")
+    r#"acc += "nested"; snbc_par::par_for_chunks(n, 4, |lo, hi| { acc += hi })"#
 }

@@ -1,39 +1,41 @@
-//! Audit fixture: the same violation kinds, all suppressed.
+//! Audit fixture: suppression scoping.
 //!
 //! Suppressions attach to the enclosing statement: a marker on any line of
 //! the statement, or on the line directly above it, silences the named rule.
 
-pub fn all_suppressed(a: f64, v: Option<u64>) -> f32 {
-    // audit:allow(float-eq)
-    let _b = a == 0.5;
-    let _c = a != 1.5; // audit:allow(float-eq)
-    // audit:allow(lossy-cast)
-    let f = a as f32;
-    // audit:allow(panicking)
-    v.unwrap();
-    f
+pub fn all_suppressed(n: usize) -> f64 {
+    let parts = snbc_par::par_map_collect(n, |i| i as f64);
+    // audit:allow(unordered-reduce)
+    let a = parts.iter().sum::<f64>();
+    let b = parts.iter().sum::<f64>(); // audit:allow(unordered-reduce)
+    a + b
 }
 
-pub fn multiline_statement_suppressed(v: Option<u64>) -> u64 {
-    // audit:allow(panicking)
-    v.map(|x| x + 1)
-        .unwrap()
+pub fn multiline_statement_suppressed(n: usize) -> f64 {
+    let parts = snbc_par::par_map_collect(n, |i| i as f64);
+    // audit:allow(unordered-reduce)
+    parts
+        .iter()
+        .sum::<f64>()
 }
 
-pub fn wrong_rule_does_not_suppress(a: f64) -> bool {
-    // audit:allow(panicking)
-    a == 0.25 // expect: float-eq @ 25 (the allow above names another rule)
+pub fn wrong_rule_does_not_suppress(n: usize) -> f64 {
+    let parts = snbc_par::par_map_collect(n, |i| i as f64);
+    // audit:allow(hot-alloc)
+    parts.iter().sum::<f64>() // expect: unordered-reduce @ 25 (the allow above names another rule)
 }
 
-pub fn too_far_does_not_suppress(a: f64) -> bool {
-    // audit:allow(float-eq)
+pub fn too_far_does_not_suppress(n: usize) -> f64 {
+    let parts = snbc_par::par_map_collect(n, |i| i as f64);
+    // audit:allow(unordered-reduce)
 
-    a == 0.75 // expect: float-eq @ 31 (blank line between allow and finding)
+    parts.iter().sum::<f64>() // expect: unordered-reduce @ 32 (blank line between allow and finding)
 }
 
-pub fn closure_allow_stays_inside(bias: f64) -> Vec<f32> {
-    snbc_par::par_map_collect(bias as f32 as usize, |i| { // expect: lossy-cast @ 35
-        // audit:allow(lossy-cast)
-        (i as f64 + bias) as f32
-    })
+pub fn closure_allow_stays_inside(n: usize, scale: f64) -> f64 {
+    let parts = snbc_par::par_map_collect(n, |i| i as f64);
+    parts.iter().sum::<f64>() * snbc_par::par_map_collect(n, |i| { // expect: unordered-reduce @ 37
+        // audit:allow(unordered-reduce)
+        i as f64 * scale
+    })[0]
 }

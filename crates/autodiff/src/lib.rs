@@ -206,7 +206,7 @@ impl Tape {
     pub fn powi(&mut self, a: Var, e: u32) -> Var {
         assert!(e >= 1, "powi exponent must be >= 1");
         // powi exponents are tiny (poly degrees); the cast cannot truncate.
-        let v = self.value(a).powi(e as i32); // audit:allow(lossy-cast)
+        let v = self.value(a).powi(e as i32);
         self.push(Op::Powi(a, e), v)
     }
 
@@ -280,9 +280,9 @@ impl Tape {
         if wrt.len() >= 64 {
             return self.grad_dense(output, wrt);
         }
-        use std::collections::{BinaryHeap, HashMap};
+        use std::collections::{BTreeMap, BinaryHeap};
         let frontier = output.0 + 1;
-        let mut adjoint: HashMap<usize, Var> = HashMap::new();
+        let mut adjoint: BTreeMap<usize, Var> = BTreeMap::new();
         let mut heap: BinaryHeap<usize> = BinaryHeap::new();
         let one = self.constant(1.0);
         adjoint.insert(output.0, one);
@@ -520,7 +520,7 @@ impl Tape {
 
     fn accumulate(
         &mut self,
-        adjoint: &mut std::collections::HashMap<usize, Var>,
+        adjoint: &mut std::collections::BTreeMap<usize, Var>,
         heap: &mut std::collections::BinaryHeap<usize>,
         frontier: usize,
         target: Var,
@@ -532,13 +532,12 @@ impl Tape {
             return;
         }
         match adjoint.entry(target.0) {
-            std::collections::hash_map::Entry::Vacant(e) => {
+            std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(contribution);
                 heap.push(target.0);
             }
-            std::collections::hash_map::Entry::Occupied(e) => {
+            std::collections::btree_map::Entry::Occupied(e) => {
                 let existing = *e.get();
-                drop(e);
                 let sum = self.add(existing, contribution);
                 adjoint.insert(target.0, sum);
             }
@@ -558,6 +557,7 @@ impl fmt::Display for Tape {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

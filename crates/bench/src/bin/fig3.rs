@@ -12,6 +12,8 @@
 //! counterexamples, the certificate's coefficients) plus an ASCII projection
 //! onto the x–z plane.
 
+#![expect(clippy::print_stdout, reason = "binary entry point: the terminal is its output")]
+
 use std::fs;
 use std::io::Write as _;
 use std::time::Duration;
@@ -157,7 +159,9 @@ fn main() {
             let c = ((x[0] + 2.2) / 4.4 * (cols - 1) as f64).round();
             let r = ((2.2 - x[2]) / 4.4 * (rows - 1) as f64).round();
             if (0.0..cols as f64).contains(&c) && (0.0..rows as f64).contains(&r) {
-                canvas[r as usize][c as usize] = 'o';
+                #[expect(clippy::cast_possible_truncation, reason = "rounded and range-checked above")]
+                let (r, c) = (r as usize, c as usize);
+                canvas[r][c] = 'o';
             }
         }
     }

@@ -56,6 +56,8 @@
 //!
 //! Exit codes: `0` pass, `1` regression found, `2` usage or I/O error.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "binary entry point: the terminal is its output")]
+
 use std::process::ExitCode;
 
 use snbc::{recheck_with_intervals_recorded, Snbc, SnbcConfig};

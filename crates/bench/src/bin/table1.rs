@@ -21,6 +21,8 @@
 //! low dimension, and SNBC's verification time stays small because it solves
 //! three convex LMIs instead of SMT queries or one monolithic program.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "binary entry point: the terminal is its output")]
+
 use std::io::Write as _;
 use std::time::Duration;
 

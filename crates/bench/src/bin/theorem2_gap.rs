@@ -5,6 +5,8 @@
 //!
 //! Run: `cargo run -p snbc-bench --release --bin theorem2_gap`
 
+#![expect(clippy::print_stdout, reason = "binary entry point: the terminal is its output")]
+
 use snbc::{approximate_controller, ApproxOptions};
 use snbc_bench::pretrain_controller;
 use snbc_dynamics::benchmarks;

@@ -45,6 +45,7 @@ impl CheckOutcome {
 }
 
 /// The `threads` gauge recorded on the report's `cegis` span, if any.
+#[expect(clippy::cast_possible_truncation, reason = "a gauge holding a small thread count")]
 pub fn report_threads(report: &Report) -> Option<u64> {
     report
         .root
@@ -68,6 +69,7 @@ pub fn check_reports(baseline: &Report, fresh: &Report, wall_factor: f64) -> Che
 
     // Outcome gate: a run that stopped certifying is always a regression.
     match (certified(baseline), certified(fresh)) {
+        #[expect(clippy::float_cmp, reason = "the gauge is exactly 0.0 or 1.0")]
         (Some(b), Some(f)) if b != f => violations.push(format!(
             "outcome changed: baseline certified={b}, fresh certified={f}"
         )),

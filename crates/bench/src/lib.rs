@@ -189,6 +189,7 @@ pub fn shared_inclusion(bench: &Benchmark, controller: &Mlp) -> snbc::Polynomial
 /// worker-thread count the run recorded (the `threads` gauge on the `cegis`
 /// span; see docs/PARALLELISM.md). Used by the `table1` binary's `--report`
 /// output so committed run reports state the parallelism they ran with.
+#[expect(clippy::cast_possible_truncation, reason = "a gauge holding a small thread count")]
 pub fn phase_wall_summary(report: &snbc_telemetry::Report) -> String {
     use snbc_telemetry::SpanNode;
     fn walk(n: &SpanNode, learn: &mut f64, verify: &mut f64, cex: &mut f64, threads: &mut Option<f64>) {
@@ -299,6 +300,7 @@ pub fn summarize(results: &[Vec<SynthesisReport>]) -> Summary {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

@@ -26,6 +26,8 @@
 //! `docs/OBSERVABILITY.md`. All human-facing progress goes to **stderr** so
 //! stdout stays clean for `--progress -` and certificate text.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "binary entry point: the terminal is its output")]
+
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Mutex;
@@ -284,7 +286,7 @@ struct BatchCliOptions {
 struct HumanSink {
     total: usize,
     /// Jobs whose (environmental, live-only) `cache-hit` marker was seen.
-    hits: Mutex<std::collections::HashSet<u64>>,
+    hits: Mutex<std::collections::BTreeSet<u64>>,
 }
 
 impl EventSink for HumanSink {
@@ -295,8 +297,8 @@ impl EventSink for HumanSink {
             return;
         }
         fn hits(
-            m: &Mutex<std::collections::HashSet<u64>>,
-        ) -> std::sync::MutexGuard<'_, std::collections::HashSet<u64>> {
+            m: &Mutex<std::collections::BTreeSet<u64>>,
+        ) -> std::sync::MutexGuard<'_, std::collections::BTreeSet<u64>> {
             match m.lock() {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
@@ -367,7 +369,7 @@ fn batch(path: &str, cli: &BatchCliOptions) -> Result<(), String> {
 
     let mut sinks = vec![Progress::custom(Box::new(HumanSink {
         total,
-        hits: Mutex::new(std::collections::HashSet::new()),
+        hits: Mutex::new(std::collections::BTreeSet::new()),
     }))];
     if let Some(target) = cli.progress.as_deref() {
         let out: Box<dyn Write + Send> = if target == "-" {

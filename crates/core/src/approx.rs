@@ -214,6 +214,10 @@ fn record_inclusion(t: &snbc_telemetry::Telemetry, inc: &PolynomialInclusion) {
 fn build_mesh(domain: &[(f64, f64)], opts: &ApproxOptions) -> (Vec<Vec<f64>>, f64) {
     let n = domain.len();
     // Points per dimension at the requested spacing.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a mesh axis count: a small positive integer after `ceil`"
+    )]
     let counts: Vec<usize> = domain
         .iter()
         .map(|&(lo, hi)| ((hi - lo) / opts.mesh_spacing).ceil().max(1.0) as usize + 1)
@@ -1299,7 +1303,7 @@ mod kernel_oracle_tests {
                 for _ in 0..rng.next() % 28 {
                     let (axis, _) = widest_axis(&bx).expect("non-empty box");
                     let (l, r) = bx[axis].split();
-                    bx[axis] = if rng.next() % 2 == 0 { l } else { r };
+                    bx[axis] = if rng.next().is_multiple_of(2) { l } else { r };
                 }
                 bx
             })
@@ -1423,7 +1427,7 @@ mod kernel_oracle_tests {
                 .unwrap()
                 .h;
             let boxes = bb_boxes(domain, 100_000, &mut Stream(k as u64));
-            let clock = std::time::Instant::now();
+            let clock = snbc_trace::Stopwatch::start();
             let mut sink = 0.0;
             for bx in &boxes {
                 sink += reference_bounds(&net, &h, bx)[1];
@@ -1431,7 +1435,7 @@ mod kernel_oracle_tests {
             let before = clock.elapsed().as_secs_f64() * 1e6 / boxes.len() as f64;
             let kernel = InclusionKernel::new(&net, &h);
             let mut s = kernel.box_scratch();
-            let clock = std::time::Instant::now();
+            let clock = snbc_trace::Stopwatch::start();
             for bx in &boxes {
                 let d_mid = kernel.midpoint_difference(&mut s, bx);
                 sink -= kernel.bounds(&mut s, bx, d_mid)[0];

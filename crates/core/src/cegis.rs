@@ -473,7 +473,7 @@ impl CegisEngine {
         // 105-row and a 2380-row SDP.
         let mut vcfg = self.cfg.verifier.clone();
         if matches!(self.lambda_spec, LambdaSpec::Constant) {
-            vcfg.lambda_degree = vcfg.lambda_degree.min(0);
+            vcfg.lambda_degree = 0;
         }
         let outcome = Verifier::new(&self.system, &self.inclusion, vcfg).verify(&b);
         self.t_verify += outcome.total_time();
@@ -763,7 +763,7 @@ fn warm_start_lyapunov(
             for i in 0..n {
                 for j in 0..n {
                     // Sparse skip: exact zero means the entry is absent.
-                    if p_mat[(i, j)] != 0.0 { // audit:allow(float-eq)
+                    if p_mat[(i, j)] != 0.0 {
                         let m = snbc_poly::Monomial::var(i).mul(&snbc_poly::Monomial::var(j));
                         q.add_term(p_mat[(i, j)], m);
                     }
@@ -895,7 +895,7 @@ mod tests {
         };
         let result = Snbc::new(cfg).synthesize(&bench, &controller).expect("certificate");
         assert!(result.verification.is_certified());
-        assert_eq!(result.barrier.nvars() <= 2, true);
+        assert!(result.barrier.nvars() <= 2);
         // The certificate separates: positive somewhere on Θ samples,
         // negative on Ξ samples.
         use rand::SeedableRng;

@@ -235,6 +235,10 @@ pub fn find_counterexample(
 /// `center` the precomputed box center for the projection retreat. Returns
 /// the best violation value and the number of ascent steps taken.
 // audit:hot
+#[expect(
+    clippy::too_many_arguments,
+    reason = "hot kernel: the caller owns every buffer, so nothing is allocated per trajectory"
+)]
 fn ascend(
     v: &Polynomial,
     grads: &[Polynomial],

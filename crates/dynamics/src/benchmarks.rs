@@ -411,6 +411,7 @@ fn quadcopter_12() -> Vec<Polynomial> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
     use crate::simulate;

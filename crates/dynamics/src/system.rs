@@ -232,6 +232,7 @@ mod tests {
         // Compare against the exact solution x(t) = cos(t) at t = 1.
         let sys = harmonic();
         let err = |dt: f64| {
+            #[expect(clippy::cast_possible_truncation, reason = "a small positive step count")]
             let steps = (1.0 / dt) as usize;
             let t = simulate(&sys, |_| 0.0, &[1.0, 0.0], dt, steps);
             (t.states[steps][0] - 1.0f64.cos()).abs()

@@ -207,7 +207,7 @@ mod tests {
         let bx = [Interval::new(-1.0, 2.0), Interval::new(0.0, 1.0)];
         let r = bernstein_range(&p, &bx);
         // Linear: Bernstein coefficients are the vertex values — exact range.
-        assert!((r.lo() - (2.0 * -1.0 - 3.0 + 1.0)).abs() < 1e-12);
+        assert!((r.lo() - (-2.0 - 3.0 + 1.0)).abs() < 1e-12);
         assert!((r.hi() - (2.0 * 2.0 - 0.0 + 1.0)).abs() < 1e-12);
     }
 

@@ -87,7 +87,7 @@ impl Interval {
             return Interval::point(1.0);
         }
         // powi exponents are tiny (poly degrees); the cast cannot truncate.
-        let (pl, ph) = (f64::powi(self.lo, e as i32), f64::powi(self.hi, e as i32)); // audit:allow(lossy-cast)
+        let (pl, ph) = (f64::powi(self.lo, e as i32), f64::powi(self.hi, e as i32));
         if e % 2 == 1 || self.lo >= 0.0 {
             // Monotone on the whole interval (odd power, or nonnegative base).
             Interval::new(pl, ph)

@@ -243,7 +243,7 @@ impl Matrix {
                     for k in 0..self.cols {
                         let aik = self[(i, k)];
                         // Sparse-coefficient skip; exactness is intended.
-                        if aik == 0.0 { // audit:allow(float-eq)
+                        if aik == 0.0 {
                             continue;
                         }
                         let brow = &other.row(k)[jb..jhi];
@@ -485,6 +485,7 @@ impl fmt::Display for Matrix {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

@@ -92,7 +92,7 @@ impl Qr {
         for k in 0..n {
             let beta = self.betas[k];
             // β = 0.0 is an exact sentinel set during factorization.
-            if beta == 0.0 { // audit:allow(float-eq)
+            if beta == 0.0 {
                 continue;
             }
             // v = (1, qr[k+1..m, k])
@@ -133,6 +133,7 @@ impl Qr {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

@@ -1,4 +1,5 @@
-//! Runtime numeric sanitizer — the dynamic counterpart of `snbc-audit`.
+//! Runtime numeric sanitizer — the dynamic counterpart of the static gates
+//! (`snbc-audit` and clippy, see docs/AUDIT.md).
 //!
 //! Enabled with the `sanitize` cargo feature (`snbc-lp` and `snbc-sdp`
 //! forward their own `sanitize` features here). When active, factorization
@@ -13,13 +14,17 @@
 //! firing means the *solver's own invariants* are broken (not the user's
 //! input), and the stack at the first bad write is exactly what one wants.
 
+#![expect(
+    clippy::panic,
+    reason = "a firing sanitizer reports broken solver invariants at the first bad write"
+)]
+
 /// Abort if any value in `values` is NaN or ±∞, naming the producing `op`.
 #[inline]
 pub fn check_finite(op: &'static str, values: &[f64]) {
     if cfg!(feature = "sanitize") {
         for (i, v) in values.iter().enumerate() {
             if !v.is_finite() {
-                // audit:allow(panicking)
                 panic!("sanitize: `{op}` produced non-finite value {v} at index {i}");
             }
         }
@@ -33,7 +38,6 @@ pub fn check_positive(op: &'static str, values: &[f64]) {
     if cfg!(feature = "sanitize") {
         for (i, v) in values.iter().enumerate() {
             if !(*v > 0.0) || !v.is_finite() {
-                // audit:allow(panicking)
                 panic!("sanitize: `{op}` invariant violated: value {v} at index {i} is not strictly positive");
             }
         }
@@ -44,7 +48,6 @@ pub fn check_positive(op: &'static str, values: &[f64]) {
 #[inline]
 pub fn check_invariant(op: &'static str, holds: bool, detail: f64) {
     if cfg!(feature = "sanitize") && !holds {
-        // audit:allow(panicking)
         panic!("sanitize: `{op}` step invariant violated (value {detail})");
     }
 }

@@ -86,6 +86,7 @@ pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

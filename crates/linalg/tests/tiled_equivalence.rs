@@ -19,7 +19,7 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         for p in 0..k {
             let aip = a[(i, p)];
             // Same exact-zero skip as the production kernel.
-            if aip == 0.0 { // audit:allow(float-eq)
+            if aip == 0.0 {
                 continue;
             }
             for j in 0..n {
@@ -65,7 +65,7 @@ fn fill(rows: usize, cols: usize, seed: u64) -> Matrix {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            m[(i, j)] = if state % 7 == 0 {
+            m[(i, j)] = if state.is_multiple_of(7) {
                 0.0
             } else {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) * 10.0 - 5.0
@@ -225,6 +225,10 @@ fn kernel_perf_probe() {
     use std::time::Instant;
 
     // Warm-up pass, then best-of-3 to tame scheduler noise.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock perf probe; snbc-linalg sits below the trace clock"
+    )]
     fn best_of_3(f: &mut dyn FnMut()) -> f64 {
         f();
         let mut best = f64::INFINITY;

@@ -157,7 +157,7 @@ fn solve_standard_inner(
     // Best iterate seen so far, by the merit max(rp, rd, μ): near machine
     // precision the normal equations degrade and residuals can oscillate, so
     // we never return anything worse than the best visited point.
-    let mut best: Option<(f64, Vec<f64>, Vec<f64>, Vec<f64>, usize)> = None;
+    let mut best: Option<BestIterate> = None;
     let trace = opts.telemetry.trace();
 
     for iter in 0..opts.max_iterations {
@@ -185,12 +185,6 @@ fn solve_standard_inner(
         let by = vec_ops::dot(b, &y);
         let gap_rel = (cx - by).abs() / (1.0 + cx.abs());
 
-        // Debug-trace flag: gates stderr prints only, never solver results.
-        // audit:allow(env-read)
-        if std::env::var_os("SNBC_LP_TRACE").is_some() {
-            // audit:allow(raw-print) — env-gated debug trace, off by default
-            eprintln!("iter {iter}: rp={rp_rel:.3e} rd={rd_rel:.3e} gap={gap_rel:.3e} mu={mu:.3e}");
-        }
         let merit = rp_rel.max(rd_rel).max(mu).max(gap_rel * 0.1);
         if best.as_ref().is_none_or(|(m, ..)| merit < *m) {
             best = Some((merit, x.clone(), y.clone(), s.clone(), iter));
@@ -242,13 +236,13 @@ fn solve_standard_inner(
         for k in 0..n {
             let dk = d[k];
             // Sparse-coefficient skip; exactness is intended.
-            if dk == 0.0 { // audit:allow(float-eq)
+            if dk == 0.0 {
                 continue;
             }
             let col = at.row(k);
             for i in 0..m {
                 let v = dk * col[i];
-                if v == 0.0 { // audit:allow(float-eq)
+                if v == 0.0 {
                     continue;
                 }
                 for (mij, cj) in mm.row_mut(i)[i..].iter_mut().zip(&col[i..]) {
@@ -387,9 +381,15 @@ fn max_step(v: &[f64], dv: &[f64]) -> f64 {
     alpha.min(1.0e30)
 }
 
+/// A primal–dual iterate `(x, y, s)`.
+type Iterate = (Vec<f64>, Vec<f64>, Vec<f64>);
+
+/// The best iterate visited: `(merit, x, y, s, iteration)`.
+type BestIterate = (f64, Vec<f64>, Vec<f64>, Vec<f64>, usize);
+
 /// Mehrotra's starting point: least-squares estimates shifted into the
 /// positive orthant (`at = Aᵀ`).
-fn starting_point(at: &Matrix, b: &[f64], c: &[f64]) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>), LpError> {
+fn starting_point(at: &Matrix, b: &[f64], c: &[f64]) -> Result<Iterate, LpError> {
     let m = at.ncols();
     // AAᵀ with a little regularization: entry (i, j) sums Aᵢₖ·Aⱼₖ over k
     // ascending, one row of Aᵀ at a time.

@@ -35,6 +35,21 @@
 //! # Ok::<(), snbc_lp::LpError>(())
 //! ```
 
+// Solver library code returns typed errors and surfaces every Result: a
+// panic or a dropped error here aborts or silently corrupts certificate
+// synthesis (docs/AUDIT.md).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok,
+    clippy::no_effect_underscore_binding
+)]
+
 mod error;
 mod ipm;
 pub mod simplex;

@@ -161,7 +161,7 @@ fn pivot(tab: &mut Matrix, rhs: &mut [f64], basis: &mut [usize], row: usize, col
         let f = tab[(i, col)];
         // Exact zero needs no elimination; a tolerance here would corrupt
         // the tableau.
-        if f == 0.0 { // audit:allow(float-eq)
+        if f == 0.0 {
             continue;
         }
         for j in 0..ncols {

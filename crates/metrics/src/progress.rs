@@ -584,8 +584,8 @@ impl Progress {
 fn write_line(st: &mut WriterState, line: &Value) {
     let mut text = line.to_compact_string();
     text.push('\n');
-    let _ = st.out.write_all(text.as_bytes()); // audit:allow(swallowed-result)
-    let _ = st.out.flush(); // audit:allow(swallowed-result)
+    let _ = st.out.write_all(text.as_bytes());
+    let _ = st.out.flush();
 }
 
 #[cfg(test)]

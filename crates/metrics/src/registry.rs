@@ -501,6 +501,7 @@ fn arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

@@ -57,9 +57,10 @@ impl Adam {
         assert_eq!(params.len(), self.m.len(), "parameter length mismatch");
         assert_eq!(grads.len(), self.m.len(), "gradient length mismatch");
         self.t += 1;
-        // Step counts stay far below 2^31; the cast cannot truncate.
-        let b1t = 1.0 - self.beta1.powi(self.t as i32); // audit:allow(lossy-cast)
-        let b2t = 1.0 - self.beta2.powi(self.t as i32); // audit:allow(lossy-cast)
+        #[expect(clippy::cast_possible_truncation, reason = "step counts stay far below 2^31")]
+        let b1t = 1.0 - self.beta1.powi(self.t as i32);
+        #[expect(clippy::cast_possible_truncation, reason = "step counts stay far below 2^31")]
+        let b2t = 1.0 - self.beta2.powi(self.t as i32);
         for i in 0..params.len() {
             let g = grads[i];
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
@@ -79,6 +80,7 @@ impl Adam {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

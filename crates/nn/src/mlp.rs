@@ -121,9 +121,7 @@ impl Mlp {
             for _ in 0..fan_in * fan_out {
                 params.push(rng.gen_range(-scale..scale));
             }
-            for _ in 0..fan_out {
-                params.push(0.0);
-            }
+            params.extend(std::iter::repeat_n(0.0, fan_out));
         }
         Mlp {
             layer_sizes: layer_sizes.to_vec(),
@@ -774,9 +772,7 @@ impl Mlp {
             for _ in 0..fan_in * fan_out {
                 params.push(rng.gen_range(-scale..scale));
             }
-            for _ in 0..fan_out {
-                params.push(0.0);
-            }
+            params.extend(std::iter::repeat_n(0.0, fan_out));
         }
         Mlp {
             layer_sizes: layer_sizes.to_vec(),

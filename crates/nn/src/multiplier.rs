@@ -51,9 +51,7 @@ impl MultiplierNet {
             for _ in 0..w[0] * w[1] {
                 params.push(rng.gen_range(-scale..scale));
             }
-            for _ in 0..w[1] {
-                params.push(0.0);
-            }
+            params.extend(std::iter::repeat_n(0.0, w[1]));
         }
         MultiplierNet::Linear {
             input_dim,
@@ -269,6 +267,7 @@ impl MultiplierNet {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

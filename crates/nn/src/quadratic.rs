@@ -353,15 +353,15 @@ impl QuadraticNet {
                 let mut a2 = b2[o];
                 let (mut g1_lo, mut g2_lo, mut g1_hi, mut g2_hi) = (0.0, 0.0, 0.0, 0.0);
                 for i in 0..fan_in {
-                    if deep || input[i] != 0.0 { // audit:allow(float-eq)
+                    if deep || input[i] != 0.0 {
                         a1 += r1[i] * input[i];
                         a2 += r2[i] * input[i];
                     }
-                    if deep || t_lo[i] != 0.0 { // audit:allow(float-eq)
+                    if deep || t_lo[i] != 0.0 {
                         g1_lo += r1[i] * t_lo[i];
                         g2_lo += r2[i] * t_lo[i];
                     }
-                    if !same && (deep || t_hi[i] != 0.0) { // audit:allow(float-eq)
+                    if !same && (deep || t_hi[i] != 0.0) {
                         g1_hi += r1[i] * t_hi[i];
                         g2_hi += r2[i] * t_hi[i];
                     }
@@ -454,7 +454,7 @@ impl QuadraticNet {
                 dbars[o] = adj_lie * w_out[o];
             }
         }
-        let x_all_zero = x.iter().all(|&v| v == 0.0); // audit:allow(float-eq)
+        let x_all_zero = x.iter().all(|&v| v == 0.0);
         for l in (0..self.hidden.len()).rev() {
             let h = fan_in;
             fan_in = if l == 0 {
@@ -505,11 +505,11 @@ impl QuadraticNet {
                 let row = o * fan_in..(o + 1) * fan_in;
                 let (u1, u2) = (&mut gw1[row.clone()], &mut gw2[row.clone()]);
                 for i in 0..fan_in {
-                    if deep || tangent[i] != 0.0 { // audit:allow(float-eq)
+                    if deep || tangent[i] != 0.0 {
                         u1[i] += g1bar * tangent[i];
                         u2[i] += g2bar * tangent[i];
                     }
-                    if deep || input[i] != 0.0 { // audit:allow(float-eq)
+                    if deep || input[i] != 0.0 {
                         u1[i] += a1bar * input[i];
                         u2[i] += a2bar * input[i];
                     }
@@ -696,6 +696,7 @@ fn split_units<const K: usize>(state: &mut [f64], h: usize) -> [&mut [f64]; K] {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 
@@ -839,19 +840,19 @@ impl QuadraticNet {
                 let p1 = params[w1 + o * n + i];
                 let p2 = params[w2 + o * n + i];
                 // Sparse tape construction: skip exactly-zero inputs.
-                if x[i] != 0.0 { // audit:allow(float-eq)
+                if x[i] != 0.0 {
                     let t1 = tape.scale(p1, x[i]);
                     a1 = tape.add(a1, t1);
                     let t2 = tape.scale(p2, x[i]);
                     a2 = tape.add(a2, t2);
                 }
-                if field_lo[i] != 0.0 { // audit:allow(float-eq)
+                if field_lo[i] != 0.0 {
                     let s1 = tape.scale(p1, field_lo[i]);
                     g1_lo = tape.add(g1_lo, s1);
                     let s2 = tape.scale(p2, field_lo[i]);
                     g2_lo = tape.add(g2_lo, s2);
                 }
-                if !same && field_hi[i] != 0.0 { // audit:allow(float-eq)
+                if !same && field_hi[i] != 0.0 {
                     let s1 = tape.scale(p1, field_hi[i]);
                     g1_hi = tape.add(g1_hi, s1);
                     let s2 = tape.scale(p2, field_hi[i]);

@@ -3,7 +3,8 @@
 //! The container that builds this workspace has no registry access, so the
 //! usual data-parallelism crates (rayon et al.) are unavailable; this crate
 //! is the first-party substitute that every hot loop in the SNBC pipeline
-//! routes through (enforced by the `raw-thread` audit rule). It provides:
+//! routes through (enforced by clippy's `disallowed-methods`, clippy.toml).
+//! It provides:
 //!
 //! * [`join`] / [`join3`] — structured fork–join for a fixed number of
 //!   heterogeneous tasks (the verifier's three independent LMI problems);
@@ -45,6 +46,11 @@
 //! the calling thread (first panicking worker in spawn order wins); the
 //! remaining workers finish draining their chunks first, so no partial state
 //! escapes the scope.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "snbc-par is the deterministic runtime: it owns SNBC_THREADS and every worker thread"
+)]
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -583,7 +589,7 @@ mod tests {
                 par_for_chunks(&mut data, 10, |c, piece| {
                     for (k, v) in piece.iter_mut().enumerate() {
                         assert_eq!(*v, 0);
-                        *v = (c * 10 + k) as u32;
+                        *v = u32::try_from(c * 10 + k).unwrap();
                     }
                 });
             });

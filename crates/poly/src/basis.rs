@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn monomials_unique() {
         let b = monomial_basis(4, 3);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for m in &b {
             assert!(seen.insert(m.clone()), "duplicate monomial {m}");
         }

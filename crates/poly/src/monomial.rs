@@ -173,6 +173,7 @@ impl fmt::Display for Monomial {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

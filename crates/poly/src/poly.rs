@@ -88,7 +88,7 @@ impl Polynomial {
     ///
     /// Panics if the polynomial contains a monomial absent from `basis`.
     pub fn to_coeffs(&self, basis: &[Monomial]) -> Vec<f64> {
-        let index: std::collections::HashMap<&Monomial, usize> =
+        let index: std::collections::BTreeMap<&Monomial, usize> =
             basis.iter().enumerate().map(|(i, m)| (m, i)).collect();
         let mut out = vec![0.0; basis.len()];
         for (m, &c) in &self.terms {
@@ -211,7 +211,7 @@ impl Polynomial {
     /// Multiplies by a scalar, returning a new polynomial.
     pub fn scale(&self, s: f64) -> Polynomial {
         // Exact zero short-circuit; any other scalar keeps every term.
-        if s == 0.0 { // audit:allow(float-eq)
+        if s == 0.0 {
             return Polynomial::zero();
         }
         let mut out = self.clone();
@@ -391,6 +391,7 @@ impl Neg for &Polynomial {
 }
 
 impl fmt::Display for Polynomial {
+    #[expect(clippy::float_cmp, reason = "only an exact unit coefficient may be left implicit")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_zero() {
             return write!(f, "0");
@@ -409,7 +410,7 @@ impl fmt::Display for Polynomial {
             }
             if m.is_one() {
                 write!(f, "{mag}")?;
-            } else if mag == 1.0 { // audit:allow(float-eq) — only an exact 1 is implied
+            } else if mag == 1.0 {
                 write!(f, "{m}")?;
             } else {
                 write!(f, "{mag}*{m}")?;

@@ -49,21 +49,12 @@ pub const REPORT_SCHEMA: &str = "snbc-batch-report/1";
 pub type SystemResolver<'a> = &'a dyn Fn(&str) -> Result<(Benchmark, Mlp), String>;
 
 /// Batch-wide options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
     /// Base configuration every job starts from (job fields override it).
     pub base: SnbcConfig,
     /// Certificate-cache root; `None` disables caching (every job races).
     pub cache_dir: Option<PathBuf>,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            base: SnbcConfig::default(),
-            cache_dir: None,
-        }
-    }
 }
 
 /// The deterministic per-job result — exactly what is cached and reported.
@@ -125,14 +116,15 @@ impl JobResult {
         let int_field = |name: &str| -> Result<usize, String> {
             v.get(name)
                 .and_then(Value::as_u64)
-                .map(|n| n as usize)
+                .and_then(|n| usize::try_from(n).ok())
                 .ok_or_else(|| format!("missing integer `{name}`"))
         };
         let opt_int = |name: &str| match v.get(name) {
             None | Some(Value::Null) => Ok(None),
             Some(x) => x
                 .as_u64()
-                .map(|n| Some(n as usize))
+                .and_then(|n| usize::try_from(n).ok())
+                .map(Some)
                 .ok_or_else(|| format!("`{name}` must be an integer or null")),
         };
         let winner = match v.get("winner") {
@@ -399,15 +391,16 @@ fn run_job(
     })
 }
 
+/// A validated cache hit: the job result plus the race's recorded progress
+/// events and metrics snapshot, replayed as if the race had just run.
+type CachedJob = (JobResult, Vec<(snbc_metrics::Scope, ProgressEvent)>, MetricsSnapshot);
+
 /// Reads and validates a cached entry; any defect — unparseable JSON, a
 /// non-certified result (only certified outcomes are ever stored), a
 /// result/certificate mismatch, a certificate that fails to re-parse, or
 /// missing/corrupt observability artifacts (entries written before they
 /// existed included) — makes this a miss, and the job re-races.
-fn cached_result(
-    cache: &CertificateCache,
-    key: &CacheKey,
-) -> Option<(JobResult, Vec<(snbc_metrics::Scope, ProgressEvent)>, MetricsSnapshot)> {
+fn cached_result(cache: &CertificateCache, key: &CacheKey) -> Option<CachedJob> {
     let entry = cache.lookup(key)?;
     let value = json::parse(&entry.result_json).ok()?;
     let result = JobResult::from_json(&value).ok()?;

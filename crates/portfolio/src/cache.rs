@@ -181,8 +181,11 @@ impl CertificateCache {
             Ok(())
         })();
         if let Err(e) = staged {
-            // Best-effort teardown: the staging failure is the real error.
-            let _ = std::fs::remove_dir_all(&tmp); // audit:allow(swallowed-result)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort teardown: the staging failure is the real error"
+            )]
+            let _ = std::fs::remove_dir_all(&tmp);
             return Err(e);
         }
         if std::fs::rename(&tmp, &entry).is_ok() {
@@ -192,12 +195,19 @@ impl CertificateCache {
         // one fails). Clear it and retry once; if another writer repopulates
         // it first, accept their equivalent entry and discard ours. The
         // retried rename reports any failure that matters here.
-        let _ = std::fs::remove_dir_all(&entry); // audit:allow(swallowed-result)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a failed clear shows up as the retried rename's error"
+        )]
+        let _ = std::fs::remove_dir_all(&entry);
         match std::fs::rename(&tmp, &entry) {
             Ok(()) => Ok(()),
             Err(e) => {
-                // Best-effort teardown of the losing staging dir.
-                let _ = std::fs::remove_dir_all(&tmp); // audit:allow(swallowed-result)
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort teardown of the losing staging dir"
+                )]
+                let _ = std::fs::remove_dir_all(&tmp);
                 if entry.join("key.json").is_file() {
                     Ok(())
                 } else {

@@ -159,12 +159,15 @@ impl CandidateConfig {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("candidate config missing `{name}`"))
         };
+        let out_of_range = |name: &str| format!("candidate config `{name}` is out of range");
+        let index = |name: &str| usize::try_from(field(name)?).map_err(|_| out_of_range(name));
+        let degree = |name: &str| u32::try_from(field(name)?).map_err(|_| out_of_range(name));
         Ok(CandidateConfig {
-            index: field("index")? as usize,
+            index: index("index")?,
             seed: field("seed")?,
-            lambda_degree: field("lambda_degree")? as u32, // audit:allow(lossy-cast) — degrees are tiny
-            multiplier_degree: field("multiplier_degree")? as u32, // audit:allow(lossy-cast) — degrees are tiny
-            mesh_points: field("mesh_points")? as usize,
+            lambda_degree: degree("lambda_degree")?,
+            multiplier_degree: degree("multiplier_degree")?,
+            mesh_points: index("mesh_points")?,
         })
     }
 }

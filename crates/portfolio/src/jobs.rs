@@ -184,10 +184,10 @@ fn parse_job(index: usize, job: &Value) -> Result<JobSpec, BatchError> {
                 .ok_or_else(|| err("`benchmark` must be an integer".to_string()))?;
             // `benchmarks::benchmark` panics outside 1..=14; reject here so a
             // bad job is a typed error with its index, not a panic mid-batch.
-            if !(1..=14).contains(&k) {
-                return Err(err(format!("`benchmark` must be in 1..=14, got {k}")));
+            match usize::try_from(k) {
+                Ok(k) if (1..=14).contains(&k) => JobSource::Benchmark(k),
+                _ => return Err(err(format!("`benchmark` must be in 1..=14, got {k}"))),
             }
-            JobSource::Benchmark(k as usize)
         }
         (None, Some(s)) => JobSource::System(
             s.as_str()
@@ -213,7 +213,9 @@ fn parse_job(index: usize, job: &Value) -> Result<JobSpec, BatchError> {
                 if n == 0 {
                     return Err(err(format!("`{field}` must be positive")));
                 }
-                Ok(Some(n as usize))
+                usize::try_from(n)
+                    .map(Some)
+                    .map_err(|_| err(format!("`{field}` value {n} is out of range")))
             }
         }
     };
@@ -255,29 +257,33 @@ fn parse_grid(index: usize, g: &Value) -> Result<ConfigGrid, BatchError> {
         }
     };
     let defaults = ConfigGrid::default();
-    let narrow = |name: &str, vals: Option<Vec<u64>>, max: u64| -> Result<Option<Vec<u64>>, BatchError> {
-        if let Some(vals) = &vals {
-            for &v in vals {
-                if v > max {
-                    return Err(err(format!("grid axis `{name}` value {v} exceeds {max}")));
-                }
-            }
-        }
-        Ok(vals)
+    // Narrow an axis to `T`, rejecting values above `max` (and any value
+    // `T` cannot hold).
+    fn narrow<T: TryFrom<u64> + PartialOrd>(
+        vals: Option<Vec<u64>>,
+        max: T,
+        fail: impl Fn(u64) -> BatchError,
+    ) -> Result<Option<Vec<T>>, BatchError> {
+        vals.map(|vals| {
+            vals.into_iter()
+                .map(|v| T::try_from(v).ok().filter(|t| *t <= max).ok_or_else(|| fail(v)))
+                .collect()
+        })
+        .transpose()
+    }
+    let exceeds = |name: &'static str, max: u64| {
+        move |v: u64| err(format!("grid axis `{name}` value {v} exceeds {max}"))
     };
-    let lambda = narrow("lambda_degrees", axis("lambda_degrees")?, 8)?;
-    let mult = narrow("multiplier_degrees", axis("multiplier_degrees")?, 8)?;
+    let lambda = narrow(axis("lambda_degrees")?, 8u32, exceeds("lambda_degrees", 8))?;
+    let mult = narrow(axis("multiplier_degrees")?, 8u32, exceeds("multiplier_degrees", 8))?;
     Ok(ConfigGrid {
         seeds: axis("seeds")?.unwrap_or(defaults.seeds),
-        lambda_degrees: lambda
-            .map(|v| v.iter().map(|&d| d as u32).collect()) // audit:allow(lossy-cast) — bounded to ≤8 above
-            .unwrap_or(defaults.lambda_degrees),
-        multiplier_degrees: mult
-            .map(|v| v.iter().map(|&d| d as u32).collect()) // audit:allow(lossy-cast) — bounded to ≤8 above
-            .unwrap_or(defaults.multiplier_degrees),
-        mesh_points: axis("mesh_points")?
-            .map(|v| v.iter().map(|&m| m as usize).collect())
-            .unwrap_or(defaults.mesh_points),
+        lambda_degrees: lambda.unwrap_or(defaults.lambda_degrees),
+        multiplier_degrees: mult.unwrap_or(defaults.multiplier_degrees),
+        mesh_points: narrow(axis("mesh_points")?, usize::MAX, |v| {
+            err(format!("grid axis `mesh_points` value {v} is out of range"))
+        })?
+        .unwrap_or(defaults.mesh_points),
     })
 }
 

@@ -176,7 +176,7 @@ impl SdpProblem {
     pub fn adjoint_accumulate(&self, y: &[f64], alpha: f64, out: &mut BlockMatrix) {
         for (k, entries) in self.constraints.iter().enumerate() {
             // Sparse skip: a zero multiplier contributes nothing exactly.
-            if y[k] == 0.0 { // audit:allow(float-eq)
+            if y[k] == 0.0 {
                 continue;
             }
             accumulate(out, entries, alpha * y[k]);
@@ -265,6 +265,7 @@ pub(crate) fn sparse_times_dense_into(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exact in binary floating point")]
 mod tests {
     use super::*;
 

@@ -270,7 +270,7 @@ fn assemble_schur_row(
                     for &r in touched {
                         let a = zrow[r];
                         // The GEMM kernel's sparse skip; exactness is intended.
-                        if a == 0.0 { // audit:allow(float-eq)
+                        if a == 0.0 {
                             continue;
                         }
                         for (u, axv) in urow.iter_mut().zip(ax.row(r)) {
@@ -472,14 +472,6 @@ impl SdpSolver {
             let gap_rel = xz.abs() / (1.0 + pobj.abs() + dobj.abs());
             last_res = (rp_rel, rd_rel, gap_rel);
 
-            // Debug-trace flag: gates stderr prints only, never solver results.
-            // audit:allow(env-read)
-            if std::env::var_os("SNBC_SDP_TRACE").is_some() {
-                // audit:allow(raw-print) — env-gated debug trace, off by default
-                eprintln!(
-                    "sdp iter {iter}: rp={rp_rel:.3e} rd={rd_rel:.3e} gap={gap_rel:.3e} mu={mu:.3e}"
-                );
-            }
 
             let merit = rp_rel.max(rd_rel).max(gap_rel);
             if best.as_ref().is_none_or(|(bm, ..)| merit < *bm) {

@@ -75,6 +75,7 @@ struct SpanSlot {
 }
 
 impl SpanSlot {
+    #[expect(clippy::disallowed_methods, reason = "snbc-telemetry times its spans on the process clock")]
     fn new(name: &'static str, index: Option<u64>, trace_id: u64) -> Self {
         SpanSlot {
             name,
@@ -133,6 +134,7 @@ impl Recorder {
         }
         // Close `id` and any children left open by early returns above it.
         while let Some(top) = g.stack.pop() {
+            #[expect(clippy::disallowed_methods, reason = "snbc-telemetry times its spans on the process clock")]
             let now = Instant::now();
             let s = &mut g.spans[top];
             if s.elapsed.is_none() {
@@ -182,6 +184,7 @@ impl Recorder {
 
     fn snapshot(&self) -> Option<Report> {
         let g = self.inner.lock().ok()?;
+        #[expect(clippy::disallowed_methods, reason = "snbc-telemetry times its spans on the process clock")]
         let now = Instant::now();
         fn build(g: &Inner, id: usize, now: Instant) -> SpanNode {
             let s = &g.spans[id];

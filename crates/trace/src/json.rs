@@ -191,8 +191,8 @@ fn write_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             // `char as u32` is the codepoint and cannot lose information.
-            c if (c as u32) < 0x20 => { // audit:allow(lossy-cast)
-                out.push_str(&format!("\\u{:04x}", c as u32)); // audit:allow(lossy-cast)
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }

@@ -18,8 +18,9 @@
 //!   epoch ([`now_us`]), so events from different threads order globally
 //!   and serialize byte-stably.
 //! - [`Stopwatch`] is the sanctioned wall-clock primitive for the rest of
-//!   the workspace: the `snbc-audit` rule `raw-instant` flags any direct
-//!   `Instant::now()` outside `crates/{trace,telemetry,par}`.
+//!   the workspace: clippy's `disallowed-methods` (clippy.toml) flags any
+//!   direct `Instant::now()` outside the clock owners (`trace`, `telemetry`
+//!   and `par`, which take it as a reviewed `#[expect]`).
 //! - Worker identity: `snbc-par` labels every spawned worker thread via
 //!   [`enter_worker`], and [`Trace::dump`] groups lanes by that label, so
 //!   the Chrome trace-event export ([`chrome`]) shows one track per worker
@@ -71,6 +72,7 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// recording [`Trace`] pins it eagerly), so all threads share one monotonic
 /// time base and every recorded timestamp fits an exact integer — which is
 /// what makes the Chrome export byte-stable under re-encoding.
+#[expect(clippy::disallowed_methods, reason = "snbc-trace owns the process clock")]
 pub fn now_us() -> u64 {
     let us = EPOCH.get_or_init(Instant::now).elapsed().as_micros();
     u64::try_from(us).unwrap_or(u64::MAX)
@@ -79,9 +81,9 @@ pub fn now_us() -> u64 {
 /// A monotonic stopwatch over the trace clock.
 ///
 /// This is the sanctioned replacement for raw `std::time::Instant::now()`
-/// in solver and pipeline code: the `snbc-audit` `raw-instant` rule keeps
-/// ad-hoc clock reads out of the hot paths so all timing flows through one
-/// primitive that the tracer can reason about.
+/// in solver and pipeline code: clippy's `disallowed-methods` (clippy.toml)
+/// keeps ad-hoc clock reads out of the hot paths so all timing flows through
+/// one primitive that the tracer can reason about.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     started: Instant,
@@ -90,6 +92,7 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts a stopwatch at the current instant.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "snbc-trace owns the process clock")]
     pub fn start() -> Stopwatch {
         Stopwatch {
             started: Instant::now(),
@@ -612,6 +615,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a raw second thread is the point of the test")]
     fn span_ids_are_unique_across_threads() {
         let t = Trace::recording();
         let a = t.begin_span("a", None);
@@ -627,6 +631,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a raw labelled thread is the point of the test")]
     fn worker_labels_make_tracks() {
         let t = Trace::recording();
         t.epoch(0, 1.0, 1.0);

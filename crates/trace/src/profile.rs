@@ -108,7 +108,7 @@ fn fold_track(root: &mut Node, track: &crate::Track) {
     }
 }
 
-fn close(root: &mut Node, open: Open, end_us: u64, stack: &mut Vec<Open>) {
+fn close(root: &mut Node, open: Open, end_us: u64, stack: &mut [Open]) {
     let dur = end_us.saturating_sub(open.started_us);
     let node = open.path.iter().fold(&mut *root, |n, name| n.child(name));
     node.count += 1;

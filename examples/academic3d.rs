@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run --release --example academic3d`
 
+#![expect(clippy::print_stdout, reason = "example program: it reports on stdout")]
+
 use snbc::{recheck_with_intervals, Snbc, SnbcConfig};
 use snbc_dynamics::{benchmarks, simulate};
 use snbc_interval::BranchAndBound;

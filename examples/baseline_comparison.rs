@@ -2,6 +2,8 @@
 //!
 //! Run: `cargo run --release --example baseline_comparison`
 
+#![expect(clippy::print_stdout, reason = "example program: it reports on stdout")]
+
 use std::time::Duration;
 
 use snbc_bench::{pretrain_controller, run_tool, Tool};

@@ -6,6 +6,8 @@
 //!
 //! Run: `cargo run --release --example controller_abstraction`
 
+#![expect(clippy::print_stdout, reason = "example program: it reports on stdout")]
+
 use snbc::{approximate_controller, ApproxOptions};
 use snbc_dynamics::sample_box_halton;
 use snbc_nn::{train_controller, ControllerTraining};

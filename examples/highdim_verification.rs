@@ -7,13 +7,16 @@
 //!
 //! Run: `cargo run --release --example highdim_verification`
 
-use std::time::{Duration, Instant};
+#![expect(clippy::print_stdout, reason = "example program: it reports on stdout")]
+
+use std::time::Duration;
 
 use snbc::Snbc;
 use snbc_bench::{pretrain_controller, snbc_config_for};
 use snbc_dynamics::benchmarks;
 use snbc_interval::{BranchAndBound, Interval};
 use snbc_poly::lie_derivative;
+use snbc_trace::Stopwatch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = benchmarks::benchmark(12);
@@ -28,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Table 1 configuration: capped Halton mesh, degree-1 abstraction,
     // interval-certified error bound (see snbc_bench::snbc_config_for).
     let cfg = snbc_config_for(&bench, Duration::from_secs(600));
-    let t = Instant::now();
+    let t = Stopwatch::start();
     let result = Snbc::new(cfg).synthesize(&bench, &controller)?;
     println!("SNBC certified C12 in {:.2} s ({} iterations)", t.elapsed().as_secs_f64(), result.iterations);
     println!("  T_v (three LMI problems) = {:.3} s", result.t_verify.as_secs_f64());
@@ -55,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_boxes: budget,
         ..Default::default()
     };
-    let t = Instant::now();
+    let t = Stopwatch::start();
     let rep = bb.check_at_least(&expr, &dom, bench.system.domain().polys(), 0.0);
     println!(
         "\nSMT-style check of the flow condition alone: {:?} after {} boxes in {:.2} s",

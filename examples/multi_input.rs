@@ -7,6 +7,8 @@
 //!
 //! Run: `cargo run --release --example multi_input`
 
+#![expect(clippy::print_stdout, reason = "example program: it reports on stdout")]
+
 use snbc::{
     approximate_mlp, verify_multi, ApproxOptions, Learner, LearnerConfig, TrainingSets,
     VerifierConfig,

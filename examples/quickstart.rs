@@ -6,6 +6,8 @@
 //! `snbc-run-report/1`, see `docs/TELEMETRY.md`) is written to the given
 //! path; the per-round table is printed either way.
 
+#![expect(clippy::print_stdout, reason = "example program: it reports on stdout")]
+
 use snbc::{Snbc, SnbcConfig};
 use snbc_dynamics::benchmarks;
 use snbc_nn::{train_controller, ControllerTraining};

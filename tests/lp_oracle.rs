@@ -13,6 +13,7 @@ use snbc_poly::monomial_basis;
 // ---------------------------------------------------------------------------
 // The reference: the interior-point core over `A`, verbatim.
 
+#[expect(clippy::type_complexity, reason = "kept verbatim as the bitwise reference")]
 fn reference_solve(
     a: &Matrix,
     b: &[f64],
@@ -75,12 +76,6 @@ fn reference_solve(
         let by = vec_ops::dot(b, &y);
         let gap_rel = (cx - by).abs() / (1.0 + cx.abs());
 
-        // Debug-trace flag: gates stderr prints only, never solver results.
-        // audit:allow(env-read)
-        if std::env::var_os("SNBC_LP_TRACE").is_some() {
-            // audit:allow(raw-print) — env-gated debug trace, off by default
-            eprintln!("iter {iter}: rp={rp_rel:.3e} rd={rd_rel:.3e} gap={gap_rel:.3e} mu={mu:.3e}");
-        }
         let merit = rp_rel.max(rd_rel).max(mu).max(gap_rel * 0.1);
         if best.as_ref().is_none_or(|(m, ..)| merit < *m) {
             best = Some((merit, x.clone(), y.clone(), s.clone(), iter));
@@ -132,13 +127,13 @@ fn reference_solve(
         for k in 0..n {
             let dk = d[k];
             // Sparse-coefficient skip; exactness is intended.
-            if dk == 0.0 { // audit:allow(float-eq)
+            if dk == 0.0 {
                 continue;
             }
             let col = a.col(k);
             for i in 0..m {
                 let v = dk * col[i];
-                if v == 0.0 { // audit:allow(float-eq)
+                if v == 0.0 {
                     continue;
                 }
                 for j in i..m {
@@ -278,6 +273,7 @@ fn max_step(v: &[f64], dv: &[f64]) -> f64 {
 
 /// Mehrotra's starting point: least-squares estimates shifted into the
 /// positive orthant.
+#[expect(clippy::type_complexity, reason = "kept verbatim as the bitwise reference")]
 fn starting_point(a: &Matrix, b: &[f64], c: &[f64]) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>), LpError> {
     let m = a.nrows();
     // AAᵀ with a little regularization.

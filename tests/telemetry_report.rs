@@ -19,8 +19,10 @@ fn cegis_run_produces_populated_report() {
             ..Default::default()
         },
     );
-    let mut cfg = SnbcConfig::default();
-    cfg.max_iterations = 3;
+    let mut cfg = SnbcConfig {
+        max_iterations: 3,
+        ..Default::default()
+    };
     cfg.learner.epochs = 60;
     let telemetry = Telemetry::recording();
     // Whether this small budget certifies or not is irrelevant here: the
@@ -73,7 +75,7 @@ fn cegis_run_produces_populated_report() {
 
     // The human-readable table mentions every round.
     let table = snbc_telemetry::render_round_table(&report);
-    assert!(table.lines().count() >= 1 + rounds.len());
+    assert!(table.lines().count() > rounds.len());
 
     // JSON round-trip: parse our own serialization back byte-identically.
     let text = report.to_json_string();
