@@ -82,7 +82,7 @@ target/release/snbc batch examples/batch_jobs.json \
 # stdout hygiene: with `--progress -` every stdout line must be an NDJSON
 # event (human progress goes to stderr — docs/OBSERVABILITY.md).
 awk '!/^\{"seq":/ { bad = 1 } END { exit bad }' target/ci-artifacts/progress.ndjson
-grep -q '"schema":"snbc-progress/1"' target/ci-artifacts/progress.ndjson
+grep -q '"schema":"snbc-progress/2"' target/ci-artifacts/progress.ndjson
 grep -q '^snbc_' target/ci-artifacts/metrics.prom
 target/release/snbc batch examples/batch_jobs.json \
   --cache-dir "$batch_tmp/cache" --report "$batch_tmp/warm.json" --require-all-hits > /dev/null
@@ -105,8 +105,8 @@ cmp "$obs_tmp/p1.ndjson" "$obs_tmp/p4.ndjson"
 cmp "$obs_tmp/p1.ndjson" "$obs_tmp/pw.ndjson"
 cmp "$obs_tmp/m1.json" "$obs_tmp/m4.json"
 cmp "$obs_tmp/m1.json" "$obs_tmp/mw.json"
-grep -q '"schema":"snbc-progress/1"' "$obs_tmp/p1.ndjson"
-grep -q '"schema": "snbc-metrics/1"' "$obs_tmp/m1.json"
+grep -q '"schema":"snbc-progress/2"' "$obs_tmp/p1.ndjson"
+grep -q '"schema": "snbc-metrics/2"' "$obs_tmp/m1.json"
 rm -rf "$obs_tmp"
 
 echo "==> snbc synth --trace smoke (Perfetto export) and snbc check (certificate re-check)"

@@ -41,7 +41,7 @@
 //!   byte-identical. The strict `_t1` baseline pins the deterministic
 //!   `race_winner_index`, `candidates_launched`, `waves`, and
 //!   `cache_hit`/`cache_miss` counters. Hit/miss, candidate, and wave
-//!   accounting is gated from the per-leg `snbc-metrics/1` snapshot (the
+//!   accounting is gated from the per-leg `snbc-metrics/2` snapshot (the
 //!   batch report deliberately carries none of it), and the canonical
 //!   snapshots of the cold and warm legs must be byte-identical.
 //! * `highdim` — benchmark C10 (n = 6) with its Table 1 configuration
@@ -218,17 +218,7 @@ fn run_suite(suite: &str, with_trace: bool) -> (Telemetry, bool) {
             ..Default::default()
         };
         let rep = bb.check_at_least_traced(&stress, &dom, &[], 0.0, telemetry.trace());
-        // The box count is gated through the `snbc-metrics/1` registry — the
-        // snapshot is the source of truth the baseline value comes from, so
-        // the registry's accumulate/merge path sits under this gate too.
-        let metrics = Metrics::recording();
-        metrics.add("boxes", rep.boxes_processed as u64);
-        metrics.observe(
-            "boxes_per_query",
-            snbc_metrics::buckets::BOXES,
-            rep.boxes_processed as f64,
-        );
-        let boxes = metrics.snapshot(true).counter("boxes");
+        let boxes = rep.boxes_processed as u64;
         if boxes == 0 {
             eprintln!("[snbc-bench] interval stress check processed no boxes");
             return (telemetry, false);
@@ -318,7 +308,7 @@ fn run_portfolio_suite(with_trace: bool) -> (Telemetry, bool) {
         eprintln!("[snbc-bench] portfolio cold leg: not every job certified");
         ok = false;
     }
-    // Hit/miss accounting is gated from the `snbc-metrics/1` snapshot, not
+    // Hit/miss accounting is gated from the `snbc-metrics/2` snapshot, not
     // re-derived from the batch reports (the report schema carries neither).
     let hits = |leg: &Leg| (leg.full.counter("cache_hit"), leg.full.counter("cache_miss"));
     if hits(&cold) != (1, 1) {
@@ -350,7 +340,7 @@ fn run_portfolio_suite(with_trace: bool) -> (Telemetry, bool) {
     }
     // The cold/warm determinism contract, metric-side: the canonical
     // (environment-free) snapshots must be byte-identical — a cache replay
-    // merges back exactly what the live race recorded.
+    // folds exactly the events the live race recorded.
     if cold.canonical.to_json_string() != warm.canonical.to_json_string() {
         eprintln!(
             "[snbc-bench] portfolio canonical metrics snapshots differ between cold and warm legs"

@@ -120,6 +120,7 @@ pub fn run_tool_recorded(
     match tool {
         Tool::Snbc => {
             let cfg = snbc_config_for(bench, time_limit);
+            let watch = snbc_trace::Stopwatch::start();
             match Snbc::new(cfg).with_telemetry(telemetry).synthesize(bench, controller) {
                 Ok(r) => SynthesisReport {
                     tool: "SNBC",
@@ -134,14 +135,7 @@ pub fn run_tool_recorded(
                     barrier: Some(r.barrier),
                     failure: None,
                 },
-                Err(SnbcError::Timeout { elapsed }) => SynthesisReport::failed(
-                    "SNBC",
-                    bench.name,
-                    0,
-                    Duration::from_secs_f64(elapsed),
-                    "OT",
-                ),
-                Err(e) => SynthesisReport::failed("SNBC", bench.name, 0, time_limit, e.to_string()),
+                Err(e) => snbc_failure(bench.name, &e, watch.elapsed()),
             }
         }
         Tool::Fossil => {
@@ -168,6 +162,21 @@ pub fn run_tool_recorded(
             };
             SosTools::new(cfg).synthesize(bench, &inclusion)
         }
+    }
+}
+
+/// The Table 1 row of a failed SNBC run that took `elapsed`: a timeout is
+/// `OT` at the elapsed time the engine measured, an exhausted run keeps its
+/// round count, and every failure reports the time it actually ran.
+fn snbc_failure(benchmark: &str, err: &SnbcError, elapsed: Duration) -> SynthesisReport {
+    match err {
+        SnbcError::Timeout { elapsed } => {
+            SynthesisReport::failed("SNBC", benchmark, 0, Duration::from_secs_f64(*elapsed), "OT")
+        }
+        SnbcError::IterationsExhausted { iterations, .. } => {
+            SynthesisReport::failed("SNBC", benchmark, *iterations, elapsed, err.to_string())
+        }
+        _ => SynthesisReport::failed("SNBC", benchmark, 0, elapsed, err.to_string()),
     }
 }
 
@@ -311,6 +320,27 @@ mod tests {
         assert_eq!(Tool::parse("nnc"), Some(Tool::NncChecker));
         assert_eq!(Tool::parse("sostools"), Some(Tool::SosTools));
         assert_eq!(Tool::parse("z3"), None);
+    }
+
+    #[test]
+    fn failed_snbc_rows_report_their_own_time_and_rounds() {
+        let ran = Duration::from_millis(3070);
+        let exhausted = SnbcError::IterationsExhausted {
+            iterations: 25,
+            best_margin: -1.428e-2,
+        };
+        let r = snbc_failure("C4", &exhausted, ran);
+        assert!(!r.success);
+        assert_eq!((r.iterations, r.t_total), (25, ran));
+        assert_eq!(r.failure.as_deref(), Some(exhausted.to_string().as_str()));
+        assert_eq!(row_cells(&r), "× - - - - 3.070");
+
+        let r = snbc_failure("C4", &SnbcError::Timeout { elapsed: 600.5 }, ran);
+        assert_eq!((r.iterations, r.t_total.as_secs_f64()), (0, 600.5));
+        assert_eq!(row_cells(&r), "OT - - - - 600.500");
+
+        let r = snbc_failure("C4", &SnbcError::Config("bad".to_string()), ran);
+        assert_eq!((r.iterations, r.t_total), (0, ran));
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! with per-iteration solver events on per-worker tracks plus a self-time
 //! profile on stderr — see `docs/TRACING.md`.
 //!
-//! `batch` streams live `snbc-progress/1` NDJSON to `--progress` (use `-`
+//! `batch` streams live `snbc-progress/2` NDJSON to `--progress` (use `-`
 //! for stdout; `--canonical` strips wall-clock fields so the stream is
 //! byte-identical across thread counts and cache temperature) and writes the
-//! run-level `snbc-metrics/1` registry as Prometheus text exposition
+//! run-level `snbc-metrics/2` registry as Prometheus text exposition
 //! (`--metrics-out`) or canonical JSON (`--metrics-json`) — see
 //! `docs/OBSERVABILITY.md`. All human-facing progress goes to **stderr** so
 //! stdout stays clean for `--progress -` and certificate text.

@@ -188,20 +188,23 @@ impl Snbc {
         self
     }
 
-    /// Attaches a live progress sink: each [`CegisEngine::step`] emits
-    /// `learn-epoch`, `verify-rung` (×3), `cex`, and `round` events under
-    /// the handle's scope. See `snbc_metrics::progress` for the event
-    /// vocabulary and the determinism contract.
+    /// Attaches a progress sink (replacing any earlier one): each
+    /// [`CegisEngine::step`] emits `learn-epoch`, `verify-rung` (×3), and
+    /// `round` events under the handle's scope, plus `interval-query`,
+    /// `cex` and `reseed` on a failed round. See `snbc_metrics::progress`
+    /// for the event vocabulary and the determinism contract.
     #[must_use]
     pub fn with_progress(mut self, progress: snbc_metrics::Progress) -> Self {
         self.progress = progress;
         self
     }
 
-    /// Attaches a metric registry: each round records `rounds`,
-    /// `cex_points`, `verify_rung_{feasible,infeasible}`, `boxes` (the
-    /// δ-complete fallback oracle's boxes processed), `reseeds`, and the
-    /// `learn_loss` / `cex_points_per_round` histograms.
+    /// Attaches a metric registry (replacing any earlier one). The engine
+    /// sends the registry the same events as the progress sink — attached
+    /// alone or next to one, in either order — and its snapshot folds them
+    /// into `rounds`, `verify_rung_{feasible,infeasible}`, `cex_points`,
+    /// `interval_fallbacks`, `boxes` (the δ-complete fallback oracle's
+    /// boxes processed), `reseeds` and their histograms.
     #[must_use]
     pub fn with_metrics(mut self, metrics: snbc_metrics::Metrics) -> Self {
         self.metrics = metrics;
@@ -225,8 +228,7 @@ impl Snbc {
         CegisEngine::new(
             self.cfg.clone(),
             self.telemetry.clone(),
-            self.progress.clone(),
-            self.metrics.clone(),
+            snbc_metrics::Progress::fanout(vec![self.progress.clone(), self.metrics.sink()]),
             bench,
             controller,
         )
@@ -279,8 +281,9 @@ impl Snbc {
 pub struct CegisEngine {
     cfg: SnbcConfig,
     telemetry: snbc_telemetry::Telemetry,
+    /// The progress stream and the metric registry, fanned out: the one
+    /// place each round's facts are recorded.
     progress: snbc_metrics::Progress,
-    metrics: snbc_metrics::Metrics,
     /// The open `cegis` span; dropped (closed) at the first terminal status.
     run_span: Option<snbc_telemetry::SpanGuard>,
     t0: Stopwatch,
@@ -308,7 +311,6 @@ impl CegisEngine {
         cfg: SnbcConfig,
         telemetry: snbc_telemetry::Telemetry,
         progress: snbc_metrics::Progress,
-        metrics: snbc_metrics::Metrics,
         bench: &Benchmark,
         controller: &Mlp,
     ) -> Result<Self, SnbcError> {
@@ -355,7 +357,6 @@ impl CegisEngine {
             cfg,
             telemetry: tele,
             progress,
-            metrics,
             run_span: Some(run_span),
             t0,
             system: system.clone(),
@@ -454,10 +455,6 @@ impl CegisEngine {
             .learner
             .train(&self.closed_robust, self.inclusion.sigma_star, &self.sets);
         self.t_learn += tl.elapsed();
-        self.metrics.add("rounds", 1);
-        self.metrics.gauge("learn_loss", loss);
-        self.metrics
-            .observe("learn_loss_per_round", snbc_metrics::buckets::LOSS, loss);
         if self.progress.is_on() {
             self.progress.emit(snbc_metrics::ProgressEvent::LearnEpoch {
                 round: iter as u64,
@@ -482,14 +479,6 @@ impl CegisEngine {
             ("unsafe", &outcome.unsafe_),
             ("flow", &outcome.flow),
         ] {
-            self.metrics.add(
-                if cond.feasible {
-                    "verify_rung_feasible"
-                } else {
-                    "verify_rung_infeasible"
-                },
-                1,
-            );
             if self.progress.is_on() {
                 self.progress.emit(snbc_metrics::ProgressEvent::VerifyRung {
                     round: iter as u64,
@@ -551,21 +540,11 @@ impl CegisEngine {
             // none, in which case the failure is a relaxation gap and
             // fresh samples sharpen the candidate's margins).
             interval_fallback = true;
-            added = self.interval_counterexamples(&outcome, &b);
+            added = self.interval_counterexamples(&outcome, &b, iter);
         }
         if tele.is_recording() {
             tele.add("points", added as u64);
             tele.flag("interval_fallback", interval_fallback);
-        }
-        self.metrics.gauge("best_margin", self.best_margin);
-        self.metrics.add("cex_points", added as u64);
-        self.metrics.observe(
-            "cex_points_per_round",
-            snbc_metrics::buckets::POINTS,
-            added as f64,
-        );
-        if interval_fallback {
-            self.metrics.add("interval_fallbacks", 1);
         }
         if self.progress.is_on() {
             self.progress.emit(snbc_metrics::ProgressEvent::Cex {
@@ -583,7 +562,10 @@ impl CegisEngine {
                 // basin (new initialization + fresh samples).
                 self.plateau = 0;
                 tele.add("reseeds", 1);
-                self.metrics.add("reseeds", 1);
+                if self.progress.is_on() {
+                    self.progress
+                        .emit(snbc_metrics::ProgressEvent::Reseed { round: iter as u64 });
+                }
                 let n = self.system.nvars();
                 let reseed = self.cfg.seed + 1000 * iter as u64;
                 let b_net = QuadraticNet::new(n, &self.nn_b_hidden, reseed);
@@ -676,8 +658,14 @@ impl CegisEngine {
     }
 
     /// δ-complete fallback oracle: asks the interval verifier for concrete
-    /// violations of each failed condition. Returns points added.
-    fn interval_counterexamples(&mut self, outcome: &VerificationOutcome, b: &Polynomial) -> usize {
+    /// violations of each failed condition, emitting one `interval-query`
+    /// event per query. Returns points added.
+    fn interval_counterexamples(
+        &mut self,
+        outcome: &VerificationOutcome,
+        b: &Polynomial,
+        iter: usize,
+    ) -> usize {
         use snbc_interval::{BranchAndBound, Interval, Verdict};
         let bb = BranchAndBound {
             delta: 1e-3,
@@ -690,13 +678,21 @@ impl CegisEngine {
                 .map(|&(lo, hi)| Interval::new(lo, hi))
                 .collect()
         };
+        let progress = &self.progress;
+        let queried = |rung: &str, boxes: usize| {
+            if progress.is_on() {
+                progress.emit(snbc_metrics::ProgressEvent::IntervalQuery {
+                    round: iter as u64,
+                    rung: rung.to_string(),
+                    boxes: boxes as u64,
+                });
+            }
+        };
         let system = &self.system;
         let mut added = 0;
         if !outcome.init.feasible {
             let r = bb.check_at_least(b, &boxed(system.init()), system.init().polys(), 0.0);
-            self.metrics.add("boxes", r.boxes_processed as u64);
-            self.metrics
-                .observe("boxes_per_query", snbc_metrics::buckets::BOXES, r.boxes_processed as f64);
+            queried("init", r.boxes_processed);
             if let Verdict::Violated { witness, .. } = r.verdict {
                 self.sets.init.push(witness);
                 added += 1;
@@ -710,9 +706,7 @@ impl CegisEngine {
                 system.unsafe_set().polys(),
                 1e-12,
             );
-            self.metrics.add("boxes", r.boxes_processed as u64);
-            self.metrics
-                .observe("boxes_per_query", snbc_metrics::buckets::BOXES, r.boxes_processed as f64);
+            queried("unsafe", r.boxes_processed);
             if let Verdict::Violated { witness, .. } = r.verdict {
                 self.sets.unsafe_.push(witness);
                 added += 1;
@@ -726,9 +720,7 @@ impl CegisEngine {
             let sigma = self.inclusion.sigma_star.max(1e-9);
             dom.push(Interval::new(-sigma, sigma));
             let r = bb.check_at_least(&expr, &dom, system.domain().polys(), 0.0);
-            self.metrics.add("boxes", r.boxes_processed as u64);
-            self.metrics
-                .observe("boxes_per_query", snbc_metrics::buckets::BOXES, r.boxes_processed as f64);
+            queried("flow", r.boxes_processed);
             if let Verdict::Violated { mut witness, .. } = r.verdict {
                 witness.truncate(system.nvars());
                 self.sets.domain.push(witness);
@@ -944,5 +936,72 @@ mod tests {
         assert_eq!(stepped.lambda, one_shot.lambda);
         // Sticky terminal: stepping again returns Certified without work.
         assert!(engine.step().is_certified());
+    }
+
+    /// A registry attached alone — without a stream — folds the same events
+    /// as one attached next to a stream, in either order.
+    #[test]
+    fn registry_alone_folds_the_events_a_stream_carries() {
+        use snbc_metrics::{Metrics, Progress};
+        let bench = benchmarks::benchmark(3);
+        let controller = train_controller(
+            bench.system.domain().bounding_box(),
+            bench.target_law,
+            &ControllerTraining {
+                epochs: 300,
+                ..Default::default()
+            },
+        );
+        let cfg = SnbcConfig {
+            max_iterations: 12,
+            ..Default::default()
+        };
+        let snapshot = |attach: &dyn Fn(Snbc, Metrics) -> Snbc| {
+            let metrics = Metrics::recording();
+            let result = attach(Snbc::new(cfg.clone()), metrics.clone())
+                .synthesize(&bench, &controller)
+                .expect("certificate");
+            let snap = metrics.snapshot(true);
+            assert_eq!(snap.counter("rounds"), result.iterations as u64);
+            snap.to_json_string()
+        };
+        let writer = || Progress::writer(Box::new(std::io::sink()), true);
+        let alone = snapshot(&|snbc, m| snbc.with_metrics(m));
+        assert_eq!(alone, snapshot(&|snbc, m| snbc.with_progress(writer()).with_metrics(m)));
+        assert_eq!(alone, snapshot(&|snbc, m| snbc.with_metrics(m).with_progress(writer())));
+    }
+
+    /// A round whose interval fallback finds no violation is a relaxation
+    /// gap; with `reseed_after_plateau: 1` it restarts the learner and
+    /// records one `reseed` event. On C6 at seed 5 that happens in round 3,
+    /// after the fallback exhausts its 200 000-box budget on the flow
+    /// condition.
+    #[test]
+    fn a_round_without_counterexamples_reseeds() {
+        let bench = benchmarks::benchmark(6);
+        let controller = train_controller(
+            bench.system.domain().bounding_box(),
+            bench.target_law,
+            &ControllerTraining::default(),
+        );
+        let cfg = SnbcConfig {
+            seed: 5,
+            max_iterations: 3,
+            reseed_after_plateau: 1,
+            ..Default::default()
+        };
+        let metrics = snbc_metrics::Metrics::recording();
+        let outcome = Snbc::new(cfg)
+            .with_metrics(metrics.clone())
+            .synthesize(&bench, &controller);
+        assert!(matches!(
+            outcome,
+            Err(SnbcError::IterationsExhausted { iterations: 3, .. })
+        ));
+        let snap = metrics.snapshot(true);
+        assert_eq!(snap.counter("rounds"), 3);
+        assert_eq!(snap.counter("interval_fallbacks"), 1);
+        assert_eq!(snap.counter("boxes"), 200_000);
+        assert_eq!(snap.counter("reseeds"), 1);
     }
 }

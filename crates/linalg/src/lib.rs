@@ -4,7 +4,7 @@
 //! controller approximation, the SDP interior-point solver behind the SOS/LMI
 //! verifier, and the neural-network training code) is built on the small dense
 //! kernel provided here: a row-major [`Matrix`] type plus factorizations
-//! (Cholesky, LDLᵀ, LU, QR) and a Jacobi eigensolver for symmetric matrices.
+//! (Cholesky, LDLᵀ, LU) and a Jacobi eigensolver for symmetric matrices.
 //!
 //! The matrices arising in barrier-certificate synthesis are small-to-moderate
 //! (Gram matrices of monomial bases, Schur complements over coefficient
@@ -61,7 +61,6 @@ mod eigen;
 mod error;
 mod lu;
 mod matrix;
-mod qr;
 pub mod sanitize;
 pub mod vec_ops;
 
@@ -70,4 +69,3 @@ pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;

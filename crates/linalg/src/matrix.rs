@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use crate::{Cholesky, Ldlt, LinalgError, Lu, Qr, SymmetricEigen};
+use crate::{Cholesky, Ldlt, LinalgError, Lu, SymmetricEigen};
 
 /// GEMM output-block height (rows of `A` per tile). 64 rows × 8 bytes ×
 /// a few-hundred-column panel keeps the working set within L2 on any modern
@@ -352,11 +352,6 @@ impl Matrix {
     /// Returns [`LinalgError::Singular`] for numerically singular matrices.
     pub fn lu(&self) -> Result<Lu, LinalgError> {
         Lu::new(self)
-    }
-
-    /// Householder QR factorization (works for `rows ≥ cols`).
-    pub fn qr(&self) -> Qr {
-        Qr::new(self)
     }
 
     /// Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.

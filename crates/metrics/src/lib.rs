@@ -2,38 +2,40 @@
 //!
 //! This crate is the *quantitative* observability layer, sitting between
 //! `snbc-trace` (timelines: *when* did each phase run) and `snbc-telemetry`
-//! (run reports: *what* did a finished run do). It answers two questions the
-//! other two layers cannot:
+//! (run reports: *what* did a finished run do). Its one record is the typed
+//! `snbc-progress/2` event ([`ProgressEvent`]: `learn-epoch`, `verify-rung`,
+//! `interval-query`, `cex`, `reseed`, `round`, `wave`, `cache-hit`,
+//! `cache-miss`, `job-start`, `job-done`); every artifact is a view of the
+//! event log:
 //!
-//! * **What are the aggregate counts right now?** — the [`Metrics`]
-//!   registry: monotonic counters, gauges, and fixed-bucket histograms
-//!   whose merges are index-ordered and therefore bitwise deterministic at
-//!   any `SNBC_THREADS` setting. A registry snapshots to the canonical
-//!   `snbc-metrics/1` JSON document ([`MetricsSnapshot`], byte-identical
-//!   round-trip) and to Prometheus text exposition
-//!   ([`prom::to_prometheus`], textfile-collector style — no network).
-//! * **What is the pipeline doing while it runs?** — the [`Progress`]
-//!   stream: typed `snbc-progress/1` events (`job-start`, `round`,
-//!   `learn-epoch`, `verify-rung`, `cex`, `wave`, `cache-hit`, `job-done`)
-//!   written line-buffered as NDJSON with monotonically increasing sequence
-//!   numbers, so a consumer can follow a `snbc batch` run round-by-round.
+//! * **What is the pipeline doing while it runs?** — a [`Progress`] writer
+//!   serializes events as line-buffered NDJSON with monotonically
+//!   increasing sequence numbers, so a consumer can follow a `snbc batch`
+//!   run round-by-round.
+//! * **What are the aggregate counts?** — the [`Metrics`] registry records
+//!   the events it is sent and folds them into counters and fixed-bucket
+//!   histograms ([`MetricsSnapshot`], the `snbc-metrics/2` JSON document)
+//!   and into Prometheus text exposition ([`prom::to_prometheus`],
+//!   textfile-collector style — no network).
+//! * **What did a cached race do?** — a batch job's cache entry stores its
+//!   canonical event record ([`Progress::record`]); a hit replays it into
+//!   the stream and the registry alike.
 //!
 //! # Determinism model
 //!
-//! Both halves follow the same discipline as `snbc-telemetry`'s
-//! `fork`/`adopt`: concurrent producers write into private forks
-//! ([`Metrics::fork`], [`Progress::fork_buffer`]) and a single-threaded
-//! driver merges them in a **fixed index order** at a barrier
-//! ([`Metrics::merge`], [`Progress::drain_into`]). Because every producer is
-//! deterministic in isolation and the merge order is fixed, the merged
-//! registry and the drained event sequence are byte-identical at any worker
-//! count.
+//! One fork/merge rule serves every view: concurrent producers (racing
+//! candidates) record into private buffers ([`Progress::fork_buffer`]) and
+//! the single-threaded race loop drains them in a **fixed index order** at
+//! a barrier ([`Progress::drain_into`]). Because every producer is
+//! deterministic in isolation and the drain order is fixed, the merged
+//! event sequence — and therefore the stream and every fold over it — is
+//! byte-identical at any worker count.
 //!
 //! Wall-clock and cache-temperature effects are quarantined rather than
-//! forbidden: live NDJSON lines carry a `t_us` timestamp and `cache-hit`
-//! events, while the **canonical** stream mode strips `t_us` and skips
-//! *environmental* events, and [`Metrics::snapshot`] with `canonical =
-//! true` skips environment-dependent entries (`add_env`/`gauge_env`). The
+//! forbidden: live NDJSON lines carry a `t_us` timestamp and the
+//! environmental `cache-hit`/`cache-miss` events, while the **canonical**
+//! stream mode strips `t_us` and skips environmental events, and
+//! [`Metrics::snapshot`] with `canonical = true` skips them too. The
 //! canonical artifacts are byte-identical across `SNBC_THREADS` settings
 //! *and* across cold/warm cache runs (`tests/progress_determinism.rs` holds
 //! that line); the live artifacts are for humans and dashboards.
@@ -50,5 +52,5 @@ pub use registry::{buckets, HistogramSnapshot, Metrics, MetricsSnapshot, METRICS
 
 // The hand-rolled JSON module both schemas serialize through; re-exported
 // (like `snbc-telemetry` does) so downstream crates need no direct
-// `snbc-trace` dependency to parse snapshots or progress lines.
+// `snbc-trace` dependency to parse progress lines.
 pub use snbc_trace::json;

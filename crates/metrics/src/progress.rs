@@ -1,26 +1,29 @@
-//! The live `snbc-progress/1` NDJSON stream: typed pipeline events.
+//! The live `snbc-progress/2` NDJSON stream: typed pipeline events.
 //!
 //! # Event vocabulary
 //!
-//! | `ev`          | emitted by                         | payload |
-//! |---------------|------------------------------------|---------|
-//! | `stream-start`| the writer sink, as line 0         | `schema` |
-//! | `job-start`   | `run_batch`, per job               | `name` |
-//! | `learn-epoch` | `CegisEngine::step`, per round     | `round`, `loss` |
-//! | `verify-rung` | `CegisEngine::step`, ×3 per round  | `round`, `rung`, `feasible`, `margin` |
-//! | `cex`         | `CegisEngine::step`, per failed round | `round`, `points`, `interval_fallback` |
-//! | `round`       | `CegisEngine::step`, round summary | `round`, `status` |
-//! | `wave`        | `race()`, per wave barrier         | `wave`, `live`, `certified` |
-//! | `cache-hit`   | `run_batch`, cache-served job      | — (environmental) |
-//! | `job-done`    | `run_batch`, per job               | `name`, `certified`, `candidates`, `waves`, `winner_index`, `iterations` |
+//! | `ev`             | emitted by                            | payload |
+//! |------------------|---------------------------------------|---------|
+//! | `stream-start`   | the writer sink, as line 0            | `schema` |
+//! | `job-start`      | `run_batch`, per job                  | `name` |
+//! | `learn-epoch`    | `CegisEngine::step`, per round        | `round`, `loss` |
+//! | `verify-rung`    | `CegisEngine::step`, ×3 per round     | `round`, `rung`, `feasible`, `margin` |
+//! | `interval-query` | `CegisEngine::step`, per δ-complete fallback query | `round`, `rung`, `boxes` |
+//! | `cex`            | `CegisEngine::step`, per failed round | `round`, `points`, `interval_fallback` |
+//! | `reseed`         | `CegisEngine::step`, per plateau restart | `round` |
+//! | `round`          | `CegisEngine::step`, round summary    | `round`, `status` |
+//! | `wave`           | `race()`, per wave barrier            | `wave`, `live`, `certified` |
+//! | `cache-hit`      | `run_batch`, cache-served job         | — (environmental) |
+//! | `cache-miss`     | `run_batch`, raced job                | — (environmental) |
+//! | `job-done`       | `run_batch`, per job                  | `name`, `certified`, `candidates`, `waves`, `winner_index`, `iterations` |
 //!
 //! Every line is one compact JSON object: `seq` first (monotonically
 //! increasing, assigned by the writer sink), then `ev`, the optional
 //! `job`/`cand` scope, the payload, and — on **live** streams only — a
 //! trailing `t_us` timestamp from [`snbc_trace::now_us`]. A **canonical**
-//! writer strips `t_us` and skips *environmental* events (`cache-hit`), so
-//! the canonical stream for a job set is byte-identical across
-//! `SNBC_THREADS` settings and cache temperature.
+//! writer strips `t_us` and skips *environmental* events (`cache-hit`,
+//! `cache-miss`), so the canonical stream for a job set is byte-identical
+//! across `SNBC_THREADS` settings and cache temperature.
 //!
 //! # Sinks and determinism
 //!
@@ -28,22 +31,22 @@
 //!
 //! * **writer** — serializes each event as an NDJSON line, line-buffered
 //!   (every line is flushed, so `--progress -` streams live);
-//! * **buffer** — records events for later [`Progress::drain_into`]; racing
-//!   candidates each get one via [`Progress::fork_buffer`] and the race
-//!   driver drains them **in grid-index order at the wave barrier**, which
-//!   is what keeps the merged stream order thread-count-invariant;
-//! * **capture** — records the canonical line text of each event (scope
-//!   `job` omitted, no `seq`/`t_us`); this is the `progress.ndjson`
-//!   artifact stored next to a cached certificate, replayed on a cache hit
-//!   so the canonical stream stays byte-identical cold vs. warm;
-//! * **fanout** — broadcasts to several sinks (the CLI combines an NDJSON
-//!   writer with its human stderr renderer);
+//! * **buffer** — records events with their scope. It is the one sink every
+//!   other consumer builds on: a racing candidate records into a
+//!   [`Progress::fork_buffer`] that `race` drains **in grid-index
+//!   order at each wave barrier** (the one fork/merge rule that keeps the
+//!   merged event order thread-count-invariant); a recording
+//!   [`Metrics`](crate::Metrics) registry is a buffer that its snapshot
+//!   folds; and a batch job's cache record is a buffer written out by
+//!   [`Progress::record`];
+//! * **fanout** — broadcasts to several sinks (`run_batch` combines
+//!   the caller's stream, the registry and the cache record);
 //! * **custom** — any [`EventSink`] implementation.
 //!
-//! Replayed events (from a cache entry) reach canonical writers — which
-//! re-sequence them — but are skipped by live writers and flagged to custom
-//! sinks, because a live consumer wants the `cache-hit` marker, not a
-//! re-enactment of a race that did not run.
+//! Replayed events (from a cache record) reach canonical writers — which
+//! re-sequence them — and buffers, but are skipped by live writers and
+//! flagged to custom sinks, because a live consumer wants the `cache-hit`
+//! marker, not a re-enactment of a race that did not run.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -51,7 +54,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use snbc_trace::json::{self, Value};
 
 /// Schema tag of the progress stream (carried by the `stream-start` line).
-pub const PROGRESS_SCHEMA: &str = "snbc-progress/1";
+pub const PROGRESS_SCHEMA: &str = "snbc-progress/2";
 
 /// Where an event happened: which batch job, which racing candidate.
 /// Applied by [`Progress::with_job`] / [`Progress::with_candidate`];
@@ -77,6 +80,9 @@ pub enum ProgressEvent {
         feasible: bool,
         margin: f64,
     },
+    /// The δ-complete fallback oracle checked one failed condition
+    /// (`rung`) and processed `boxes` branch-and-bound boxes.
+    IntervalQuery { round: u64, rung: String, boxes: u64 },
     /// The counterexample phase of a failed round fed back `points`
     /// samples (`interval_fallback`: the δ-complete oracle was needed).
     Cex {
@@ -84,6 +90,8 @@ pub enum ProgressEvent {
         points: u64,
         interval_fallback: bool,
     },
+    /// A relaxation-gap plateau restarted the learner in a fresh basin.
+    Reseed { round: u64 },
     /// A CEGIS round finished with this status
     /// (`in-progress` / `certified` / `exhausted` / `timed-out`).
     Round { round: u64, status: String },
@@ -93,6 +101,8 @@ pub enum ProgressEvent {
     /// The job was served from the certificate cache (environmental: the
     /// canonical stream never contains it).
     CacheHit,
+    /// The job was not in the certificate cache and raced (environmental).
+    CacheMiss,
     /// A batch job finished.
     JobDone {
         name: String,
@@ -111,25 +121,28 @@ impl ProgressEvent {
             ProgressEvent::JobStart { .. } => "job-start",
             ProgressEvent::LearnEpoch { .. } => "learn-epoch",
             ProgressEvent::VerifyRung { .. } => "verify-rung",
+            ProgressEvent::IntervalQuery { .. } => "interval-query",
             ProgressEvent::Cex { .. } => "cex",
+            ProgressEvent::Reseed { .. } => "reseed",
             ProgressEvent::Round { .. } => "round",
             ProgressEvent::Wave { .. } => "wave",
             ProgressEvent::CacheHit => "cache-hit",
+            ProgressEvent::CacheMiss => "cache-miss",
             ProgressEvent::JobDone { .. } => "job-done",
         }
     }
 
     /// Whether the event describes run *environment* (cache temperature)
     /// rather than the mathematical run; environmental events are excluded
-    /// from canonical streams and capture artifacts.
+    /// from canonical streams, cache records and canonical snapshots.
     pub fn is_environmental(&self) -> bool {
-        matches!(self, ProgressEvent::CacheHit)
+        matches!(self, ProgressEvent::CacheHit | ProgressEvent::CacheMiss)
     }
 }
 
 /// The `(key, value)` pairs of an event line, **without** `seq`/`t_us`:
-/// `ev`, the scope, then the payload. Shared by the writer, the capture
-/// sink, and the parser so all three agree byte-for-byte.
+/// `ev`, the scope, then the payload. Shared by the writer, the cache
+/// record, and the parser so all three agree byte-for-byte.
 fn event_pairs(scope: Scope, ev: &ProgressEvent) -> Vec<(String, Value)> {
     let mut pairs = vec![("ev".to_string(), Value::Str(ev.tag().to_string()))];
     if let Some(job) = scope.job {
@@ -161,6 +174,11 @@ fn event_pairs(scope: Scope, ev: &ProgressEvent) -> Vec<(String, Value)> {
             pairs.push(("feasible".to_string(), Value::Bool(*feasible)));
             pairs.push(("margin".to_string(), Value::Num(*margin)));
         }
+        ProgressEvent::IntervalQuery { round, rung, boxes } => {
+            pairs.push(("round".to_string(), Value::Int(*round)));
+            pairs.push(("rung".to_string(), Value::Str(rung.clone())));
+            pairs.push(("boxes".to_string(), Value::Int(*boxes)));
+        }
         ProgressEvent::Cex {
             round,
             points,
@@ -169,6 +187,9 @@ fn event_pairs(scope: Scope, ev: &ProgressEvent) -> Vec<(String, Value)> {
             pairs.push(("round".to_string(), Value::Int(*round)));
             pairs.push(("points".to_string(), Value::Int(*points)));
             pairs.push(("interval_fallback".to_string(), Value::Bool(*interval_fallback)));
+        }
+        ProgressEvent::Reseed { round } => {
+            pairs.push(("round".to_string(), Value::Int(*round)));
         }
         ProgressEvent::Round { round, status } => {
             pairs.push(("round".to_string(), Value::Int(*round)));
@@ -183,7 +204,7 @@ fn event_pairs(scope: Scope, ev: &ProgressEvent) -> Vec<(String, Value)> {
             pairs.push(("live".to_string(), Value::Int(*live)));
             pairs.push(("certified".to_string(), Value::Int(*certified)));
         }
-        ProgressEvent::CacheHit => {}
+        ProgressEvent::CacheHit | ProgressEvent::CacheMiss => {}
         ProgressEvent::JobDone {
             name,
             certified,
@@ -207,7 +228,7 @@ fn event_pairs(scope: Scope, ev: &ProgressEvent) -> Vec<(String, Value)> {
 /// `event_pairs`; a parsed event re-serializes byte-identically (JSON
 /// floats use shortest-round-trip formatting, and non-finite values map to
 /// `null` in both directions, read back as `NaN`).
-pub fn event_from_value(v: &Value) -> Result<(Scope, ProgressEvent), String> {
+fn event_from_value(v: &Value) -> Result<(Scope, ProgressEvent), String> {
     let tag = v
         .get("ev")
         .and_then(Value::as_str)
@@ -265,11 +286,17 @@ pub fn event_from_value(v: &Value) -> Result<(Scope, ProgressEvent), String> {
             feasible: flag("feasible")?,
             margin: float("margin")?,
         },
+        "interval-query" => ProgressEvent::IntervalQuery {
+            round: int("round")?,
+            rung: text("rung")?,
+            boxes: int("boxes")?,
+        },
         "cex" => ProgressEvent::Cex {
             round: int("round")?,
             points: int("points")?,
             interval_fallback: flag("interval_fallback")?,
         },
+        "reseed" => ProgressEvent::Reseed { round: int("round")? },
         "round" => ProgressEvent::Round {
             round: int("round")?,
             status: text("status")?,
@@ -280,6 +307,7 @@ pub fn event_from_value(v: &Value) -> Result<(Scope, ProgressEvent), String> {
             certified: int("certified")?,
         },
         "cache-hit" => ProgressEvent::CacheHit,
+        "cache-miss" => ProgressEvent::CacheMiss,
         "job-done" => ProgressEvent::JobDone {
             name: text("name")?,
             certified: flag("certified")?,
@@ -293,24 +321,37 @@ pub fn event_from_value(v: &Value) -> Result<(Scope, ProgressEvent), String> {
     Ok((scope, ev))
 }
 
-/// Parses a captured event stream (one compact JSON object per line, as
-/// stored in a cache entry's `progress.ndjson`). Strict: any malformed
-/// line fails the whole stream, so a corrupt cache artifact degrades to a
-/// cache miss rather than a corrupt replay.
+/// The `stream-start` header pairs (without `seq`/`t_us`): line 0 of every
+/// stream and of every cache record.
+fn header_pairs() -> Vec<(String, Value)> {
+    vec![
+        ("ev".to_string(), Value::Str("stream-start".to_string())),
+        ("schema".to_string(), Value::Str(PROGRESS_SCHEMA.to_string())),
+    ]
+}
+
+/// Parses a canonical stream or a stored cache record (see
+/// [`Progress::record`]) into its events. Strict: the first line must be a
+/// `stream-start` header naming this schema, and any malformed line fails
+/// the whole stream — so a corrupt cache record, or one written under an
+/// older schema, degrades to a cache miss rather than a wrong replay.
+/// `seq` and `t_us` fields are ignored.
 ///
 /// # Errors
 ///
-/// The first malformed line's parse error.
+/// A missing or foreign header, or the first malformed line's parse error.
 pub fn parse_stream(text: &str) -> Result<Vec<(Scope, ProgressEvent)>, String> {
-    let mut events = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| e.to_string())?;
-        events.push(event_from_value(&v)?);
+    let mut lines = text
+        .lines()
+        .filter(|l| !l.is_empty())
+        .map(|l| json::parse(l).map_err(|e| e.to_string()));
+    let header = lines.next().ok_or("empty stream")??;
+    if header.get("ev").and_then(Value::as_str) != Some("stream-start")
+        || header.get("schema").and_then(Value::as_str) != Some(PROGRESS_SCHEMA)
+    {
+        return Err(format!("stream does not start with a {PROGRESS_SCHEMA} header"));
     }
-    Ok(events)
+    lines.map(|v| event_from_value(&v?)).collect()
 }
 
 /// Consumer interface for in-process event subscribers (the CLI's human
@@ -331,7 +372,6 @@ enum SinkKind {
         canonical: bool,
     },
     Buffer(Mutex<Vec<(Scope, ProgressEvent)>>),
-    Capture(Mutex<Vec<String>>),
     Fanout(Vec<Progress>),
     Custom(Box<dyn EventSink>),
 }
@@ -353,7 +393,6 @@ impl std::fmt::Debug for Progress {
             Some(SinkKind::Writer { canonical: true, .. }) => "writer(canonical)",
             Some(SinkKind::Writer { .. }) => "writer",
             Some(SinkKind::Buffer(_)) => "buffer",
-            Some(SinkKind::Capture(_)) => "capture",
             Some(SinkKind::Fanout(_)) => "fanout",
             Some(SinkKind::Custom(_)) => "custom",
         };
@@ -384,11 +423,8 @@ impl Progress {
     /// events — see the module docs.
     pub fn writer(out: Box<dyn Write + Send>, canonical: bool) -> Progress {
         let mut state = WriterState { out, seq: 0 };
-        let mut pairs = vec![
-            ("seq".to_string(), Value::Int(0)),
-            ("ev".to_string(), Value::Str("stream-start".to_string())),
-            ("schema".to_string(), Value::Str(PROGRESS_SCHEMA.to_string())),
-        ];
+        let mut pairs = vec![("seq".to_string(), Value::Int(0))];
+        pairs.extend(header_pairs());
         if !canonical {
             pairs.push(("t_us".to_string(), Value::Int(snbc_trace::now_us())));
         }
@@ -404,7 +440,9 @@ impl Progress {
     }
 
     /// A buffering sink: events are held (with their scope) until
-    /// [`Progress::drain_into`] re-emits them elsewhere.
+    /// [`Progress::drain_into`] re-emits them elsewhere, a
+    /// [`Metrics`](crate::Metrics) snapshot folds them, or
+    /// [`Progress::record`] writes them out.
     pub fn buffer() -> Progress {
         Progress {
             sink: Some(Arc::new(SinkKind::Buffer(Mutex::new(Vec::new())))),
@@ -412,20 +450,9 @@ impl Progress {
         }
     }
 
-    /// A capture sink: records the canonical line text of every
-    /// non-environmental event, `job` scope omitted (the job index is
-    /// reassigned at replay). This is the cache artifact producer.
-    pub fn capture() -> Progress {
-        Progress {
-            sink: Some(Arc::new(SinkKind::Capture(Mutex::new(Vec::new())))),
-            scope: Scope::default(),
-        }
-    }
-
     /// Broadcasts every event to each of `parts`. A part keeps its own
     /// scope fields where set; unset fields inherit the delivering scope —
-    /// so a job-scoped writer and an unscoped capture sink can share one
-    /// fanout.
+    /// so a job-scoped writer and an unscoped buffer can share one fanout.
     pub fn fanout(parts: Vec<Progress>) -> Progress {
         let live: Vec<Progress> = parts.into_iter().filter(Progress::is_on).collect();
         if live.is_empty() {
@@ -512,21 +539,32 @@ impl Progress {
         }
     }
 
-    /// The captured canonical lines (capture sinks only; empty otherwise),
-    /// newline-terminated.
-    pub fn captured(&self) -> String {
+    /// The events a buffer sink holds, in recorded order (empty for other
+    /// sinks).
+    pub(crate) fn events(&self) -> Vec<(Scope, ProgressEvent)> {
         match self.sink.as_deref() {
-            Some(SinkKind::Capture(lines)) => {
-                let lines = lock(lines);
-                let mut out = String::new();
-                for line in lines.iter() {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-                out
-            }
-            _ => String::new(),
+            Some(SinkKind::Buffer(buf)) => lock(buf).clone(),
+            _ => Vec::new(),
         }
+    }
+
+    /// A buffer's events as a stored record — the `progress.ndjson` cache
+    /// artifact: the `stream-start` header, then one canonical line per
+    /// non-environmental event with the `job` scope omitted (it is
+    /// reassigned at replay). That is a canonical stream without `seq`;
+    /// [`parse_stream`] reads it back.
+    pub fn record(&self) -> String {
+        let mut out = Value::Obj(header_pairs()).to_compact_string();
+        out.push('\n');
+        for (scope, ev) in self.events() {
+            if ev.is_environmental() {
+                continue;
+            }
+            let no_job = Scope { job: None, ..scope };
+            out.push_str(&Value::Obj(event_pairs(no_job, &ev)).to_compact_string());
+            out.push('\n');
+        }
+        out
     }
 
     fn deliver(&self, scope: Scope, ev: &ProgressEvent, replayed: bool) {
@@ -554,16 +592,6 @@ impl Progress {
                 st.seq += 1;
             }
             SinkKind::Buffer(buf) => lock(buf).push((scope, ev.clone())),
-            SinkKind::Capture(lines) => {
-                if ev.is_environmental() {
-                    return;
-                }
-                let no_job = Scope {
-                    job: None,
-                    candidate: scope.candidate,
-                };
-                lock(lines).push(Value::Obj(event_pairs(no_job, ev)).to_compact_string());
-            }
             SinkKind::Fanout(parts) => {
                 for part in parts {
                     let merged = Scope {
@@ -623,10 +651,17 @@ mod tests {
                 feasible: false,
                 margin: -0.5,
             },
+            ProgressEvent::IntervalQuery {
+                round: 1,
+                rung: "flow".to_string(),
+                boxes: 4096,
+            },
             ProgressEvent::Cex { round: 1, points: 7, interval_fallback: true },
+            ProgressEvent::Reseed { round: 1 },
             ProgressEvent::Round { round: 1, status: "in-progress".to_string() },
             ProgressEvent::Wave { wave: 2, live: 1, certified: 1 },
             ProgressEvent::CacheHit,
+            ProgressEvent::CacheMiss,
             ProgressEvent::JobDone {
                 name: "c3".to_string(),
                 certified: true,
@@ -664,8 +699,8 @@ mod tests {
             canon.emit(ev);
         }
         let live_lines: Vec<String> = live_out.text().lines().map(str::to_string).collect();
-        // Header + 8 events.
-        assert_eq!(live_lines.len(), 9);
+        // Header + 11 events.
+        assert_eq!(live_lines.len(), 12);
         assert!(live_lines[0].contains("\"ev\":\"stream-start\""));
         assert!(live_lines[0].contains(PROGRESS_SCHEMA));
         for (i, line) in live_lines.iter().enumerate() {
@@ -676,11 +711,12 @@ mod tests {
             assert!(line.contains("\"t_us\":"), "live lines carry time: {line}");
         }
         let canon_lines: Vec<String> = canon_out.text().lines().map(str::to_string).collect();
-        // Header + 7 events: `cache-hit` is environmental and skipped.
-        assert_eq!(canon_lines.len(), 8);
+        // Header + 9 events: `cache-hit` and `cache-miss` are environmental
+        // and skipped.
+        assert_eq!(canon_lines.len(), 10);
         for line in &canon_lines {
             assert!(!line.contains("t_us"), "canonical strips time: {line}");
-            assert!(!line.contains("cache-hit"));
+            assert!(!line.contains("cache-"));
         }
         assert!(canon_lines[1].contains("\"job\":0"));
     }
@@ -704,30 +740,34 @@ mod tests {
     }
 
     #[test]
-    fn capture_and_replay_reproduce_the_canonical_stream() {
-        // Cold run: canonical writer + capture fan out behind one scope.
+    fn record_and_replay_reproduce_the_canonical_stream() {
+        // Cold run: canonical writer + cache record fan out behind one scope.
         let cold_out = Shared::default();
-        let cap = Progress::capture();
+        let record = Progress::buffer();
         let cold = Progress::fanout(vec![
             Progress::writer(Box::new(cold_out.clone()), true),
-            cap.clone(),
+            record.clone(),
         ])
         .with_job(1);
         for ev in sample_events() {
             cold.emit(ev);
         }
-        let stored = cap.captured();
-        assert!(!stored.contains("\"job\""), "capture omits the job index");
-        assert!(!stored.contains("cache-hit"), "capture omits environmental events");
+        let stored = record.record();
+        assert!(stored.starts_with("{\"ev\":\"stream-start\",\"schema\":\"snbc-progress/2\"}\n"));
+        assert!(!stored.contains("\"job\""), "the record omits the job index");
+        assert!(!stored.contains("cache-"), "the record omits environmental events");
 
         // Warm run: the same job is served from the cache and replayed.
         let warm_out = Shared::default();
         let warm = Progress::writer(Box::new(warm_out.clone()), true).with_job(1);
         warm.emit(ProgressEvent::CacheHit); // canonical writers skip it
-        let events = parse_stream(&stored).expect("stored stream parses");
+        let events = parse_stream(&stored).expect("stored record parses");
         warm.replay(&events);
 
         assert_eq!(cold_out.text(), warm_out.text(), "cold and warm canonical streams match");
+        // The canonical stream itself parses back to the same events.
+        let streamed = parse_stream(&cold_out.text()).expect("stream parses");
+        assert!(streamed.iter().map(|(_, ev)| ev).eq(events.iter().map(|(_, ev)| ev)));
 
         // A live writer sees the cache-hit marker but not the replay.
         let live_out = Shared::default();
@@ -741,9 +781,19 @@ mod tests {
 
     #[test]
     fn corrupt_stored_streams_fail_to_parse() {
-        assert!(parse_stream("{\"ev\":\"round\",\"round\":1,\"status\":\"x\"}").is_ok());
-        assert!(parse_stream("not json").is_err());
-        assert!(parse_stream("{\"ev\":\"no-such-event\"}").is_err());
-        assert!(parse_stream("{\"ev\":\"round\",\"round\":1}").is_err(), "missing field");
+        let header = "{\"ev\":\"stream-start\",\"schema\":\"snbc-progress/2\"}\n";
+        let round = "{\"ev\":\"round\",\"round\":1,\"status\":\"x\"}";
+        assert!(parse_stream(&format!("{header}{round}")).is_ok());
+        assert!(parse_stream(round).is_err(), "no header");
+        assert!(
+            parse_stream(&format!("{}{round}", header.replace("/2", "/1"))).is_err(),
+            "an older schema's record"
+        );
+        assert!(parse_stream(&format!("{header}not json")).is_err());
+        assert!(parse_stream(&format!("{header}{{\"ev\":\"no-such-event\"}}")).is_err());
+        assert!(
+            parse_stream(&format!("{header}{{\"ev\":\"round\",\"round\":1}}")).is_err(),
+            "missing field"
+        );
     }
 }

@@ -11,7 +11,7 @@
 //! Prometheus convention of **cumulative** `_bucket{le="..."}` series
 //! ending in `le="+Inf"`, plus `_sum` and `_count`.
 
-use crate::registry::MetricsSnapshot;
+use crate::registry::{MetricsSnapshot, METRICS_SCHEMA};
 
 /// Renders the snapshot as Prometheus text exposition (format version
 /// 0.0.4). All metric names are prefixed `snbc_` and sanitized to the
@@ -19,18 +19,13 @@ use crate::registry::MetricsSnapshot;
 pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for c in &snap.counters {
-        let name = metric_name(&c.name);
-        header(&mut out, &name, "counter", &c.name);
+        let name = metric_name(c.name);
+        header(&mut out, &name, "counter", c.name);
         out.push_str(&format!("{name} {}\n", c.value));
     }
-    for g in &snap.gauges {
-        let name = metric_name(&g.name);
-        header(&mut out, &name, "gauge", &g.name);
-        out.push_str(&format!("{name} {}\n", number(g.value)));
-    }
     for h in &snap.hists {
-        let name = metric_name(&h.name);
-        header(&mut out, &name, "histogram", &h.name);
+        let name = metric_name(h.name);
+        header(&mut out, &name, "histogram", h.name);
         let mut cumulative = 0u64;
         for (bound, count) in h.bounds.iter().zip(&h.counts) {
             cumulative += count;
@@ -47,7 +42,7 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
 }
 
 fn header(out: &mut String, name: &str, kind: &str, raw: &str) {
-    out.push_str(&format!("# HELP {name} snbc-metrics/1 {kind} {raw}\n"));
+    out.push_str(&format!("# HELP {name} {METRICS_SCHEMA} {kind} {raw}\n"));
     out.push_str(&format!("# TYPE {name} {kind}\n"));
 }
 
@@ -78,36 +73,41 @@ fn number(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{buckets, Metrics};
+    use crate::progress::ProgressEvent;
+    use crate::registry::Metrics;
 
-    /// Golden exposition: one counter, one gauge, one histogram.
+    /// Golden exposition: two counters (one environmental), one histogram.
     #[test]
     fn exposition_matches_golden_output() {
         let m = Metrics::recording();
-        m.add_env("cache_hit", 2);
-        m.gauge("best_margin", -0.25);
-        for v in [0.5, 3.0, 200.0] {
-            m.observe("waves_per_job", buckets::WAVES, v);
+        let sink = m.sink();
+        sink.emit(ProgressEvent::CacheHit);
+        sink.emit(ProgressEvent::CacheHit);
+        for boxes in [50, 1184] {
+            sink.emit(ProgressEvent::IntervalQuery {
+                round: 1,
+                rung: "flow".to_string(),
+                boxes,
+            });
         }
         let text = to_prometheus(&m.snapshot(false));
         let expected = "\
-# HELP snbc_cache_hit snbc-metrics/1 counter cache_hit
+# HELP snbc_boxes snbc-metrics/2 counter boxes
+# TYPE snbc_boxes counter
+snbc_boxes 1234
+# HELP snbc_cache_hit snbc-metrics/2 counter cache_hit
 # TYPE snbc_cache_hit counter
 snbc_cache_hit 2
-# HELP snbc_best_margin snbc-metrics/1 gauge best_margin
-# TYPE snbc_best_margin gauge
-snbc_best_margin -0.25
-# HELP snbc_waves_per_job snbc-metrics/1 histogram waves_per_job
-# TYPE snbc_waves_per_job histogram
-snbc_waves_per_job_bucket{le=\"1\"} 1
-snbc_waves_per_job_bucket{le=\"2\"} 1
-snbc_waves_per_job_bucket{le=\"4\"} 2
-snbc_waves_per_job_bucket{le=\"8\"} 2
-snbc_waves_per_job_bucket{le=\"16\"} 2
-snbc_waves_per_job_bucket{le=\"32\"} 2
-snbc_waves_per_job_bucket{le=\"+Inf\"} 3
-snbc_waves_per_job_sum 203.5
-snbc_waves_per_job_count 3
+# HELP snbc_boxes_per_query snbc-metrics/2 histogram boxes_per_query
+# TYPE snbc_boxes_per_query histogram
+snbc_boxes_per_query_bucket{le=\"100\"} 1
+snbc_boxes_per_query_bucket{le=\"1000\"} 1
+snbc_boxes_per_query_bucket{le=\"10000\"} 2
+snbc_boxes_per_query_bucket{le=\"100000\"} 2
+snbc_boxes_per_query_bucket{le=\"1000000\"} 2
+snbc_boxes_per_query_bucket{le=\"+Inf\"} 2
+snbc_boxes_per_query_sum 1234
+snbc_boxes_per_query_count 2
 ";
         assert_eq!(text, expected);
     }

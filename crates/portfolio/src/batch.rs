@@ -15,22 +15,23 @@
 //!
 //! # Observability
 //!
-//! The batch driver is the pipeline's progress/metrics aggregation point:
-//! each job gets a job-scoped [`Progress`] handle (`job-start`, the race's
-//! per-round events, `job-done`) and every job's race records into a fresh
-//! per-job registry that is merged into the run-level [`Metrics`] **in job
-//! order**. On a cache miss the job's canonical event lines and canonical
-//! metric snapshot are stored next to the certificate; on a hit they are
-//! replayed/merged back (plus an environmental `cache-hit` event and
-//! `cache_hit` counter), which keeps the canonical stream and snapshot
-//! byte-identical between cold and warm runs — see `docs/OBSERVABILITY.md`.
+//! `run_batch` fans the caller's [`Progress`] stream and the
+//! [`Metrics`] registry out into one sink, so the stream and the registry
+//! see the same events in the same order. Each job gets a job-scoped clone
+//! of it carrying `job-start`, an environmental `cache-miss` or
+//! `cache-hit`, the race's events and `job-done`. On a miss the race's
+//! events are also recorded into a buffer stored next to the certificate
+//! as the job's canonical event record; on a hit that record is replayed
+//! into the sink, which keeps the canonical stream and the canonical
+//! snapshot byte-identical between cold and warm runs — see
+//! `docs/OBSERVABILITY.md`.
 
 use std::path::PathBuf;
 
 use snbc::{SafetyCertificate, SnbcConfig};
 use snbc_dynamics::benchmarks::{self, Benchmark};
 use snbc_metrics::progress::parse_stream;
-use snbc_metrics::{Metrics, MetricsSnapshot, Progress, ProgressEvent};
+use snbc_metrics::{Metrics, Progress, ProgressEvent};
 use snbc_nn::{train_controller, ControllerTraining, Mlp};
 use snbc_telemetry::json::{self, Value};
 use snbc_telemetry::Telemetry;
@@ -217,12 +218,13 @@ impl BatchOutcome {
 /// store the outcome when it certifies (failures are never cached, so a
 /// rerun under a larger budget can still succeed).
 ///
-/// Each job is bracketed by `job-start`/`job-done` events on a job-scoped
-/// clone of `progress`, with the race's per-round events in between (live
-/// on a miss, replayed from the cache entry on a hit). `metrics` gains each
-/// job's per-job registry merged in job order plus the environmental
-/// `cache_hit`/`cache_miss` counters; telemetry gains a `batch` span with
-/// one indexed `job` span per job carrying the same hit/miss counters.
+/// Each job is bracketed by `job-start`/`job-done` events, with an
+/// environmental `cache-hit`/`cache-miss` event and the race's per-round
+/// events in between (live on a miss, replayed from the cache record on a
+/// hit). The events go to one job-scoped fanout of `progress` and
+/// `metrics`, so the registry folds the same events the stream receives;
+/// telemetry gains a `batch` span with one indexed `job` span per job
+/// carrying `cache_hit`/`cache_miss` counters.
 pub fn run_batch(
     spec: &BatchSpec,
     opts: &BatchOptions,
@@ -238,21 +240,17 @@ pub fn run_batch(
         resolve,
         cache: cache.as_ref(),
         telemetry,
-        metrics,
     };
+    let sink = Progress::fanout(vec![progress.clone(), metrics.sink()]);
     let mut jobs = Vec::with_capacity(spec.jobs.len());
     for (index, job) in spec.jobs.iter().enumerate() {
         let job_span = telemetry.span_indexed("job", index as u64);
         telemetry.label("name", &job.name);
-        let jp = progress.with_job(index as u64);
+        let jp = sink.with_job(index as u64);
         jp.emit(ProgressEvent::JobStart {
             name: job.name.clone(),
         });
         let outcome = run_job(index, job, &ctx, &jp)?;
-        metrics.add("jobs", 1);
-        if outcome.result.certified {
-            metrics.add("jobs_certified", 1);
-        }
         jp.emit(ProgressEvent::JobDone {
             name: outcome.name.clone(),
             certified: outcome.result.certified,
@@ -274,7 +272,6 @@ struct JobCtx<'a> {
     resolve: SystemResolver<'a>,
     cache: Option<&'a CertificateCache>,
     telemetry: &'a Telemetry,
-    metrics: &'a Metrics,
 }
 
 fn run_job(
@@ -311,15 +308,14 @@ fn run_job(
     let key = CacheKey::new(&bench.system, &controller, &base, &job.grid);
 
     if let Some(cache) = ctx.cache {
-        if let Some((result, events, snap)) = cached_result(cache, &key) {
+        if let Some((result, events)) = cached_result(cache, &key) {
             ctx.telemetry.add("cache_hit", 1);
-            ctx.metrics.add_env("cache_hit", 1);
-            // The hit marker is environmental (live streams only); the
-            // stored race events replay into canonical sinks so the
-            // canonical stream is byte-identical to the cold run's.
+            // The hit marker is environmental (live streams and full
+            // snapshots only); the stored race events replay into canonical
+            // writers and the registry, so the canonical stream and
+            // snapshot are byte-identical to the cold run's.
             progress.emit(ProgressEvent::CacheHit);
             progress.replay(&events);
-            ctx.metrics.merge_snapshot(&snap);
             return Ok(JobOutcome {
                 name: job.name.clone(),
                 key,
@@ -329,24 +325,14 @@ fn run_job(
         }
     }
     ctx.telemetry.add("cache_miss", 1);
-    ctx.metrics.add_env("cache_miss", 1);
+    progress.emit(ProgressEvent::CacheMiss);
 
-    // The race records into a capture sink and a fresh per-job registry
-    // regardless of the caller's sinks, so a stored entry always carries
-    // complete canonical artifacts for warm-run replay.
-    let capture = Progress::capture();
-    let race_progress = Progress::fanout(vec![progress.clone(), capture.clone()]);
-    let job_metrics = Metrics::recording();
-    let outcome = race(
-        &bench,
-        &controller,
-        &base,
-        &job.grid,
-        ctx.telemetry,
-        &race_progress,
-        &job_metrics,
-    );
-    ctx.metrics.merge(&job_metrics);
+    // The race also records into a buffer regardless of the caller's sinks,
+    // so a stored entry always carries the complete record for warm-run
+    // replay.
+    let record = Progress::buffer();
+    let race_progress = Progress::fanout(vec![progress.clone(), record.clone()]);
+    let outcome = race(&bench, &controller, &base, &job.grid, ctx.telemetry, &race_progress);
     let result = match outcome.winner {
         Some(winner) => JobResult {
             certified: true,
@@ -378,8 +364,7 @@ fn run_job(
                 &key,
                 &result.to_json().to_pretty_string(),
                 result.certificate.as_deref(),
-                Some(&capture.captured()),
-                Some(&job_metrics.snapshot(true).to_json_string()),
+                Some(&record.record()),
             )?;
         }
     }
@@ -391,15 +376,16 @@ fn run_job(
     })
 }
 
-/// A validated cache hit: the job result plus the race's recorded progress
-/// events and metrics snapshot, replayed as if the race had just run.
-type CachedJob = (JobResult, Vec<(snbc_metrics::Scope, ProgressEvent)>, MetricsSnapshot);
+/// A validated cache hit: the job result plus the race's recorded events,
+/// replayed as if the race had just run.
+type CachedJob = (JobResult, Vec<(snbc_metrics::Scope, ProgressEvent)>);
 
 /// Reads and validates a cached entry; any defect — unparseable JSON, a
 /// non-certified result (only certified outcomes are ever stored), a
-/// result/certificate mismatch, a certificate that fails to re-parse, or
-/// missing/corrupt observability artifacts (entries written before they
-/// existed included) — makes this a miss, and the job re-races.
+/// result/certificate mismatch, a certificate that fails to re-parse, or a
+/// missing or corrupt event record (entries written under an older
+/// `snbc-progress` schema included) — makes this a miss, and the job
+/// re-races.
 fn cached_result(cache: &CertificateCache, key: &CacheKey) -> Option<CachedJob> {
     let entry = cache.lookup(key)?;
     let value = json::parse(&entry.result_json).ok()?;
@@ -413,8 +399,7 @@ fn cached_result(cache: &CertificateCache, key: &CacheKey) -> Option<CachedJob> 
         return None;
     }
     let events = parse_stream(entry.progress_ndjson.as_deref()?).ok()?;
-    let snap = MetricsSnapshot::parse(entry.metrics_json.as_deref()?).ok()?;
-    Some((result, events, snap))
+    Some((result, events))
 }
 
 #[cfg(test)]
@@ -487,12 +472,65 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("snbc-batch-test-{}", key.hash()));
         let cache = CertificateCache::new(&dir);
         cache
-            .store(&key, &failed.to_json().to_pretty_string(), None, None, None)
+            .store(&key, &failed.to_json().to_pretty_string(), None, None)
             .unwrap();
         assert!(
             cached_result(&cache, &key).is_none(),
             "non-certified entries must degrade to a miss"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An entry in the previous cache layout — `snbc-progress/1` event
+    /// lines without a header, next to a `metrics.json` snapshot — reads as
+    /// a miss: its record lacks the `interval-query` and `reseed` events a
+    /// replay must fold. The job re-races and the entry is rewritten in the
+    /// current layout, after which it is served.
+    #[test]
+    fn previous_layout_entries_are_re_raced_and_rewritten() {
+        let spec = BatchSpec::parse(
+            r#"{"schema": "snbc-batch-jobs/1", "jobs": [
+                {"name": "c3", "benchmark": 3, "grid": {"seeds": [1, 2]},
+                 "max_iterations": 12, "controller_epochs": 300}]}"#,
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("snbc-batch-layout-{}", std::process::id()));
+        let opts = BatchOptions {
+            base: SnbcConfig::default(),
+            cache_dir: Some(dir.clone()),
+        };
+        let resolve = |path: &str| Err(format!("benchmark jobs only, got `{path}`"));
+        let serve = || {
+            let metrics = Metrics::recording();
+            let off = Telemetry::off();
+            let outcome = run_batch(&spec, &opts, &resolve, &off, &Progress::off(), &metrics)
+                .expect("batch runs");
+            let job = outcome.jobs.into_iter().next().expect("one job");
+            (job, metrics.snapshot(true).to_json_string())
+        };
+
+        let (cold, cold_snapshot) = serve();
+        assert!(!cold.cache_hit && cold.result.certified);
+        let entry = dir.join(cold.key.hash());
+        let record = std::fs::read_to_string(entry.join("progress.ndjson")).unwrap();
+        assert!(record.starts_with("{\"ev\":\"stream-start\",\"schema\":\"snbc-progress/2\"}\n"));
+        assert!(!entry.join("metrics.json").exists());
+
+        // Rewrite the entry as the previous layout stored it.
+        let v1_lines: String = record.lines().skip(1).flat_map(|l| [l, "\n"]).collect();
+        std::fs::write(entry.join("progress.ndjson"), v1_lines).unwrap();
+        std::fs::write(entry.join("metrics.json"), "{\"schema\": \"snbc-metrics/1\"}").unwrap();
+
+        let (stale, stale_snapshot) = serve();
+        assert!(!stale.cache_hit, "a previous-layout entry is a miss");
+        assert_eq!(stale.result, cold.result);
+        assert_eq!(stale_snapshot, cold_snapshot);
+        assert_eq!(std::fs::read_to_string(entry.join("progress.ndjson")).unwrap(), record);
+        assert!(!entry.join("metrics.json").exists(), "the entry is rewritten");
+
+        let (warm, warm_snapshot) = serve();
+        assert!(warm.cache_hit, "the rewritten entry is served");
+        assert_eq!(warm_snapshot, cold_snapshot);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

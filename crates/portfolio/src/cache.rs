@@ -12,21 +12,20 @@
 //! ever stores certified outcomes.
 //!
 //! The key text is hashed (two independent 64-bit FNV-1a passes → 32 hex
-//! characters) into a directory name holding three artifacts:
+//! characters) into a directory name holding four artifacts:
 //!
 //! ```text
 //! <cache>/<hash>/key.json          # the canonical key, for collision checks
 //! <cache>/<hash>/result.json       # the job result (snbc-batch-report/1 shape)
 //! <cache>/<hash>/certificate.txt   # the SafetyCertificate, human-readable
-//! <cache>/<hash>/progress.ndjson   # canonical snbc-progress/1 event lines
-//! <cache>/<hash>/metrics.json      # canonical snbc-metrics/1 per-job snapshot
+//! <cache>/<hash>/progress.ndjson   # the race's canonical snbc-progress/2 record
 //! ```
 //!
-//! The last two are the **observability artifacts**: the canonical (seq- and
-//! job-less) progress events the job emitted and its per-job metric
-//! snapshot. On a cache hit the batch driver replays the events and merges
-//! the snapshot, which is what keeps the canonical progress stream and the
-//! run-level metrics snapshot byte-identical between cold and warm runs.
+//! The last is the job's **event record**: a `stream-start` header, then
+//! the canonical (seq- and job-less) events its race emitted. On a cache
+//! hit `run_batch` replays it into the progress stream and the metric
+//! registry alike, which is what keeps the canonical stream and the
+//! canonical metrics snapshot byte-identical between cold and warm runs.
 //!
 //! A lookup re-reads `key.json` and compares it byte-for-byte with the
 //! probe's canonical text, so even a full 128-bit hash collision degrades to
@@ -88,11 +87,8 @@ pub struct CachedEntry {
     pub result_json: String,
     /// The stored certificate text, when the entry has one.
     pub certificate: Option<String>,
-    /// The stored canonical progress event lines, when the entry has them
-    /// (entries written before the observability artifacts existed do not).
+    /// The stored event record, when the entry has one.
     pub progress_ndjson: Option<String>,
-    /// The stored canonical per-job metrics snapshot text, when present.
-    pub metrics_json: Option<String>,
 }
 
 impl CertificateCache {
@@ -117,17 +113,15 @@ impl CertificateCache {
         let result_json = std::fs::read_to_string(entry.join("result.json")).ok()?;
         let certificate = std::fs::read_to_string(entry.join("certificate.txt")).ok();
         let progress_ndjson = std::fs::read_to_string(entry.join("progress.ndjson")).ok();
-        let metrics_json = std::fs::read_to_string(entry.join("metrics.json")).ok();
         Some(CachedEntry {
             result_json,
             certificate,
             progress_ndjson,
-            metrics_json,
         })
     }
 
-    /// Stores a result (and its certificate and observability artifacts,
-    /// when present) under `key`.
+    /// Stores a result (and its certificate and event record, when present)
+    /// under `key`.
     ///
     /// The entry is written into a private temp directory and published with
     /// one atomic `rename`, so a reader (or a crash) can never observe a
@@ -143,7 +137,6 @@ impl CertificateCache {
         result_json: &str,
         certificate: Option<&str>,
         progress_ndjson: Option<&str>,
-        metrics_json: Option<&str>,
     ) -> Result<(), BatchError> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -173,10 +166,6 @@ impl CertificateCache {
             if let Some(events) = progress_ndjson {
                 let events_path = tmp.join("progress.ndjson");
                 std::fs::write(&events_path, events).map_err(|e| io(&events_path, e))?;
-            }
-            if let Some(snap) = metrics_json {
-                let snap_path = tmp.join("metrics.json");
-                std::fs::write(&snap_path, snap).map_err(|e| io(&snap_path, e))?;
             }
             Ok(())
         })();
@@ -480,14 +469,12 @@ mod tests {
                 "{\"certified\":true}",
                 Some("certificate body"),
                 Some("{\"ev\":\"job-done\"}\n"),
-                Some("{\"schema\":\"snbc-metrics/1\"}"),
             )
             .unwrap();
         let hit = cache.lookup(&key).expect("warm cache hits");
         assert_eq!(hit.result_json, "{\"certified\":true}");
         assert_eq!(hit.certificate.as_deref(), Some("certificate body"));
         assert_eq!(hit.progress_ndjson.as_deref(), Some("{\"ev\":\"job-done\"}\n"));
-        assert_eq!(hit.metrics_json.as_deref(), Some("{\"schema\":\"snbc-metrics/1\"}"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -497,7 +484,7 @@ mod tests {
         let other = c3_key(vec![1, 2]);
         let dir = std::env::temp_dir().join(format!("snbc-cache-test-x-{}", key.hash()));
         let cache = CertificateCache::new(&dir);
-        cache.store(&key, "{}", None, None, None).unwrap();
+        cache.store(&key, "{}", None, None).unwrap();
         // Forge a directory under `other`'s hash holding `key`'s key bytes.
         let forged = dir.join(other.hash());
         std::fs::create_dir_all(&forged).unwrap();

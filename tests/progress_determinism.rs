@@ -1,9 +1,9 @@
 //! The observability determinism contract (docs/OBSERVABILITY.md): a batch
-//! run's **canonical** progress stream (`snbc-progress/1` with `canonical`
-//! mode on) and **canonical** metrics snapshot (`snbc-metrics/1` with
+//! run's **canonical** progress stream (`snbc-progress/2` with `canonical`
+//! mode on) and **canonical** metrics snapshot (`snbc-metrics/2` with
 //! environmental entries stripped) must be byte-identical at `SNBC_THREADS=1`
 //! and `SNBC_THREADS=4`, and again when every job is served from a warm cache
-//! instead of racing — the replayed cache artifacts must reproduce the live
+//! instead of racing — the replayed cache records must reproduce the live
 //! race's stream and counters exactly.
 //!
 //! A single `#[test]` drives all three legs because `snbc_par::set_threads`
@@ -95,7 +95,7 @@ fn canonical_stream_and_snapshot_are_deterministic() {
     snbc_par::set_threads(Some(4));
     let (stream_4cold, canon_4cold, _) = run_leg(&spec, &dir_b);
     // Leg 3: warm cache from leg 1, still four threads — the stored
-    // progress.ndjson / metrics.json artifacts replay instead of racing.
+    // progress.ndjson records replay instead of racing.
     let (stream_warm, canon_warm, full_warm) = run_leg(&spec, &dir_a);
     snbc_par::set_threads(None);
 
@@ -109,11 +109,11 @@ fn canonical_stream_and_snapshot_are_deterministic() {
         "stream header missing: {stream_1cold}"
     );
     assert!(
-        stream_1cold.contains("snbc-progress/1"),
+        stream_1cold.contains("snbc-progress/2"),
         "schema tag missing from stream header"
     );
     assert!(
-        canon_1cold.contains("snbc-metrics/1"),
+        canon_1cold.contains("snbc-metrics/2"),
         "schema tag missing from snapshot"
     );
 
@@ -155,14 +155,9 @@ fn canonical_stream_and_snapshot_are_deterministic() {
         "canonical snapshot must not carry env counters: {canon_1cold}"
     );
 
-    // And the stream body round-trips through the parser (the `stream-start`
-    // header at seq 0 is writer framing, not a replayable event).
-    let body: String = stream_1cold
-        .lines()
-        .skip(1)
-        .flat_map(|l| [l, "\n"])
-        .collect();
+    // And the stream parses back: the same parser reads cache records, whose
+    // format is the canonical stream without `seq`.
     let events =
-        snbc_metrics::progress::parse_stream(&body).expect("canonical stream body parses");
+        snbc_metrics::progress::parse_stream(&stream_1cold).expect("canonical stream parses");
     assert!(!events.is_empty());
 }
