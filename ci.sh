@@ -125,6 +125,53 @@ if target/release/snbc check "$trace_tmp/plant.sys" "$trace_tmp/plant.cert" --bo
 fi
 rm -rf "$trace_tmp"
 
+echo "==> malformed inputs (snbc synth / check must exit 1 with an error message, never panic)"
+# A panic exits 101 and a stack overflow aborts with 134; outside input
+# must get a typed error instead.
+bad_tmp="$(mktemp -d)"
+expect_rejected() {
+  local code=0
+  "$@" > /dev/null 2> "$bad_tmp/stderr" || code=$?
+  if [ "$code" -ne 1 ] || ! grep -q '^error: ' "$bad_tmp/stderr"; then
+    echo "expected exit 1 and an error message from: $* (exit $code)" >&2
+    head -c 2000 "$bad_tmp/stderr" >&2
+    exit 1
+  fi
+}
+target/release/snbc example > "$bad_tmp/good.sys"
+printf 'snbc-certificate v1\nsystem: c3-demo\nbarrier: 1 - x0^2\nlambda: 0\ncontroller: -0.5*x0\nsigma_star: 0\n' \
+  > "$bad_tmp/good.cert"
+# `bad_system KEY LINE` replaces the KEY line of the example with LINE.
+bad_system() {
+  sed "s|^$1.*|$2|" "$bad_tmp/good.sys" > "$bad_tmp/bad.sys"
+  expect_rejected target/release/snbc synth "$bad_tmp/bad.sys"
+  expect_rejected target/release/snbc check "$bad_tmp/bad.sys" "$bad_tmp/good.cert"
+}
+# `nested KEY FILE` writes FILE with its KEY line replaced by 200 000 `(`
+# (keys may come in any order, and the line is too long for an argument).
+nested() {
+  { grep -v "^$1" "$2"; printf '%s ' "$1"; head -c 200000 /dev/zero | tr '\0' '('; echo; }
+}
+bad_system 'state:' 'state: 0'
+bad_system 'init:' 'init: box NaN 0.3 -0.3 0.3'
+bad_system 'domain:' 'domain: box -inf 2 -2 2'
+bad_system 'init:' 'init: ball 0 0 NaN'
+bad_system 'f0:' 'f0: x3'
+bad_system 'f0:' 'f0: x4000000000'
+nested 'f1:' "$bad_tmp/good.sys" > "$bad_tmp/bad.sys"
+expect_rejected target/release/snbc synth "$bad_tmp/bad.sys"
+bad_system 'controller:' 'controller: -0.5*x0^4294967295'
+bad_certificate() {
+  sed "s|^$1.*|$2|" "$bad_tmp/good.cert" > "$bad_tmp/bad.cert"
+  expect_rejected target/release/snbc check "$bad_tmp/good.sys" "$bad_tmp/bad.cert"
+}
+bad_certificate 'sigma_star:' 'sigma_star: NaN'
+bad_certificate 'sigma_star:' 'sigma_star: -1'
+nested 'barrier:' "$bad_tmp/good.cert" > "$bad_tmp/bad.cert"
+expect_rejected target/release/snbc check "$bad_tmp/good.sys" "$bad_tmp/bad.cert"
+bad_certificate 'barrier:' 'barrier: (x0+x1+x2+x3+x4+x5+x6+x7+x8+x9)^50'
+rm -rf "$bad_tmp"
+
 echo "==> docs cross-link check (tuning guide must stay discoverable)"
 grep -q 'docs/PERFORMANCE.md' README.md
 

@@ -13,10 +13,8 @@ use std::time::Duration;
 use snbc_trace::Stopwatch;
 
 use snbc::{Learner, LearnerConfig, PolynomialInclusion, TrainingSets};
-use snbc_dynamics::benchmarks::{Benchmark, LambdaSpec};
+use snbc_dynamics::benchmarks::Benchmark;
 use snbc_interval::BranchAndBound;
-use snbc_nn::{MultiplierNet, QuadraticNet};
-
 
 use crate::smt_verify::{verify_conditions, SmtOutcome};
 use crate::SynthesisReport;
@@ -76,12 +74,13 @@ impl Fossil {
         let system = &bench.system;
         let n = system.nvars();
 
-        let b_net = QuadraticNet::new(n, &bench.nn_b_hidden, self.cfg.seed);
-        let lambda_net = match &bench.lambda_spec {
-            LambdaSpec::Constant => MultiplierNet::constant(-0.5),
-            LambdaSpec::Linear(hidden) => MultiplierNet::linear(n, hidden, self.cfg.seed + 1),
-        };
-        let mut learner = Learner::new(b_net, lambda_net, self.cfg.learner.clone());
+        let mut learner = Learner::with_shapes(
+            n,
+            &bench.nn_b_hidden,
+            &bench.lambda_spec,
+            self.cfg.seed,
+            self.cfg.learner.clone(),
+        );
         let mut sets = TrainingSets::sample(system, self.cfg.batch, self.cfg.seed + 2);
         let closed_robust = system.close_loop_with_error(&inclusion.h);
 
@@ -138,11 +137,7 @@ impl Fossil {
                         rand::rngs::StdRng::seed_from_u64(self.cfg.seed ^ (iter as u64) << 8);
                     for (kind, mut point) in cexs {
                         point.truncate(n);
-                        let set = match kind {
-                            0 => system.init(),
-                            1 => system.unsafe_set(),
-                            _ => system.domain(),
-                        };
+                        let set = kind.set(system);
                         let mut cloud = vec![point.clone()];
                         let scale = 0.03;
                         for _ in 0..8 {
@@ -157,11 +152,7 @@ impl Fossil {
                                 cloud.push(jit);
                             }
                         }
-                        match kind {
-                            0 => sets.init.extend(cloud),
-                            1 => sets.unsafe_.extend(cloud),
-                            _ => sets.domain.extend(cloud),
-                        }
+                        sets.of_mut(kind).extend(cloud);
                     }
                 }
                 SmtOutcome::Timeout => {

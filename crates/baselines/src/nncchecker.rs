@@ -14,6 +14,7 @@ use snbc_trace::Stopwatch;
 
 use rand::Rng;
 use rand::SeedableRng;
+use snbc::cex::ViolatedCondition;
 use snbc::PolynomialInclusion;
 use snbc_dynamics::benchmarks::Benchmark;
 use snbc_interval::BranchAndBound;
@@ -146,9 +147,9 @@ impl NncChecker {
                     for (kind, mut point) in cexs {
                         point.truncate(n);
                         match kind {
-                            0 => init_pts.push(point),
-                            1 => unsafe_pts.push(point),
-                            _ => domain_pts.push(point),
+                            ViolatedCondition::Init => init_pts.push(point),
+                            ViolatedCondition::Unsafe => unsafe_pts.push(point),
+                            ViolatedCondition::Flow => domain_pts.push(point),
                         }
                     }
                 }

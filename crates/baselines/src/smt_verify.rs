@@ -2,34 +2,30 @@
 //! (FOSSIL- and NNCChecker-style): dReal's role, factored out so both tools
 //! verify identically and only differ in how they produce candidates.
 
+use snbc::cex::ViolatedCondition;
+use snbc::{Strictness, Theorem1};
 use snbc_dynamics::Ccds;
-use snbc_interval::{BranchAndBound, CheckReport, Interval, Verdict};
-use snbc_poly::{lie_derivative, Polynomial};
+use snbc_interval::{BranchAndBound, Verdict};
+use snbc_poly::Polynomial;
+use snbc_trace::Trace;
 
 /// Outcome of one SMT-style verification pass over the three barrier
 /// conditions.
 pub(crate) enum SmtOutcome {
     /// All three conditions proven.
     Certified,
-    /// Concrete violations found; each tagged 0 = init, 1 = unsafe, 2 = flow
-    /// (flow witnesses include the error coordinate, which callers truncate).
-    Counterexamples(Vec<(u8, Vec<f64>)>),
+    /// Concrete violations found (flow witnesses include the error
+    /// coordinate, which callers truncate).
+    Counterexamples(Vec<(ViolatedCondition, Vec<f64>)>),
     /// Box budget exhausted (the `OT` analogue).
     Timeout,
     /// δ-undecided (dReal's "δ-sat" weak answer) — the tool fails with `×`.
     Undecided,
 }
 
-fn unknown_outcome(r: &CheckReport, max_boxes: usize) -> SmtOutcome {
-    if r.boxes_processed >= max_boxes {
-        SmtOutcome::Timeout
-    } else {
-        SmtOutcome::Undecided
-    }
-}
-
 /// Checks conditions (i)–(iii) of Theorem 1 for candidate `b` with multiplier
-/// `lambda` over the robust closed loop (`w` at slot `n`, `|w| ≤ sigma`).
+/// `lambda` over the robust closed loop (`w` at slot `n`, `|w| ≤ sigma`), in
+/// order, stopping at the first undecided one.
 pub(crate) fn verify_conditions(
     b: &Polynomial,
     lambda: &Polynomial,
@@ -38,48 +34,19 @@ pub(crate) fn verify_conditions(
     closed_robust: &[Polynomial],
     bb: &BranchAndBound,
 ) -> SmtOutcome {
-    let boxed = |bounds: &[(f64, f64)]| -> Vec<Interval> {
-        bounds.iter().map(|&(lo, hi)| Interval::new(lo, hi)).collect()
-    };
-    let mut cexs: Vec<(u8, Vec<f64>)> = Vec::new();
-
-    // (i) B ≥ 0 on Θ.
-    let r = bb.check_at_least(
-        b,
-        &boxed(system.init().bounding_box()),
-        system.init().polys(),
-        0.0,
-    );
-    match r.verdict {
-        Verdict::Holds => {}
-        Verdict::Violated { witness, .. } => cexs.push((0, witness)),
-        Verdict::Unknown { .. } => return unknown_outcome(&r, bb.max_boxes),
+    let theorem = Theorem1::new(system, b, lambda, closed_robust, sigma, Strictness::SEARCH);
+    let mut cexs = Vec::new();
+    for kind in ViolatedCondition::ALL {
+        let r = theorem.condition(kind).check(bb, &Trace::off());
+        match r.verdict {
+            Verdict::Holds => {}
+            Verdict::Violated { witness, .. } => cexs.push((kind, witness)),
+            Verdict::Unknown { .. } if r.boxes_processed >= bb.max_boxes => {
+                return SmtOutcome::Timeout
+            }
+            Verdict::Unknown { .. } => return SmtOutcome::Undecided,
+        }
     }
-    // (ii) B < 0 on Ξ.
-    let neg_b = -b;
-    let r = bb.check_at_least(
-        &neg_b,
-        &boxed(system.unsafe_set().bounding_box()),
-        system.unsafe_set().polys(),
-        1e-12,
-    );
-    match r.verdict {
-        Verdict::Holds => {}
-        Verdict::Violated { witness, .. } => cexs.push((1, witness)),
-        Verdict::Unknown { .. } => return unknown_outcome(&r, bb.max_boxes),
-    }
-    // (iii) L_f B − λB > 0 on Ψ × [−σ, σ].
-    let lie = lie_derivative(b, closed_robust);
-    let expr = &lie - &(lambda * b);
-    let mut dom = boxed(system.domain().bounding_box());
-    dom.push(Interval::new(-sigma.max(1e-9), sigma.max(1e-9)));
-    let r = bb.check_at_least(&expr, &dom, system.domain().polys(), 0.0);
-    match r.verdict {
-        Verdict::Holds => {}
-        Verdict::Violated { witness, .. } => cexs.push((2, witness)),
-        Verdict::Unknown { .. } => return unknown_outcome(&r, bb.max_boxes),
-    }
-
     if cexs.is_empty() {
         SmtOutcome::Certified
     } else {

@@ -29,7 +29,7 @@
 //!   baselines, see `EXPERIMENTS.md`).
 //! * `interval` — the quickstart synthesis **plus** the independent
 //!   δ-complete interval re-check of the certificate
-//!   ([`snbc::recheck_with_intervals_recorded`]), exercising the parallel
+//!   ([`snbc::recheck_with_intervals`]), exercising the parallel
 //!   branch-and-bound wave engine; the re-check must prove all three
 //!   Theorem 1 conditions, and its `boxes` counters are part of the strict
 //!   baseline.
@@ -60,7 +60,7 @@
 
 use std::process::ExitCode;
 
-use snbc::{recheck_with_intervals_recorded, Snbc, SnbcConfig};
+use snbc::{recheck_with_intervals, Snbc, SnbcConfig};
 use snbc_bench::check::{check_reports, render_outcome, report_threads, DEFAULT_WALL_FACTOR};
 use snbc_dynamics::benchmarks;
 use snbc_interval::BranchAndBound;
@@ -186,7 +186,7 @@ fn run_suite(suite: &str, with_trace: bool) -> (Telemetry, bool) {
     // δ-complete branch-and-bound — the parallel verification tail this
     // gate exists to keep fast. Its spans/counters land in the same report.
     if suite == "interval" {
-        let ok = recheck_with_intervals_recorded(
+        let ok = recheck_with_intervals(
             &res.barrier,
             &res.lambda,
             &bench.system,

@@ -100,43 +100,39 @@ pub fn parse_system(text: &str) -> Result<SystemFile, ParseSystemError> {
             .split_once(':')
             .ok_or_else(|| ParseSystemError::new(lineno, "expected `key: value`"))?;
         let (key, value) = (key.trim(), value.trim());
+        let poly = |text: &str| {
+            text.parse::<Polynomial>()
+                .map_err(|e| ParseSystemError::new(lineno, e.to_string()))
+        };
         match key {
             "system" => name = Some(value.to_string()),
+            "state" if state.is_some() => {
+                return Err(ParseSystemError::new(lineno, "duplicate `state`"))
+            }
             "state" => {
-                state = Some(
-                    value
-                        .parse()
-                        .map_err(|_| ParseSystemError::new(lineno, "state must be an integer"))?,
-                )
+                state = Some(match value.parse::<usize>() {
+                    Ok(n) if n > 0 => n,
+                    Ok(_) => return Err(ParseSystemError::new(lineno, "state must be positive")),
+                    Err(_) => {
+                        return Err(ParseSystemError::new(lineno, "state must be an integer"))
+                    }
+                })
             }
             k if k.starts_with('f') => {
                 let i: usize = k[1..]
                     .parse()
                     .map_err(|_| ParseSystemError::new(lineno, "field keys look like f0, f1, …"))?;
-                let p = value
-                    .parse::<Polynomial>()
-                    .map_err(|e| ParseSystemError::new(lineno, e.to_string()))?;
-                fields.push((lineno, i, p));
+                fields.push((lineno, i, poly(value)?));
             }
             "init" => init = Some(parse_set(value, state, lineno)?),
             "domain" => domain = Some(parse_set(value, state, lineno)?),
             "unsafe" => unsafe_set = Some(parse_set(value, state, lineno)?),
             "controller" => {
-                controller = Some(if let Some(law) = value.strip_prefix("train ") {
-                    ControllerSpec::Train(
-                        law.trim()
-                            .parse()
-                            .map_err(|e: snbc_poly::ParsePolynomialError| {
-                                ParseSystemError::new(lineno, e.to_string())
-                            })?,
-                    )
-                } else {
-                    ControllerSpec::Polynomial(value.parse().map_err(
-                        |e: snbc_poly::ParsePolynomialError| {
-                            ParseSystemError::new(lineno, e.to_string())
-                        },
-                    )?)
-                });
+                let spec = match value.strip_prefix("train ") {
+                    Some(law) => ControllerSpec::Train(poly(law)?),
+                    None => ControllerSpec::Polynomial(poly(value)?),
+                };
+                controller = Some((lineno, spec));
             }
             other => {
                 return Err(ParseSystemError::new(lineno, format!("unknown key `{other}`")))
@@ -150,12 +146,25 @@ pub fn parse_system(text: &str) -> Result<SystemFile, ParseSystemError> {
     let init = init.ok_or_else(|| missing("init"))?;
     let domain = domain.ok_or_else(|| missing("domain"))?;
     let unsafe_set = unsafe_set.ok_or_else(|| missing("unsafe"))?;
-    let controller = controller.ok_or_else(|| missing("controller"))?;
+    let (controller_line, controller) = controller.ok_or_else(|| missing("controller"))?;
+    let (ControllerSpec::Polynomial(law) | ControllerSpec::Train(law)) = &controller;
+    if law.nvars() > n {
+        return Err(ParseSystemError::new(
+            controller_line,
+            format!("the controller may use the state x0 … x{} only", n - 1),
+        ));
+    }
 
     let mut field = vec![None; n];
     for (lineno, i, p) in fields {
         if i >= n {
             return Err(ParseSystemError::new(lineno, format!("f{i} outside state dimension {n}")));
+        }
+        if p.nvars() > n + 1 {
+            return Err(ParseSystemError::new(
+                lineno,
+                format!("f{i} uses a variable beyond the input u = x{n}"),
+            ));
         }
         if field[i].replace(p).is_some() {
             return Err(ParseSystemError::new(lineno, format!("duplicate f{i}")));
@@ -202,6 +211,9 @@ fn parse_set(
                 ));
             }
             let bounds: Vec<(f64, f64)> = nums.chunks(2).map(|c| (c[0], c[1])).collect();
+            if nums.iter().any(|v| !v.is_finite()) {
+                return Err(ParseSystemError::new(lineno, "box bounds must be finite"));
+            }
             if bounds.iter().any(|&(lo, hi)| lo >= hi) {
                 return Err(ParseSystemError::new(lineno, "box bounds must satisfy lo < hi"));
             }
@@ -215,6 +227,9 @@ fn parse_set(
                 ));
             }
             let (center, radius) = nums.split_at(n);
+            if nums.iter().any(|v| !v.is_finite()) {
+                return Err(ParseSystemError::new(lineno, "ball center and radius must be finite"));
+            }
             if radius[0] <= 0.0 {
                 return Err(ParseSystemError::new(lineno, "ball radius must be positive"));
             }

@@ -16,13 +16,15 @@
 
 use std::time::Duration;
 
-use snbc_trace::Stopwatch;
+use snbc_trace::{Stopwatch, Trace};
 
 use snbc_dynamics::benchmarks::{Benchmark, LambdaSpec};
-use snbc_nn::{Mlp, MultiplierNet, QuadraticNet};
-use snbc_poly::{lie_derivative, Polynomial};
+use snbc_nn::Mlp;
+use snbc_interval::{BranchAndBound, Verdict};
+use snbc_poly::Polynomial;
 
-use crate::cex::{find_counterexample, CexConfig, ViolatedCondition};
+use crate::cex::CexConfig;
+use crate::theorem1::{Condition, Strictness, Theorem1, ViolatedCondition};
 use crate::{
     ApproxOptions, Learner, LearnerConfig, PolynomialInclusion,
     SnbcError, TrainingSets, VerificationOutcome, Verifier, VerifierConfig,
@@ -334,12 +336,13 @@ impl CegisEngine {
         }
 
         // Step 2: initialize networks per the benchmark's Table 1 shapes.
-        let b_net = QuadraticNet::new(n, &bench.nn_b_hidden, cfg.seed);
-        let lambda_net = match &bench.lambda_spec {
-            LambdaSpec::Constant => MultiplierNet::constant(-0.5),
-            LambdaSpec::Linear(hidden) => MultiplierNet::linear(n, hidden, cfg.seed + 1),
-        };
-        let mut learner = Learner::new(b_net, lambda_net, cfg.learner.clone());
+        let mut learner = Learner::with_shapes(
+            n,
+            &bench.nn_b_hidden,
+            &bench.lambda_spec,
+            cfg.seed,
+            cfg.learner.clone(),
+        );
         // Sample counts scale with the dimension: the violating region of a
         // failing condition occupies an ever-smaller solid angle as n grows.
         let batch = cfg.batch + 50 * n;
@@ -393,13 +396,21 @@ impl CegisEngine {
         &self.inclusion
     }
 
-    /// Whether a terminal status has been reached.
-    pub fn is_finished(&self) -> bool {
-        self.terminal.is_some()
-    }
-
-    /// Closes the run (telemetry span included) and pins the terminal status.
-    fn finish(&mut self, status: CegisStatus) -> CegisStatus {
+    /// Ends the run after `rounds` rounds: records `iterations` and
+    /// `certified`, emits the final `round` event with status `label`,
+    /// closes the run's span and pins the terminal status.
+    fn finish(&mut self, rounds: usize, label: &str, status: CegisStatus) -> CegisStatus {
+        if self.telemetry.is_recording() {
+            self.telemetry.add("iterations", rounds as u64);
+            self.telemetry.flag("certified", status.is_certified());
+        }
+        if self.progress.is_on() {
+            self.progress.emit(snbc_metrics::ProgressEvent::Round {
+                round: rounds as u64,
+                status: label.to_string(),
+            });
+        }
+        self.rounds = rounds;
         self.run_span = None;
         self.terminal = Some(status.clone());
         status
@@ -415,37 +426,18 @@ impl CegisEngine {
         let tele = self.telemetry.clone();
         let iter = self.rounds + 1;
         if iter > self.cfg.max_iterations {
-            if tele.is_recording() {
-                tele.add("iterations", self.cfg.max_iterations as u64);
-                tele.flag("certified", false);
-            }
-            if self.progress.is_on() {
-                self.progress.emit(snbc_metrics::ProgressEvent::Round {
-                    round: self.rounds as u64,
-                    status: "exhausted".to_string(),
-                });
-            }
-            return self.finish(CegisStatus::Exhausted {
+            let status = CegisStatus::Exhausted {
                 iterations: self.cfg.max_iterations,
                 best_margin: self.best_margin,
-            });
+            };
+            return self.finish(self.rounds, "exhausted", status);
         }
         if self.t0.elapsed() > self.cfg.time_limit {
-            if tele.is_recording() {
-                tele.add("iterations", (iter - 1) as u64);
-                tele.flag("certified", false);
-            }
-            if self.progress.is_on() {
-                // Wall-clock trips are environment-dependent by nature, so
-                // this event only ever appears in solo (one-shot) streams:
-                // the portfolio racer neutralizes `time_limit` entirely.
-                self.progress.emit(snbc_metrics::ProgressEvent::Round {
-                    round: self.rounds as u64,
-                    status: "timed-out".to_string(),
-                });
-            }
+            // Wall-clock trips are environment-dependent by nature, so this
+            // `round` event only ever appears in solo (one-shot) streams: the
+            // portfolio racer neutralizes `time_limit` entirely.
             let elapsed = self.t0.elapsed().as_secs_f64();
-            return self.finish(CegisStatus::TimedOut { elapsed });
+            return self.finish(self.rounds, "timed-out", CegisStatus::TimedOut { elapsed });
         }
         let round_span = tele.span_indexed("round", iter as u64);
 
@@ -474,15 +466,12 @@ impl CegisEngine {
         }
         let outcome = Verifier::new(&self.system, &self.inclusion, vcfg).verify(&b);
         self.t_verify += outcome.total_time();
-        for (rung, cond) in [
-            ("init", &outcome.init),
-            ("unsafe", &outcome.unsafe_),
-            ("flow", &outcome.flow),
-        ] {
+        for kind in ViolatedCondition::ALL {
             if self.progress.is_on() {
+                let cond = outcome.get(kind);
                 self.progress.emit(snbc_metrics::ProgressEvent::VerifyRung {
                     round: iter as u64,
-                    rung: rung.to_string(),
+                    rung: kind.name().to_string(),
                     feasible: cond.feasible,
                     margin: cond.margin,
                 });
@@ -496,17 +485,6 @@ impl CegisEngine {
                 .clone()
                 .expect("feasible flow problem returns lambda");
             drop(round_span);
-            if tele.is_recording() {
-                tele.add("iterations", iter as u64);
-                tele.flag("certified", true);
-            }
-            if self.progress.is_on() {
-                self.progress.emit(snbc_metrics::ProgressEvent::Round {
-                    round: iter as u64,
-                    status: "certified".to_string(),
-                });
-            }
-            self.rounds = iter;
             let result = SnbcResult {
                 barrier: b,
                 lambda,
@@ -518,7 +496,7 @@ impl CegisEngine {
                 t_verify: self.t_verify,
                 t_total: self.t0.elapsed(),
             };
-            return self.finish(CegisStatus::Certified(Box::new(result)));
+            return self.finish(iter, "certified", CegisStatus::Certified(Box::new(result)));
         }
         self.best_margin = self.best_margin.max(
             outcome
@@ -528,19 +506,67 @@ impl CegisEngine {
                 .min(outcome.flow.margin),
         );
 
-        // Counterexamples (steps 7–8).
+        // Counterexamples (steps 7–8) for the conditions the LMIs refuted.
         let tc = Stopwatch::start();
         let cex_span = tele.span("cex");
-        let mut added = self.feed_counterexamples(&outcome, &b, iter);
-        let mut interval_fallback = false;
-        if added == 0 {
+        // λ enters the flow condition only.
+        let lambda = if outcome.flow.feasible {
+            Polynomial::zero()
+        } else {
+            self.learner.lambda_polynomial()
+        };
+        let theorem = Theorem1::new(
+            &self.system,
+            &b,
+            &lambda,
+            &self.closed_robust,
+            self.inclusion.sigma_star,
+            Strictness::SEARCH,
+        );
+        let refuted: Vec<Condition> =
+            outcome.failed().map(|kind| theorem.condition(kind)).collect();
+        let n = self.system.nvars();
+        let mut cfg = self.cfg.cex.clone();
+        cfg.seed = self.cfg.cex.seed + iter as u64;
+        let mut added = 0;
+        for condition in &refuted {
+            if let Some(cex) = condition.search(&cfg) {
+                added += cex.points.len();
+                // Flow points drop the error coordinate `w`.
+                self.sets.of_mut(condition.kind).extend(cex.points.into_iter().map(|mut p| {
+                    p.truncate(n);
+                    p
+                }));
+            }
+        }
+        let interval_fallback = added == 0;
+        if interval_fallback {
             // Gradient ascent found no violating sample although SOS
             // verification failed: fall back to the δ-complete interval
             // oracle, which finds true violations (or certifies there are
             // none, in which case the failure is a relaxation gap and
-            // fresh samples sharpen the candidate's margins).
-            interval_fallback = true;
-            added = self.interval_counterexamples(&outcome, &b, iter);
+            // fresh samples sharpen the candidate's margins). A query that
+            // exhausts its box budget counts as no violation.
+            let bb = BranchAndBound {
+                delta: 1e-3,
+                max_boxes: 200_000,
+                ..Default::default()
+            };
+            for condition in &refuted {
+                let r = condition.check(&bb, &Trace::off());
+                if self.progress.is_on() {
+                    self.progress.emit(snbc_metrics::ProgressEvent::IntervalQuery {
+                        round: iter as u64,
+                        rung: condition.kind.name().to_string(),
+                        boxes: r.boxes_processed as u64,
+                    });
+                }
+                if let Verdict::Violated { mut witness, .. } = r.verdict {
+                    witness.truncate(n);
+                    self.sets.of_mut(condition.kind).push(witness);
+                    added += 1;
+                }
+            }
         }
         if tele.is_recording() {
             tele.add("points", added as u64);
@@ -566,14 +592,14 @@ impl CegisEngine {
                     self.progress
                         .emit(snbc_metrics::ProgressEvent::Reseed { round: iter as u64 });
                 }
-                let n = self.system.nvars();
                 let reseed = self.cfg.seed + 1000 * iter as u64;
-                let b_net = QuadraticNet::new(n, &self.nn_b_hidden, reseed);
-                let lambda_net = match &self.lambda_spec {
-                    LambdaSpec::Constant => MultiplierNet::constant(-0.5),
-                    LambdaSpec::Linear(hidden) => MultiplierNet::linear(n, hidden, reseed + 1),
-                };
-                self.learner = Learner::new(b_net, lambda_net, self.cfg.learner.clone());
+                self.learner = Learner::with_shapes(
+                    n,
+                    &self.nn_b_hidden,
+                    &self.lambda_spec,
+                    reseed,
+                    self.cfg.learner.clone(),
+                );
                 self.sets = TrainingSets::sample(&self.system, self.batch, reseed + 2);
                 if n >= 6 {
                     warm_start_lyapunov(
@@ -605,129 +631,6 @@ impl CegisEngine {
             });
         }
         CegisStatus::InProgress
-    }
-
-    /// Generates counterexamples for every failed condition and pushes them
-    /// into the training sets; returns the number of points added.
-    fn feed_counterexamples(
-        &mut self,
-        outcome: &VerificationOutcome,
-        b: &Polynomial,
-        iter: usize,
-    ) -> usize {
-        let mut cfg = self.cfg.cex.clone();
-        cfg.seed = self.cfg.cex.seed + iter as u64;
-        let system = &self.system;
-        let mut added = 0;
-        if !outcome.init.feasible {
-            // Violation of (i): v = −B on Θ.
-            let v = -b;
-            if let Some(cex) = find_counterexample(&v, system.init(), ViolatedCondition::Init, &cfg)
-            {
-                added += cex.points.len();
-                self.sets.init.extend(cex.points);
-            }
-        }
-        if !outcome.unsafe_.feasible {
-            // Violation of (ii): v = B on Ξ.
-            if let Some(cex) =
-                find_counterexample(b, system.unsafe_set(), ViolatedCondition::Unsafe, &cfg)
-            {
-                added += cex.points.len();
-                self.sets.unsafe_.extend(cex.points);
-            }
-        }
-        if !outcome.flow.feasible {
-            // Violation of (iii): v = −(L_f B − λ̃B) over Ψ × [−σ*, σ*] with
-            // the learned λ̃ — the search includes the error coordinate `w`,
-            // which is dropped before feeding the point back to `S_D`.
-            let v = flow_violation(b, &self.learner.lambda_polynomial(), &self.closed_robust);
-            let ext = extended_domain(system, self.inclusion.sigma_star);
-            if let Some(cex) = find_counterexample(&v, &ext, ViolatedCondition::Flow, &cfg) {
-                let n = system.nvars();
-                added += cex.points.len();
-                self.sets
-                    .domain
-                    .extend(cex.points.into_iter().map(|mut p| {
-                        p.truncate(n);
-                        p
-                    }));
-            }
-        }
-        added
-    }
-
-    /// δ-complete fallback oracle: asks the interval verifier for concrete
-    /// violations of each failed condition, emitting one `interval-query`
-    /// event per query. Returns points added.
-    fn interval_counterexamples(
-        &mut self,
-        outcome: &VerificationOutcome,
-        b: &Polynomial,
-        iter: usize,
-    ) -> usize {
-        use snbc_interval::{BranchAndBound, Interval, Verdict};
-        let bb = BranchAndBound {
-            delta: 1e-3,
-            max_boxes: 200_000,
-            ..Default::default()
-        };
-        let boxed = |set: &snbc_dynamics::SemiAlgebraicSet| -> Vec<Interval> {
-            set.bounding_box()
-                .iter()
-                .map(|&(lo, hi)| Interval::new(lo, hi))
-                .collect()
-        };
-        let progress = &self.progress;
-        let queried = |rung: &str, boxes: usize| {
-            if progress.is_on() {
-                progress.emit(snbc_metrics::ProgressEvent::IntervalQuery {
-                    round: iter as u64,
-                    rung: rung.to_string(),
-                    boxes: boxes as u64,
-                });
-            }
-        };
-        let system = &self.system;
-        let mut added = 0;
-        if !outcome.init.feasible {
-            let r = bb.check_at_least(b, &boxed(system.init()), system.init().polys(), 0.0);
-            queried("init", r.boxes_processed);
-            if let Verdict::Violated { witness, .. } = r.verdict {
-                self.sets.init.push(witness);
-                added += 1;
-            }
-        }
-        if !outcome.unsafe_.feasible {
-            let neg_b = -b;
-            let r = bb.check_at_least(
-                &neg_b,
-                &boxed(system.unsafe_set()),
-                system.unsafe_set().polys(),
-                1e-12,
-            );
-            queried("unsafe", r.boxes_processed);
-            if let Verdict::Violated { witness, .. } = r.verdict {
-                self.sets.unsafe_.push(witness);
-                added += 1;
-            }
-        }
-        if !outcome.flow.feasible {
-            let lie = lie_derivative(b, &self.closed_robust);
-            let lambda = self.learner.lambda_polynomial();
-            let expr = &lie - &(&lambda * b);
-            let mut dom = boxed(system.domain());
-            let sigma = self.inclusion.sigma_star.max(1e-9);
-            dom.push(Interval::new(-sigma, sigma));
-            let r = bb.check_at_least(&expr, &dom, system.domain().polys(), 0.0);
-            queried("flow", r.boxes_processed);
-            if let Verdict::Violated { mut witness, .. } = r.verdict {
-                witness.truncate(system.nvars());
-                self.sets.domain.push(witness);
-                added += 1;
-            }
-        }
-        added
     }
 }
 
@@ -845,23 +748,6 @@ fn lyapunov_quadratic(closed_nominal: &[Polynomial], n: usize) -> Option<snbc_li
     Some(p)
 }
 
-/// The flow-violation polynomial `−(L_f B − λB)` over `(x, w)`.
-fn flow_violation(b: &Polynomial, lambda: &Polynomial, closed_robust: &[Polynomial]) -> Polynomial {
-    let lie = lie_derivative(b, closed_robust);
-    -&(&lie - &(lambda * b))
-}
-
-/// The domain `Ψ` extended with the error coordinate `w ∈ [−σ*, σ*]`.
-fn extended_domain(
-    system: &snbc_dynamics::Ccds,
-    sigma_star: f64,
-) -> snbc_dynamics::SemiAlgebraicSet {
-    let sigma = sigma_star.max(1e-9);
-    let mut bounds = system.domain().bounding_box().to_vec();
-    bounds.push((-sigma, sigma));
-    snbc_dynamics::SemiAlgebraicSet::from_polys(system.domain().polys().to_vec(), &bounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -929,7 +815,6 @@ mod tests {
                 other => panic!("expected certification, got {other:?}"),
             }
         };
-        assert!(engine.is_finished());
         assert_eq!(stepped.iterations, one_shot.iterations);
         assert_eq!(engine.rounds(), stepped.iterations);
         assert_eq!(stepped.barrier, one_shot.barrier);

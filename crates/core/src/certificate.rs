@@ -13,7 +13,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use snbc_dynamics::benchmarks::Benchmark;
 use snbc_dynamics::Ccds;
 use snbc_interval::BranchAndBound;
 use snbc_poly::Polynomial;
@@ -59,8 +58,17 @@ impl SafetyCertificate {
     /// the λ family and never widens it, since a λ of degree `d` is also one
     /// of degree `d + 1`.
     ///
-    /// Returns `true` only when every check passes.
+    /// Returns `true` only when every check passes. A certificate whose
+    /// polynomials use variables beyond the system's state does not
+    /// validate.
     pub fn validate(&self, system: &Ccds, deep: bool) -> bool {
+        let n = system.nvars();
+        if [&self.barrier, &self.lambda, &self.controller]
+            .iter()
+            .any(|p| p.nvars() > n)
+        {
+            return false;
+        }
         let inclusion = PolynomialInclusion {
             h: self.controller.clone(),
             sigma_tilde: self.sigma_star,
@@ -86,16 +94,12 @@ impl SafetyCertificate {
                 system,
                 &inclusion,
                 &BranchAndBound::default(),
+                &snbc_telemetry::Telemetry::off(),
             ) {
                 return false;
             }
         }
         true
-    }
-
-    /// Convenience: validate against the benchmark the certificate names.
-    pub fn validate_against(&self, bench: &Benchmark, deep: bool) -> bool {
-        self.system == bench.name && self.validate(&bench.system, deep)
     }
 }
 
@@ -161,9 +165,10 @@ impl FromStr for SafetyCertificate {
                     controller =
                         Some(value.parse::<Polynomial>().map_err(|e| err(&e.to_string()))?)
                 }
-                "sigma_star" => {
-                    sigma_star = Some(value.parse::<f64>().map_err(|_| err("bad sigma_star"))?)
-                }
+                "sigma_star" => match value.parse::<f64>() {
+                    Ok(v) if v.is_finite() && v >= 0.0 => sigma_star = Some(v),
+                    _ => return Err(err("sigma_star must be a finite number ≥ 0")),
+                },
                 other => return Err(err(&format!("unknown key `{other}`"))),
             }
         }

@@ -12,16 +12,7 @@ use rand::SeedableRng;
 use snbc_dynamics::SemiAlgebraicSet;
 use snbc_poly::Polynomial;
 
-/// Which of the three barrier conditions a counterexample violates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViolatedCondition {
-    /// `B(x) ≥ 0` on `Θ` failed (point goes to `S_I`).
-    Init,
-    /// `B(x) < 0` on `Ξ` failed (point goes to `S_U`).
-    Unsafe,
-    /// `L_f B − λB > 0` on `Ψ` failed (point goes to `S_D`).
-    Flow,
-}
+pub use crate::theorem1::ViolatedCondition;
 
 /// A counterexample ball: the worst point, its violation value, the radius
 /// `γ` of (17), and the samples drawn from the ball.

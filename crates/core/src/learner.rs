@@ -2,9 +2,12 @@
 //! the multiplier network `λ(x)` with the LeakyReLU surrogate of loss (10).
 
 use rand::SeedableRng;
+use snbc_dynamics::benchmarks::LambdaSpec;
 use snbc_dynamics::Ccds;
 use snbc_nn::{Adam, MultiplierNet, QuadraticNet};
 use snbc_poly::Polynomial;
+
+use crate::theorem1::ViolatedCondition;
 
 /// The three sample sets `S_I`, `S_U`, `S_D` (from `Θ`, `Ξ`, `Ψ`), grown by
 /// counterexample feedback.
@@ -38,6 +41,15 @@ impl TrainingSets {
     /// `true` when no samples are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The set a condition's samples belong to: `S_I`, `S_U` or `S_D`.
+    pub fn of_mut(&mut self, kind: ViolatedCondition) -> &mut Vec<Vec<f64>> {
+        match kind {
+            ViolatedCondition::Init => &mut self.init,
+            ViolatedCondition::Unsafe => &mut self.unsafe_,
+            ViolatedCondition::Flow => &mut self.domain,
+        }
     }
 }
 
@@ -278,6 +290,23 @@ impl Learner {
             cfg,
             optimizer,
         }
+    }
+
+    /// A learner over fresh networks of a benchmark's Table 1 shapes: `B`
+    /// with hidden widths `b_hidden` initialized from `seed`, and `λ` per
+    /// `lambda` (the constant −0.5, or a net initialized from `seed + 1`).
+    pub fn with_shapes(
+        n: usize,
+        b_hidden: &[usize],
+        lambda: &LambdaSpec,
+        seed: u64,
+        cfg: LearnerConfig,
+    ) -> Self {
+        let lambda_net = match lambda {
+            LambdaSpec::Constant => MultiplierNet::constant(-0.5),
+            LambdaSpec::Linear(hidden) => MultiplierNet::linear(n, hidden, seed + 1),
+        };
+        Learner::new(QuadraticNet::new(n, b_hidden, seed), lambda_net, cfg)
     }
 
     /// The barrier candidate network.

@@ -71,6 +71,7 @@ pub mod certificate;
 pub mod cex;
 pub mod falsify;
 pub mod learner;
+pub mod theorem1;
 pub mod verifier;
 
 mod cegis;
@@ -83,8 +84,8 @@ pub use falsify::{falsify, CounterexampleTrajectory, FalsifyConfig};
 pub use cex::{CexConfig, Counterexample, ViolatedCondition};
 pub use error::SnbcError;
 pub use learner::{Learner, LearnerConfig, TrainingSets};
+pub use theorem1::{Condition, Strictness, Theorem1};
 pub use verifier::{
-    recheck_with_intervals, recheck_with_intervals_recorded, verify_multi, SubproblemResult,
-    VerificationOutcome, Verifier,
+    recheck_with_intervals, verify_multi, SubproblemResult, VerificationOutcome, Verifier,
     VerifierConfig,
 };

@@ -11,12 +11,14 @@ use std::time::Duration;
 
 use snbc_trace::Stopwatch;
 
-use snbc_dynamics::Ccds;
-use snbc_interval::{BranchAndBound, Interval, Verdict};
+use snbc_dynamics::{Ccds, SemiAlgebraicSet};
+use snbc_interval::{BranchAndBound, Verdict};
 use snbc_poly::{lie_derivative, Polynomial};
 use snbc_sdp::SdpSolver;
 use snbc_sos::{SosError, SosExpr, SosProgram};
+use snbc_telemetry::Telemetry;
 
+use crate::theorem1::{Strictness, Theorem1, ViolatedCondition};
 use crate::PolynomialInclusion;
 
 /// Options of the LMI verifier.
@@ -73,6 +75,15 @@ pub struct VerificationOutcome {
 }
 
 impl VerificationOutcome {
+    /// The sub-problem of one condition.
+    pub fn get(&self, kind: ViolatedCondition) -> &SubproblemResult {
+        match kind {
+            ViolatedCondition::Init => &self.init,
+            ViolatedCondition::Unsafe => &self.unsafe_,
+            ViolatedCondition::Flow => &self.flow,
+        }
+    }
+
     /// `true` when all three LMI sub-problems are strictly feasible, i.e.
     /// `B` is a real barrier certificate.
     pub fn is_certified(&self) -> bool {
@@ -84,19 +95,17 @@ impl VerificationOutcome {
         self.init.time + self.unsafe_.time + self.flow.time
     }
 
+    /// The conditions whose sub-problem failed, in
+    /// [`ViolatedCondition::ALL`] order (empty when certified).
+    pub fn failed(&self) -> impl Iterator<Item = ViolatedCondition> + '_ {
+        ViolatedCondition::ALL
+            .into_iter()
+            .filter(|&kind| !self.get(kind).feasible)
+    }
+
     /// Names of the conditions that failed (empty when certified).
     pub fn failed_conditions(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if !self.init.feasible {
-            out.push("init");
-        }
-        if !self.unsafe_.feasible {
-            out.push("unsafe");
-        }
-        if !self.flow.feasible {
-            out.push("flow");
-        }
-        out
+        self.failed().map(ViolatedCondition::name).collect()
     }
 }
 
@@ -118,144 +127,67 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Runs the three LMI feasibility tests for the candidate `B`.
-    ///
-    /// Infeasibility of a sub-problem is *not* an error (it triggers
-    /// counterexample generation in the CEGIS loop); solver breakdowns are
-    /// reported as infeasible with margin `−∞` so the loop can continue with
-    /// more counterexamples.
+    /// Runs the three LMI feasibility tests for the candidate `B`: the
+    /// one-channel case of [`verify_multi`].
     pub fn verify(&self, b: &Polynomial) -> VerificationOutcome {
-        // The SDP solver's telemetry doubles as the verifier's sink: the
-        // "init"/"unsafe"/"flow" spans enclose the nested "sdp" spans the
-        // instrumented solver emits for each ladder rung. The three LMIs
-        // decouple (§4.2), so each condition gets a forked branch sink and
-        // its own solve; the forks are adopted back in fixed order after the
-        // join, making the span tree identical at any thread count.
-        let t = &self.cfg.solver.telemetry;
-        let _span = t.span("verify");
-        if t.is_recording() {
-            t.label("workers", &snbc_par::threads().min(3).to_string());
-        }
-        let (ti, tu, tf) = (t.fork(), t.fork(), t.fork());
-        let (vi, vu, vf) = (self.with_sink(&ti), self.with_sink(&tu), self.with_sink(&tf));
-        let (init, unsafe_, flow) = snbc_par::join3(
-            || {
-                let _s = ti.span("init");
-                let r = vi.check_init(b);
-                record_subproblem(&ti, &r);
-                r
-            },
-            || {
-                let _s = tu.span("unsafe");
-                let r = vu.check_unsafe(b);
-                record_subproblem(&tu, &r);
-                r
-            },
-            || {
-                let _s = tf.span("flow");
-                let r = vf.check_flow(b);
-                record_subproblem(&tf, &r);
-                r
-            },
-        );
-        t.adopt(&ti);
-        t.adopt(&tu);
-        t.adopt(&tf);
-        VerificationOutcome {
-            init,
-            unsafe_,
-            flow,
-        }
-    }
-
-    /// A clone of this verifier whose solver records into `sink` (the
-    /// branch-local fork used by the parallel [`Verifier::verify`]).
-    fn with_sink(&self, sink: &snbc_telemetry::Telemetry) -> Verifier<'a> {
-        let mut v = self.clone();
-        v.cfg.solver.telemetry = sink.clone();
-        v
-    }
-
-    /// The multiplier-degree escalation ladder: scalar S-procedure
-    /// multipliers first (often sufficient and orders of magnitude cheaper in
-    /// high dimension), then the configured degree.
-    fn degree_ladder(&self) -> Vec<u32> {
-        if self.cfg.multiplier_degree == 0 {
-            vec![0]
-        } else {
-            vec![0, self.cfg.multiplier_degree]
-        }
-    }
-
-    /// Problem (13): `B − Σ σᵢθᵢ ∈ Σ[x]`.
-    fn check_init(&self, b: &Polynomial) -> SubproblemResult {
-        let start = Stopwatch::start();
-        let n = self.system.nvars();
-        let mut last = None;
-        for deg in self.degree_ladder() {
-            let mut prog = SosProgram::new(n);
-            let mut expr = SosExpr::from_poly(b.clone());
-            for theta in self.system.init().polys() {
-                let sigma = prog.add_sos(deg);
-                expr = expr.add_term(-theta, sigma);
-            }
-            prog.require_sos(expr);
-            let result = prog.solve(&self.cfg.solver);
-            let done = result.is_ok();
-            last = Some(result);
-            if done {
-                break;
-            }
-        }
-        finish(last.expect("ladder is non-empty"), start, None)
-    }
-
-    /// Problem (14): `−B − Σ δᵢξᵢ − ε₁ ∈ Σ[x]`.
-    fn check_unsafe(&self, b: &Polynomial) -> SubproblemResult {
-        let start = Stopwatch::start();
-        let n = self.system.nvars();
-        let mut last = None;
-        for deg in self.degree_ladder() {
-            let mut prog = SosProgram::new(n);
-            let neg_b_eps = &(-b) - &Polynomial::constant(self.cfg.epsilon1);
-            let mut expr = SosExpr::from_poly(neg_b_eps);
-            for xi in self.system.unsafe_set().polys() {
-                let delta = prog.add_sos(deg);
-                expr = expr.add_term(-xi, delta);
-            }
-            prog.require_sos(expr);
-            let result = prog.solve(&self.cfg.solver);
-            let done = result.is_ok();
-            last = Some(result);
-            if done {
-                break;
-            }
-        }
-        finish(last.expect("ladder is non-empty"), start, None)
-    }
-
-    /// Problem (15): `L_f B − λB − Σ φᵢψᵢ − Σ φ_wⱼ(σⱼ*² − wⱼ²) − ε₂ ∈
-    /// Σ[x, w]`, with `λ` a free polynomial in `x` only. One error variable
-    /// per control channel carries the §3 abstraction error (the scalar case
-    /// is the one-channel instance).
-    fn check_flow(&self, b: &Polynomial) -> SubproblemResult {
-        check_flow_channels(
-            self.system,
-            std::slice::from_ref(self.inclusion),
-            b,
-            &self.cfg,
-            &self.degree_ladder(),
-        )
+        verify_multi(self.system, std::slice::from_ref(self.inclusion), b, &self.cfg)
     }
 }
 
-/// Emits a sub-problem's Gram margin and feasibility flag on the current span.
-fn record_subproblem(t: &snbc_telemetry::Telemetry, r: &SubproblemResult) {
-    if !t.is_recording() {
-        return;
+/// The multiplier-degree escalation ladder: scalar S-procedure multipliers
+/// first (often sufficient and orders of magnitude cheaper in high
+/// dimension), then the configured degree.
+fn degree_ladder(multiplier_degree: u32) -> Vec<u32> {
+    if multiplier_degree == 0 {
+        vec![0]
+    } else {
+        vec![0, multiplier_degree]
     }
-    t.gauge("margin", r.margin);
-    t.flag("feasible", r.feasible);
+}
+
+/// Problems (13) and (14): `p − Σ σᵢgᵢ ∈ Σ[x]` for the set `{gᵢ ≥ 0}`, with
+/// `p = B` on `Θ` and `p = −B − ε₁` on `Ξ`.
+fn check_set(
+    n: usize,
+    p: &Polynomial,
+    set: &SemiAlgebraicSet,
+    cfg: &VerifierConfig,
+    ladder: &[u32],
+) -> SubproblemResult {
+    let start = Stopwatch::start();
+    let mut last = None;
+    for &deg in ladder {
+        let mut prog = SosProgram::new(n);
+        let mut expr = SosExpr::from_poly(p.clone());
+        for g in set.polys() {
+            let sigma = prog.add_sos(deg);
+            expr = expr.add_term(-g, sigma);
+        }
+        prog.require_sos(expr);
+        let result = prog.solve(&cfg.solver);
+        let done = result.is_ok();
+        last = Some(result);
+        if done {
+            break;
+        }
+    }
+    finish(last.expect("ladder is non-empty"), start, None)
+}
+
+/// Runs one sub-problem in a span `name` on its branch sink, and records its
+/// Gram margin and feasibility flag there.
+fn solve(
+    sink: &Telemetry,
+    name: &'static str,
+    check: impl FnOnce() -> SubproblemResult,
+) -> SubproblemResult {
+    let _s = sink.span(name);
+    let r = check();
+    if sink.is_recording() {
+        sink.gauge("margin", r.margin);
+        sink.flag("feasible", r.feasible);
+    }
+    r
 }
 
 fn finish(
@@ -290,106 +222,46 @@ fn finish(
 /// branch-and-bound (the second soundness path, using the dReal-substitute).
 ///
 /// Returns `true` when all three conditions of Theorem 1 are *proven* over
-/// the sets' bounding boxes intersected with their constraints. `Unknown`
-/// verdicts (precision δ) count as failure — this check is strictly harsher
-/// than the SOS margin test.
+/// the sets' bounding boxes intersected with their constraints
+/// ([`Strictness::DEEP`]). `Unknown` verdicts (precision δ) count as
+/// failure — this check is strictly harsher than the SOS margin test.
+///
+/// With a recording `telemetry`, the conditions run in `interval-init` /
+/// `interval-unsafe` / `interval-flow` spans under an `interval-recheck`
+/// parent, each with `boxes` / `max_depth` counters and a `holds` flag, and
+/// the branch-and-bound wave engine emits per-worker `bb-boxes` spans into
+/// the telemetry's trace (see docs/TRACING.md).
 pub fn recheck_with_intervals(
     b: &Polynomial,
     lambda: &Polynomial,
     system: &Ccds,
     inclusion: &PolynomialInclusion,
     bb: &BranchAndBound,
-) -> bool {
-    recheck_with_intervals_recorded(
-        b,
-        lambda,
-        system,
-        inclusion,
-        bb,
-        &snbc_telemetry::Telemetry::off(),
-    )
-}
-
-/// [`recheck_with_intervals`] with telemetry: wraps the three Theorem 1
-/// conditions in `interval-init` / `interval-unsafe` / `interval-flow`
-/// spans under an `interval-recheck` parent, records `boxes` / `max_depth`
-/// counters and a `holds` flag per condition, and attaches the telemetry's
-/// trace sink so the branch-and-bound wave engine emits per-worker
-/// `bb-boxes` spans (see docs/TRACING.md).
-pub fn recheck_with_intervals_recorded(
-    b: &Polynomial,
-    lambda: &Polynomial,
-    system: &Ccds,
-    inclusion: &PolynomialInclusion,
-    bb: &BranchAndBound,
-    telemetry: &snbc_telemetry::Telemetry,
+    telemetry: &Telemetry,
 ) -> bool {
     let _span = telemetry.span("interval-recheck");
-    let trace = telemetry.trace();
-    // (i) B ≥ 0 on Θ.
-    let init_box: Vec<Interval> = system
-        .init()
-        .bounding_box()
-        .iter()
-        .map(|&(lo, hi)| Interval::new(lo, hi))
-        .collect();
-    let r1 = {
-        let _s = telemetry.span("interval-init");
-        let r = bb.check_at_least_traced(b, &init_box, system.init().polys(), 0.0, trace);
+    let closed_robust = system.close_loop_with_error(&inclusion.h);
+    let theorem = Theorem1::new(
+        system,
+        b,
+        lambda,
+        &closed_robust,
+        inclusion.sigma_star,
+        Strictness::DEEP,
+    );
+    ViolatedCondition::ALL.into_iter().all(|kind| {
+        let condition = theorem.condition(kind);
+        let _s = telemetry.span(match kind {
+            ViolatedCondition::Init => "interval-init",
+            ViolatedCondition::Unsafe => "interval-unsafe",
+            ViolatedCondition::Flow => "interval-flow",
+        });
+        let r = condition.check(bb, telemetry.trace());
         telemetry.add("boxes", r.boxes_processed as u64);
         telemetry.add("max_depth", r.max_depth as u64);
         telemetry.flag("holds", r.verdict == Verdict::Holds);
-        r
-    };
-    if r1.verdict != Verdict::Holds {
-        return false;
-    }
-    // (ii) B < 0 on Ξ ⇔ −B > 0.
-    let unsafe_box: Vec<Interval> = system
-        .unsafe_set()
-        .bounding_box()
-        .iter()
-        .map(|&(lo, hi)| Interval::new(lo, hi))
-        .collect();
-    let neg_b = -b;
-    let r2 = {
-        let _s = telemetry.span("interval-unsafe");
-        let r = bb.check_at_least_traced(
-            &neg_b,
-            &unsafe_box,
-            system.unsafe_set().polys(),
-            1e-9,
-            trace,
-        );
-        telemetry.add("boxes", r.boxes_processed as u64);
-        telemetry.add("max_depth", r.max_depth as u64);
-        telemetry.flag("holds", r.verdict == Verdict::Holds);
-        r
-    };
-    if r2.verdict != Verdict::Holds {
-        return false;
-    }
-    // (iii) L_f B − λB > 0 on Ψ × [−σ*, σ*].
-    let sigma = inclusion.sigma_star.max(1e-12);
-    let field = system.close_loop_with_error(&inclusion.h);
-    let lie = lie_derivative(b, &field);
-    let expr = &lie - &(lambda * b);
-    let mut domain_box: Vec<Interval> = system
-        .domain()
-        .bounding_box()
-        .iter()
-        .map(|&(lo, hi)| Interval::new(lo, hi))
-        .collect();
-    domain_box.push(Interval::new(-sigma, sigma));
-    let r3 = {
-        let _s = telemetry.span("interval-flow");
-        let r = bb.check_at_least_traced(&expr, &domain_box, system.domain().polys(), 1e-9, trace);
-        telemetry.add("boxes", r.boxes_processed as u64);
-        telemetry.add("max_depth", r.max_depth as u64);
-        telemetry.flag("holds", r.verdict == Verdict::Holds);
-        r
-    };
-    r3.verdict == Verdict::Holds
+        r.verdict == Verdict::Holds
+    })
 }
 
 #[cfg(test)]
@@ -476,7 +348,8 @@ mod tests {
         let out = verifier.verify(&b);
         assert!(out.is_certified());
         let lambda = out.flow.lambda.expect("lambda solved");
-        let ok = recheck_with_intervals(&b, &lambda, &sys, &inc, &BranchAndBound::default());
+        let bb = BranchAndBound::default();
+        let ok = recheck_with_intervals(&b, &lambda, &sys, &inc, &bb, &Telemetry::off());
         assert!(ok, "interval path must confirm the SOS certificate");
     }
 
@@ -485,15 +358,21 @@ mod tests {
         let (sys, inc) = toy();
         let b: Polynomial = "x0".parse().unwrap();
         let lambda = Polynomial::zero();
-        let ok = recheck_with_intervals(&b, &lambda, &sys, &inc, &BranchAndBound::default());
+        let bb = BranchAndBound::default();
+        let ok = recheck_with_intervals(&b, &lambda, &sys, &inc, &bb, &Telemetry::off());
         assert!(!ok);
     }
 }
 
-/// Multi-input verification (§3's "multiple-output cases"): checks the three
-/// barrier conditions for a system with `m` control channels, each abstracted
-/// as `uⱼ = hⱼ(x) + wⱼ`, `wⱼ ∈ [−σⱼ*, σⱼ*]`. The flow condition (15) gains
-/// one error variable and one band multiplier per channel.
+/// Runs the three LMI feasibility tests (13)–(15) for the candidate `B` of
+/// a system with `m` control channels, each abstracted as `uⱼ = hⱼ(x) + wⱼ`,
+/// `wⱼ ∈ [−σⱼ*, σⱼ*]` (§3's "multiple-output cases"). The flow condition (15)
+/// gains one error variable and one band multiplier per channel.
+///
+/// Infeasibility of a sub-problem is *not* an error (it triggers
+/// counterexample generation in the CEGIS loop); solver breakdowns are
+/// reported as infeasible with margin `−∞` so the loop can continue with
+/// more counterexamples.
 ///
 /// # Panics
 ///
@@ -509,49 +388,39 @@ pub fn verify_multi(
         system.num_inputs(),
         "one inclusion per control channel"
     );
-    let t = cfg.solver.telemetry.clone();
+    // The SDP solver's telemetry doubles as the verifier's sink: the
+    // "init"/"unsafe"/"flow" spans enclose the nested "sdp" spans the
+    // instrumented solver emits for each ladder rung. The three LMIs
+    // decouple (§4.2), so each condition gets a forked branch sink and its
+    // own solve; the forks are adopted back in fixed order after the join,
+    // making the span tree identical at any thread count.
+    let t = &cfg.solver.telemetry;
     let _span = t.span("verify");
     if t.is_recording() {
         t.label("workers", &snbc_par::threads().min(3).to_string());
     }
-    // Conditions (13) and (14) are channel-independent: reuse the scalar
-    // verifier with a dummy inclusion. As in the scalar path, each condition
-    // solves on a forked branch sink and the forks are adopted back in fixed
-    // order after the join.
-    let cfg_with = |sink: &snbc_telemetry::Telemetry| {
+    let n = system.nvars();
+    let ladder = degree_ladder(cfg.multiplier_degree);
+    let forks = [t.fork(), t.fork(), t.fork()];
+    let [ci, cu, cf] = forks.clone().map(|sink| {
         let mut c = cfg.clone();
-        c.solver.telemetry = sink.clone();
+        c.solver.telemetry = sink;
         c
-    };
-    let (ti, tu, tf) = (t.fork(), t.fork(), t.fork());
-    let scalar_i = Verifier::new(system, &inclusions[0], cfg_with(&ti));
-    let scalar_u = Verifier::new(system, &inclusions[0], cfg_with(&tu));
-    let cfg_f = cfg_with(&tf);
-    let ladder = scalar_i.degree_ladder();
+    });
     let (init, unsafe_, flow) = snbc_par::join3(
+        || solve(&forks[0], "init", || check_set(n, b, system.init(), &ci, &ladder)),
         || {
-            let _s = ti.span("init");
-            let r = scalar_i.check_init(b);
-            record_subproblem(&ti, &r);
-            r
+            solve(&forks[1], "unsafe", || {
+                let neg_b_eps = &(-b) - &Polynomial::constant(cfg.epsilon1);
+                check_set(n, &neg_b_eps, system.unsafe_set(), &cu, &ladder)
+            })
         },
-        || {
-            let _s = tu.span("unsafe");
-            let r = scalar_u.check_unsafe(b);
-            record_subproblem(&tu, &r);
-            r
-        },
-        // Flow (15) over (x, w₁ … w_m) — shared with the scalar path.
-        || {
-            let _s = tf.span("flow");
-            let r = check_flow_channels(system, inclusions, b, &cfg_f, &ladder);
-            record_subproblem(&tf, &r);
-            r
-        },
+        // Flow (15) over (x, w₁ … w_m).
+        || solve(&forks[2], "flow", || check_flow_channels(system, inclusions, b, &cf, &ladder)),
     );
-    t.adopt(&ti);
-    t.adopt(&tu);
-    t.adopt(&tf);
+    for fork in &forks {
+        t.adopt(fork);
+    }
     VerificationOutcome { init, unsafe_, flow }
 }
 
@@ -568,7 +437,6 @@ fn check_flow_channels(
 ) -> SubproblemResult {
     let start = Stopwatch::start();
     let n = system.nvars();
-
 
     // Close the loop channel by channel. Robust channels keep a fresh error
     // variable; exact channels substitute h directly. Error variables are
@@ -630,28 +498,35 @@ mod multi_tests {
     use super::*;
     use snbc_dynamics::SemiAlgebraicSet;
 
-    #[test]
-    fn two_channel_double_integrator_certifies() {
-        // ẋ₀ = u₁, ẋ₁ = u₂ with u₁ ≈ −x₀, u₂ ≈ −x₁ and small error bands.
-        let sys = Ccds::new_multi(
+    /// ẋ₀ = u₁, ẋ₁ = u₂.
+    fn double_integrator() -> Ccds {
+        Ccds::new_multi(
             "double-int",
             vec!["x2".parse().unwrap(), "x3".parse().unwrap()],
             2,
             SemiAlgebraicSet::box_set(&[(-0.3, 0.3), (-0.3, 0.3)]),
             SemiAlgebraicSet::box_set(&[(-2.0, 2.0), (-2.0, 2.0)]),
             SemiAlgebraicSet::box_set(&[(1.5, 2.0), (1.5, 2.0)]),
-        );
-        let mk = |h: &str, sigma: f64| PolynomialInclusion {
+        )
+    }
+
+    fn inclusion(h: &str, sigma: f64) -> PolynomialInclusion {
+        PolynomialInclusion {
             h: h.parse().unwrap(),
             sigma_tilde: sigma,
             sigma_star: sigma,
             lipschitz: 0.0,
             covering_radius: 0.0,
             mesh_points: 0,
-        };
-        let inclusions = [mk("-1*x0", 0.05), mk("-1*x1", 0.05)];
+        }
+    }
+
+    #[test]
+    fn two_channel_double_integrator_certifies() {
+        // u₁ ≈ −x₀, u₂ ≈ −x₁ with small error bands.
+        let inclusions = [inclusion("-1*x0", 0.05), inclusion("-1*x1", 0.05)];
         let b: Polynomial = "1 - 0.5*x0^2 - 0.5*x1^2".parse().unwrap();
-        let out = verify_multi(&sys, &inclusions, &b, &VerifierConfig::default());
+        let out = verify_multi(&double_integrator(), &inclusions, &b, &VerifierConfig::default());
         assert!(out.init.feasible, "init margin {}", out.init.margin);
         assert!(out.unsafe_.feasible, "unsafe margin {}", out.unsafe_.margin);
         assert!(out.flow.feasible, "flow margin {}", out.flow.margin);
@@ -659,48 +534,17 @@ mod multi_tests {
 
     #[test]
     fn huge_band_on_one_channel_breaks_it() {
-        let sys = Ccds::new_multi(
-            "double-int",
-            vec!["x2".parse().unwrap(), "x3".parse().unwrap()],
-            2,
-            SemiAlgebraicSet::box_set(&[(-0.3, 0.3), (-0.3, 0.3)]),
-            SemiAlgebraicSet::box_set(&[(-2.0, 2.0), (-2.0, 2.0)]),
-            SemiAlgebraicSet::box_set(&[(1.5, 2.0), (1.5, 2.0)]),
-        );
-        let mk = |h: &str, sigma: f64| PolynomialInclusion {
-            h: h.parse().unwrap(),
-            sigma_tilde: sigma,
-            sigma_star: sigma,
-            lipschitz: 0.0,
-            covering_radius: 0.0,
-            mesh_points: 0,
-        };
-        let inclusions = [mk("-1*x0", 10.0), mk("-1*x1", 0.05)];
+        let inclusions = [inclusion("-1*x0", 10.0), inclusion("-1*x1", 0.05)];
         let b: Polynomial = "1 - 0.5*x0^2 - 0.5*x1^2".parse().unwrap();
-        let out = verify_multi(&sys, &inclusions, &b, &VerifierConfig::default());
+        let out = verify_multi(&double_integrator(), &inclusions, &b, &VerifierConfig::default());
         assert!(!out.flow.feasible);
     }
 
     #[test]
     #[should_panic(expected = "one inclusion per control channel")]
     fn channel_count_mismatch_panics() {
-        let sys = Ccds::new_multi(
-            "double-int",
-            vec!["x2".parse().unwrap(), "x3".parse().unwrap()],
-            2,
-            SemiAlgebraicSet::box_set(&[(-0.3, 0.3), (-0.3, 0.3)]),
-            SemiAlgebraicSet::box_set(&[(-2.0, 2.0), (-2.0, 2.0)]),
-            SemiAlgebraicSet::box_set(&[(1.5, 2.0), (1.5, 2.0)]),
-        );
-        let inc = PolynomialInclusion {
-            h: Polynomial::zero(),
-            sigma_tilde: 0.0,
-            sigma_star: 0.0,
-            lipschitz: 0.0,
-            covering_radius: 0.0,
-            mesh_points: 0,
-        };
         let b = Polynomial::constant(1.0);
-        let _ = verify_multi(&sys, &[inc], &b, &VerifierConfig::default());
+        let one = [inclusion("0", 0.0)];
+        let _ = verify_multi(&double_integrator(), &one, &b, &VerifierConfig::default());
     }
 }

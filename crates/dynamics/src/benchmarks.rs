@@ -342,11 +342,6 @@ pub fn benchmark(i: usize) -> Benchmark {
     b
 }
 
-/// All 14 Table 1 benchmarks in order.
-pub fn all_benchmarks() -> Vec<Benchmark> {
-    (1..=14).map(benchmark).collect()
-}
-
 /// Contractive chain with quadratic coupling:
 /// `ẋᵢ = −xᵢ + 0.25·xᵢ₊₁²` for `i < n−1`, `ẋ_{n−1} = −x_{n−1} + u`.
 fn chain_quadratic(n: usize) -> Vec<Polynomial> {
@@ -461,7 +456,7 @@ mod tests {
         // of the paper provide.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let mut cases = all_benchmarks();
+        let mut cases: Vec<Benchmark> = (1..=14).map(benchmark).collect();
         cases.push(academic_3d());
         for b in &cases {
             for x0 in b.system.init().sample(5, &mut rng) {
@@ -482,7 +477,7 @@ mod tests {
 
     #[test]
     fn initial_and_unsafe_sets_disjoint() {
-        for b in all_benchmarks() {
+        for b in (1..=14).map(benchmark) {
             let c = b.system.unsafe_set().box_center();
             assert!(
                 !b.system.init().contains(&c),

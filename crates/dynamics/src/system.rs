@@ -315,19 +315,6 @@ impl Ccds {
         self.num_inputs
     }
 
-    /// Evaluates the open-loop field at `(x, u)` for a vector input.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn eval_field_multi(&self, x: &[f64], u: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.nvars(), "state dimension mismatch");
-        assert_eq!(u.len(), self.num_inputs, "input dimension mismatch");
-        let mut xu = x.to_vec();
-        xu.extend_from_slice(u);
-        self.field.iter().map(|f| f.eval(&xu)).collect()
-    }
-
     /// Substitutes `uⱼ = hⱼ(x)` for every channel, returning the closed-loop
     /// polynomial field in the state variables only.
     ///
@@ -343,28 +330,6 @@ impl Ccds {
                 let mut g = f.clone();
                 for (j, hj) in h.iter().enumerate() {
                     g = g.substitute(n + j, hj);
-                }
-                g
-            })
-            .collect()
-    }
-
-    /// Closed loop with per-channel interval controllers `uⱼ = hⱼ(x) + wⱼ`;
-    /// the error variables `wⱼ` end up in slots `n … n+m−1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h.len() != self.num_inputs()`.
-    pub fn close_loop_with_error_multi(&self, h: &[Polynomial]) -> Vec<Polynomial> {
-        assert_eq!(h.len(), self.num_inputs, "one controller per input");
-        let n = self.nvars();
-        self.field
-            .iter()
-            .map(|f| {
-                let mut g = f.clone();
-                for (j, hj) in h.iter().enumerate() {
-                    let hw = hj + &Polynomial::var(n + j);
-                    g = g.substitute(n + j, &hw);
                 }
                 g
             })
@@ -398,23 +363,6 @@ mod multi_tests {
         ]);
         assert_eq!(closed[0], "-2*x0".parse().unwrap());
         assert_eq!(closed[1], "-3*x1".parse().unwrap());
-    }
-
-    #[test]
-    fn multi_error_channels_land_in_distinct_slots() {
-        let sys = two_input_system();
-        let robust = sys.close_loop_with_error_multi(&[
-            "-2*x0".parse().unwrap(),
-            "-3*x1".parse().unwrap(),
-        ]);
-        assert_eq!(robust[0], "-2*x0 + x2".parse().unwrap());
-        assert_eq!(robust[1], "-3*x1 + x3".parse().unwrap());
-    }
-
-    #[test]
-    fn multi_eval_field() {
-        let sys = two_input_system();
-        assert_eq!(sys.eval_field_multi(&[0.0, 0.0], &[1.5, -2.5]), vec![1.5, -2.5]);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// `true` when `other ⊆ self`.
-    pub fn contains_interval(self, other: Interval) -> bool {
-        self.lo <= other.lo && other.hi <= self.hi
-    }
-
     /// Splits at the midpoint into `(left, right)`.
     pub fn split(self) -> (Interval, Interval) {
         let m = self.mid();
@@ -233,7 +228,6 @@ mod tests {
         let (l, r) = a.split();
         assert_eq!(l, Interval::new(0.0, 2.0));
         assert_eq!(r, Interval::new(2.0, 4.0));
-        assert!(a.contains_interval(l) && a.contains_interval(r));
     }
 
     #[test]

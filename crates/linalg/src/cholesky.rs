@@ -249,24 +249,6 @@ impl Cholesky {
         y
     }
 
-    /// Solves `Lᵀ·x = b` (backward substitution only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the matrix dimension.
-    pub fn solve_upper(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.l.nrows();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut x = b.to_vec();
-        for i in (0..n).rev() {
-            for k in (i + 1)..n {
-                x[i] -= self.l[(k, i)] * x[k];
-            }
-            x[i] /= self.l[(i, i)];
-        }
-        x
-    }
-
     /// Inverse of `A` reconstructed from the factorization.
     pub fn inverse(&self) -> Matrix {
         let n = self.l.nrows();
@@ -281,120 +263,6 @@ impl Cholesky {
             e[j] = 0.0;
         }
         inv
-    }
-
-    /// `log det A = 2·Σ log Lᵢᵢ`, used by barrier functions.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.nrows())
-            .map(|i| self.l[(i, i)].ln())
-            .sum::<f64>()
-            * 2.0
-    }
-}
-
-/// LDLᵀ factorization of a symmetric matrix without pivoting.
-///
-/// Suitable for symmetric *quasi-definite* systems, e.g. the augmented KKT
-/// systems arising in interior-point methods where the (1,1) block is positive
-/// definite and the (2,2) block negative definite.
-///
-/// # Example
-///
-/// ```
-/// use snbc_linalg::Matrix;
-///
-/// # fn main() -> Result<(), snbc_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, -3.0]]);
-/// let f = a.ldlt()?;
-/// let x = f.solve(&[1.0, 0.0]);
-/// let r = a.matvec(&x);
-/// assert!((r[0] - 1.0).abs() < 1e-12 && r[1].abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct Ldlt {
-    l: Matrix,
-    d: Vec<f64>,
-}
-
-impl Ldlt {
-    /// Computes the factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if a diagonal pivot vanishes, and
-    /// [`LinalgError::ShapeMismatch`] for non-square input.
-    pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (a.nrows(), a.nrows()),
-                found: (a.nrows(), a.ncols()),
-            });
-        }
-        let n = a.nrows();
-        let mut l = Matrix::identity(n);
-        let mut d = vec![0.0; n];
-        for j in 0..n {
-            let mut dj = a[(j, j)];
-            for k in 0..j {
-                dj -= l[(j, k)] * l[(j, k)] * d[k];
-            }
-            if dj.abs() < 1e-300 || !dj.is_finite() {
-                return Err(LinalgError::Singular { column: j });
-            }
-            d[j] = dj;
-            for i in (j + 1)..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)] * d[k];
-                }
-                l[(i, j)] = s / dj;
-            }
-        }
-        crate::sanitize::check_finite("Ldlt::new", l.as_slice());
-        crate::sanitize::check_finite("Ldlt::new (pivots)", &d);
-        Ok(Ldlt { l, d })
-    }
-
-    /// The unit lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// The diagonal `D`.
-    pub fn d(&self) -> &[f64] {
-        &self.d
-    }
-
-    /// Solves `A·x = b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the matrix dimension.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.l.nrows();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut y = b.to_vec();
-        for i in 0..n {
-            for k in 0..i {
-                y[i] -= self.l[(i, k)] * y[k];
-            }
-        }
-        for i in 0..n {
-            y[i] /= self.d[i];
-        }
-        for i in (0..n).rev() {
-            for k in (i + 1)..n {
-                y[i] -= self.l[(k, i)] * y[k];
-            }
-        }
-        y
-    }
-
-    /// Number of negative pivots (the matrix inertia's negative count).
-    pub fn negative_pivots(&self) -> usize {
-        self.d.iter().filter(|&&d| d < 0.0).count()
     }
 }
 
@@ -435,49 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_log_det() {
-        let a = spd3();
-        let c = a.cholesky().unwrap();
-        let det = a.lu().unwrap().det();
-        assert!((c.log_det() - det.ln()).abs() < 1e-10);
-    }
-
-    #[test]
     fn cholesky_inverse() {
         let a = spd3();
         let inv = a.cholesky().unwrap().inverse();
         let prod = a.matmul(&inv);
         assert!((&prod - &Matrix::identity(3)).norm_max() < 1e-10);
-    }
-
-    #[test]
-    fn forward_backward_split_composes() {
-        let a = spd3();
-        let c = a.cholesky().unwrap();
-        let b = [0.3, 1.0, -2.0];
-        let y = c.solve_lower(&b);
-        let x = c.solve_upper(&y);
-        let full = c.solve(&b);
-        for (u, v) in x.iter().zip(&full) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ldlt_handles_quasi_definite() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, -3.0, 0.5], &[0.0, 0.5, -1.0]]);
-        let f = a.ldlt().unwrap();
-        assert_eq!(f.negative_pivots(), 2);
-        let x = f.solve(&[1.0, 2.0, 3.0]);
-        let r = a.matvec(&x);
-        assert!((r[0] - 1.0).abs() < 1e-10);
-        assert!((r[1] - 2.0).abs() < 1e-10);
-        assert!((r[2] - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn ldlt_rejects_singular() {
-        let a = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0]]);
-        assert!(matches!(a.ldlt(), Err(LinalgError::Singular { .. })));
     }
 }

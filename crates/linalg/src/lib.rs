@@ -4,7 +4,7 @@
 //! controller approximation, the SDP interior-point solver behind the SOS/LMI
 //! verifier, and the neural-network training code) is built on the small dense
 //! kernel provided here: a row-major [`Matrix`] type plus factorizations
-//! (Cholesky, LDLᵀ, LU) and a Jacobi eigensolver for symmetric matrices.
+//! (Cholesky, LU) and a Jacobi eigensolver for symmetric matrices.
 //!
 //! The matrices arising in barrier-certificate synthesis are small-to-moderate
 //! (Gram matrices of monomial bases, Schur complements over coefficient
@@ -64,7 +64,7 @@ mod matrix;
 pub mod sanitize;
 pub mod vec_ops;
 
-pub use cholesky::{Cholesky, Ldlt};
+pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use lu::Lu;

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use crate::{Cholesky, Ldlt, LinalgError, Lu, SymmetricEigen};
+use crate::{Cholesky, LinalgError, Lu, SymmetricEigen};
 
 /// GEMM output-block height (rows of `A` per tile). 64 rows × 8 bytes ×
 /// a few-hundred-column panel keeps the working set within L2 on any modern
@@ -333,16 +333,6 @@ impl Matrix {
     /// strictly positive.
     pub fn cholesky(&self) -> Result<Cholesky, LinalgError> {
         Cholesky::new(self)
-    }
-
-    /// LDLᵀ factorization for symmetric (possibly indefinite-leaning) matrices
-    /// without pivoting; suitable for quasi-definite systems.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] when a diagonal pivot vanishes.
-    pub fn ldlt(&self) -> Result<Ldlt, LinalgError> {
-        Ldlt::new(self)
     }
 
     /// LU factorization with partial pivoting.

@@ -32,7 +32,7 @@ pub fn check_finite(op: &'static str, values: &[f64]) {
 }
 
 /// Abort if any value in `values` is not strictly positive (or non-finite).
-/// Used for Cholesky/LDLᵀ pivots and interior-point slack variables.
+/// Used for Cholesky pivots and interior-point slack variables.
 #[inline]
 pub fn check_positive(op: &'static str, values: &[f64]) {
     if cfg!(feature = "sanitize") {

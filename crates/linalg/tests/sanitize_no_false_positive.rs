@@ -49,13 +49,4 @@ proptest! {
         let r = a.matvec(&x);
         prop_assert!((r[0] - 0.5).abs() < 1e-6 * (1.0 + a.norm_max()));
     }
-
-    #[test]
-    fn ldlt_on_spd_never_trips_sanitizer(
-        entries in proptest::collection::vec(-10.0f64..10.0, 16),
-    ) {
-        let a = random_spd(&entries, 4);
-        let f = a.ldlt().expect("SPD input must factor");
-        prop_assert_eq!(f.negative_pivots(), 0);
-    }
 }

@@ -13,7 +13,7 @@
 //!
 //! | event            | entries folded from it |
 //! |------------------|------------------------|
-//! | `learn-epoch`    | `rounds` +1; `learn_loss_per_round` ← `loss` |
+//! | `learn-epoch`    | `rounds` +1 |
 //! | `verify-rung`    | `verify_rung_feasible` or `verify_rung_infeasible` +1 |
 //! | `cex`            | `cex_points` +`points`; `cex_points_per_round` ← `points`; `interval_fallbacks` +1 on a fallback |
 //! | `interval-query` | `boxes` +`boxes`; `boxes_per_query` ← `boxes` |
@@ -44,8 +44,6 @@ pub const METRICS_SCHEMA: &str = "snbc-metrics/2";
 pub mod buckets {
     /// Counterexample points fed back per CEGIS round.
     pub const POINTS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-    /// Final learner loss per round (log-ish grid).
-    pub const LOSS: &[f64] = &[1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
     /// Race waves per job.
     pub const WAVES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
     /// Interval-oracle boxes processed per query.
@@ -126,10 +124,7 @@ impl MetricsSnapshot {
     /// Folds one event (see the module docs for the table).
     fn fold(&mut self, ev: &ProgressEvent) {
         match ev {
-            ProgressEvent::LearnEpoch { loss, .. } => {
-                self.add("rounds", 1);
-                self.observe("learn_loss_per_round", buckets::LOSS, *loss);
-            }
+            ProgressEvent::LearnEpoch { .. } => self.add("rounds", 1),
             ProgressEvent::VerifyRung { feasible, .. } => self.add(
                 if *feasible {
                     "verify_rung_feasible"

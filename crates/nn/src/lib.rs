@@ -51,7 +51,7 @@ mod square;
 
 pub use adam::Adam;
 pub use controller::{train_controller, ControllerTraining};
-pub use mlp::{interval_activation, interval_activation_derivative, Activation, Mlp, VectorMlp};
+pub use mlp::{interval_activation, interval_activation_derivative, Activation, Mlp};
 pub use multiplier::MultiplierNet;
 pub use quadratic::QuadraticNet;
 pub use square::SquareNet;

@@ -696,145 +696,3 @@ mod interval_tests {
         assert!(r.width() < 1e-12);
     }
 }
-
-/// Multi-output extension (§3 of the paper: "the multiple-output cases can be
-/// handled in a similar manner"). A [`VectorMlp`] is an MLP whose output layer
-/// has `m ≥ 1` units — one channel per control input of a multi-input system.
-/// Each output channel is abstracted by its own polynomial inclusion.
-#[derive(Debug, Clone)]
-pub struct VectorMlp {
-    inner: Mlp,
-    outputs: usize,
-}
-
-impl VectorMlp {
-    /// Creates a network with `layer_sizes.last()` output channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two layer sizes are given or the output width is
-    /// zero.
-    pub fn new(layer_sizes: &[usize], activation: Activation, seed: u64) -> Self {
-        assert!(layer_sizes.len() >= 2, "need at least input and output layer");
-        let outputs = *layer_sizes.last().expect("non-empty");
-        assert!(outputs >= 1, "need at least one output");
-        // Reuse Mlp's storage by constructing with the true widths; bypass
-        // its single-output assert through the width-1 constructor plus a
-        // manual parameter layout when m > 1.
-        let inner = Mlp::new_unchecked(layer_sizes, activation, seed);
-        VectorMlp { inner, outputs }
-    }
-
-    /// Number of output channels.
-    pub fn output_dim(&self) -> usize {
-        self.outputs
-    }
-
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.inner.input_dim()
-    }
-
-    /// Vector forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn forward_vec(&self, x: &[f64]) -> Vec<f64> {
-        self.inner.forward_all(x)
-    }
-
-    /// Scalar view of one output channel (for the per-channel §3 abstraction).
-    pub fn output_fn(&self, channel: usize) -> impl Fn(&[f64]) -> f64 + '_ {
-        assert!(channel < self.outputs, "channel out of range");
-        move |x: &[f64]| self.inner.forward_all(x)[channel]
-    }
-
-    /// A Lipschitz bound shared by every channel (product of spectral norms,
-    /// as in [`Mlp::lipschitz_bound`]; the output-layer norm bounds all
-    /// channels simultaneously).
-    pub fn lipschitz_bound(&self) -> f64 {
-        self.inner.lipschitz_bound()
-    }
-}
-
-impl Mlp {
-    /// Multi-output constructor used by [`VectorMlp`] (the public scalar API
-    /// keeps its single-output contract).
-    pub(crate) fn new_unchecked(layer_sizes: &[usize], activation: Activation, seed: u64) -> Self {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut params = Vec::new();
-        for w in layer_sizes.windows(2) {
-            let (fan_in, fan_out) = (w[0], w[1]);
-            let scale = (2.0 / (fan_in + fan_out) as f64).sqrt();
-            for _ in 0..fan_in * fan_out {
-                params.push(rng.gen_range(-scale..scale));
-            }
-            params.extend(std::iter::repeat_n(0.0, fan_out));
-        }
-        Mlp {
-            layer_sizes: layer_sizes.to_vec(),
-            activation,
-            params,
-        }
-    }
-
-    /// Forward pass returning the full output layer (length = last width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the input dimension.
-    pub fn forward_all(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let mut act: Vec<f64> = x.to_vec();
-        let mut offset = 0;
-        let last = self.layer_sizes.len() - 2;
-        for (li, w) in self.layer_sizes.windows(2).enumerate() {
-            let (fan_in, fan_out) = (w[0], w[1]);
-            let mut next = vec![0.0; fan_out];
-            for (o, n) in next.iter_mut().enumerate() {
-                let mut acc = self.params[offset + fan_in * fan_out + o];
-                for (i, a) in act.iter().enumerate() {
-                    acc += self.params[offset + o * fan_in + i] * a;
-                }
-                *n = if li == last { acc } else { self.activation.activate(acc) };
-            }
-            offset += fan_in * fan_out + fan_out;
-            act = next;
-        }
-        act
-    }
-}
-
-#[cfg(test)]
-mod vector_tests {
-    use super::*;
-
-    #[test]
-    fn forward_vec_has_requested_width() {
-        let net = VectorMlp::new(&[3, 6, 2], Activation::Tanh, 4);
-        let y = net.forward_vec(&[0.1, -0.2, 0.3]);
-        assert_eq!(y.len(), 2);
-        assert_eq!(net.output_dim(), 2);
-        assert_eq!(net.input_dim(), 3);
-    }
-
-    #[test]
-    fn channel_views_agree_with_vector_pass() {
-        let net = VectorMlp::new(&[2, 5, 3], Activation::Tanh, 8);
-        let x = [0.4, -0.7];
-        let y = net.forward_vec(&x);
-        for c in 0..3 {
-            assert!((net.output_fn(c)(&x) - y[c]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn scalar_mlp_forward_all_matches_forward() {
-        let net = Mlp::new(&[2, 4, 1], Activation::Tanh, 2);
-        let x = [0.3, 0.9];
-        assert!((net.forward_all(&x)[0] - net.forward(&x)).abs() < 1e-12);
-    }
-}

@@ -73,11 +73,6 @@ impl QuadraticNet {
         self.input_dim
     }
 
-    /// Hidden-layer widths.
-    pub fn hidden_sizes(&self) -> &[usize] {
-        &self.hidden
-    }
-
     /// Degree of the output polynomial (`2^l` for `l` hidden layers).
     pub fn output_degree(&self) -> u32 {
         1u32 << self.hidden.len()

@@ -9,9 +9,8 @@ use snbc_poly::Polynomial;
 /// At equal hidden width and depth it produces the same output degree as
 /// [`crate::QuadraticNet`] with **half the parameters**, but every hidden
 /// feature is constrained to be a perfect square — the restricted output
-/// range the paper identifies as the fitting-capability gap. The ablation
-/// bench (`cargo bench -p snbc-bench`) and the unit tests below quantify
-/// exactly that claim.
+/// range the paper identifies as the fitting-capability gap. The unit test
+/// `quadratic_net_fits_saddles_better` below measures exactly that claim.
 ///
 /// # Example
 ///

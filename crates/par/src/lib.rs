@@ -6,8 +6,8 @@
 //! routes through (enforced by clippy's `disallowed-methods`, clippy.toml).
 //! It provides:
 //!
-//! * [`join`] / [`join3`] — structured fork–join for a fixed number of
-//!   heterogeneous tasks (the verifier's three independent LMI problems);
+//! * [`join3`] — structured fork–join for three heterogeneous tasks (the
+//!   verifier's three independent LMI problems);
 //! * [`par_map_collect`] — parallel map over `0..n` with results returned
 //!   **in index order** (counterexample restarts, mesh chunks);
 //! * [`par_map_reduce`] — chunked parallel map over `0..n` with a
@@ -34,8 +34,7 @@
 //! # Pool size
 //!
 //! The worker count is resolved per parallel region, in priority order:
-//! a process-wide override installed via [`set_threads`] /
-//! [`ParConfig::install`], the `SNBC_THREADS` environment variable, and
+//! a process-wide override installed via [`set_threads`], the `SNBC_THREADS` environment variable, and
 //! finally [`std::thread::available_parallelism`]. The calling thread always
 //! participates as worker 0, so a region with `threads() == k` spawns at
 //! most `k - 1` scoped threads and `k == 1` spawns none.
@@ -59,42 +58,6 @@ use std::sync::Mutex;
 /// Process-wide worker-count override; `0` means "not set" (fall back to the
 /// `SNBC_THREADS` environment variable, then `available_parallelism`).
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Pool-size configuration for the runtime.
-///
-/// The free functions in this crate consult the process-wide setting, so a
-/// config takes effect via [`ParConfig::install`]; embedders that want a
-/// scoped choice can install, run, and restore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParConfig {
-    /// Number of workers every parallel region uses (`>= 1`).
-    pub threads: usize,
-}
-
-impl ParConfig {
-    /// Resolves the worker count the way the free functions do: env var
-    /// first, hardware parallelism otherwise.
-    pub fn from_env() -> Self {
-        ParConfig { threads: env_threads() }
-    }
-
-    /// The guaranteed-serial configuration: parallel regions run the same
-    /// chunk grid inline and never spawn.
-    pub fn serial() -> Self {
-        ParConfig { threads: 1 }
-    }
-
-    /// Installs this worker count process-wide (overrides `SNBC_THREADS`).
-    pub fn install(&self) {
-        set_threads(Some(self.threads));
-    }
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        ParConfig::from_env()
-    }
-}
 
 /// Installs (`Some(n)`) or clears (`None`) the process-wide worker-count
 /// override. `Some(0)` is coerced to `Some(1)`.
@@ -130,39 +93,9 @@ fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs `a` and `b` and returns both results, in parallel when the pool has
-/// at least two workers (serial in declaration order otherwise).
-///
-/// `a` runs on the calling thread; `b` is spawned. A panic in either task is
-/// rethrown at the scope boundary.
-pub fn join<RA, RB>(
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    if threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    let parent = snbc_trace::current_worker();
-    std::thread::scope(|s| {
-        let hb = s.spawn(move || {
-            let _g = snbc_trace::enter_worker(snbc_trace::child_worker_label(&parent, 1));
-            b()
-        });
-        let ra = a();
-        match hb.join() {
-            Ok(rb) => (ra, rb),
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    })
-}
-
-/// Three-way [`join`]: the verifier's init/unsafe/flow LMI problems.
+/// Runs `a`, `b` and `c` and returns their results, in parallel when the
+/// pool has at least two workers (serial in declaration order otherwise):
+/// the verifier's init/unsafe/flow LMI problems.
 ///
 /// `a` runs on the calling thread; `b` and `c` are spawned (when the pool
 /// allows). Results come back in declaration order regardless of completion
@@ -536,9 +469,7 @@ mod tests {
 
     #[test]
     fn join_returns_in_declaration_order() {
-        for t in [1, 2, 4] {
-            let (a, b) = with_threads(t, || join(|| 1, || 2));
-            assert_eq!((a, b), (1, 2));
+        for t in [1, 2, 3, 4] {
             let (a, b, c) = with_threads(t, || join3(|| "a", || "b", || "c"));
             assert_eq!((a, b, c), ("a", "b", "c"));
         }
@@ -658,6 +589,5 @@ mod tests {
         let me = std::thread::current().id();
         let ids = with_threads(1, || par_map_collect(32, |_| std::thread::current().id()));
         assert!(ids.iter().all(|id| *id == me));
-        assert_eq!(ParConfig::serial().threads, 1);
     }
 }

@@ -36,5 +36,5 @@ mod poly;
 
 pub use basis::{basis_size, monomial_basis, monomials_of_degree};
 pub use monomial::Monomial;
-pub use parse::ParsePolynomialError;
+pub use parse::{ParsePolynomialError, MAX_DEPTH, MAX_EXPANSION, MAX_EXPONENT, MAX_VARIABLES};
 pub use poly::{lie_derivative, Polynomial};

@@ -35,11 +35,27 @@ impl fmt::Display for ParsePolynomialError {
 
 impl Error for ParsePolynomialError {}
 
+/// Variables are `x0 … x{MAX_VARIABLES − 1}`.
+pub const MAX_VARIABLES: usize = 1024;
+
+/// Largest exponent `e` of a power `atom^e`.
+pub const MAX_EXPONENT: u32 = 64;
+
+/// Budget on the expansion work of one parse: the term pairs multiplied
+/// over every product and power. It also bounds the size of the result.
+pub const MAX_EXPANSION: usize = 20_000;
+
+/// Deepest nesting of parentheses and unary minus signs.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses expressions like `"0.5*x0^2*x1 - 3*x2 + 1"` or `"(x0+1)^2"`.
 ///
 /// Grammar: `expr := term (('+'|'-') term)*`, `term := factor ('*' factor)*`,
 /// `factor := atom ('^' uint)?`, `atom := number | 'x' uint | '(' expr ')' |
-/// '-' factor`. Whitespace is ignored.
+/// '-' factor`. Whitespace is ignored. Numbers must be finite, and the
+/// input must stay within [`MAX_VARIABLES`], [`MAX_EXPONENT`],
+/// [`MAX_EXPANSION`] and [`MAX_DEPTH`]; anything else is an error, never a
+/// panic.
 impl FromStr for Polynomial {
     type Err = ParsePolynomialError;
 
@@ -47,6 +63,8 @@ impl FromStr for Polynomial {
         let mut p = Parser {
             input: s.as_bytes(),
             pos: 0,
+            depth: 0,
+            expansion: 0,
         };
         let poly = p.expr()?;
         p.skip_ws();
@@ -60,6 +78,10 @@ impl FromStr for Polynomial {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Current nesting of `(` and unary `-`.
+    depth: usize,
+    /// Term pairs multiplied so far.
+    expansion: usize,
 }
 
 impl Parser<'_> {
@@ -93,12 +115,24 @@ impl Parser<'_> {
         }
     }
 
+    /// `a · b`, charged to the expansion budget before any work is done.
+    fn mul(&mut self, a: &Polynomial, b: &Polynomial) -> Result<Polynomial, ParsePolynomialError> {
+        self.expansion += a.num_terms() * b.num_terms();
+        if self.expansion > MAX_EXPANSION {
+            return Err(ParsePolynomialError::new(
+                self.pos,
+                format!("expansion exceeds {MAX_EXPANSION} term products"),
+            ));
+        }
+        Ok(a * b)
+    }
+
     fn term(&mut self) -> Result<Polynomial, ParsePolynomialError> {
         let mut acc = self.factor()?;
         while self.peek() == Some(b'*') {
             self.pos += 1;
             let f = self.factor()?;
-            acc *= &f;
+            acc = self.mul(&acc, &f)?;
         }
         Ok(acc)
     }
@@ -107,23 +141,53 @@ impl Parser<'_> {
         let base = self.atom()?;
         if self.peek() == Some(b'^') {
             self.pos += 1;
+            let start = self.pos;
             let e = self.uint()?;
-            Ok(base.powi(e))
+            if e > MAX_EXPONENT {
+                return Err(ParsePolynomialError::new(
+                    start,
+                    format!("exponent {e} exceeds {MAX_EXPONENT}"),
+                ));
+            }
+            // Repeated multiplication, as `Polynomial::powi` does.
+            let mut out = Polynomial::constant(1.0);
+            for _ in 0..e {
+                out = self.mul(&out, &base)?;
+            }
+            Ok(out)
         } else {
             Ok(base)
         }
+    }
+
+    /// Parses a nested `factor` (after unary `-`) or `expr` (inside
+    /// parentheses), one level deeper.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Polynomial, ParsePolynomialError>,
+    ) -> Result<Polynomial, ParsePolynomialError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParsePolynomialError::new(
+                self.pos,
+                format!("nesting deeper than {MAX_DEPTH}"),
+            ));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
     }
 
     fn atom(&mut self) -> Result<Polynomial, ParsePolynomialError> {
         match self.peek() {
             Some(b'-') => {
                 self.pos += 1;
-                let f = self.factor()?;
+                let f = self.nested(Self::factor)?;
                 Ok(-&f)
             }
             Some(b'(') => {
                 self.pos += 1;
-                let inner = self.expr()?;
+                let inner = self.nested(Self::expr)?;
                 if self.peek() == Some(b')') {
                     self.pos += 1;
                     Ok(inner)
@@ -133,7 +197,14 @@ impl Parser<'_> {
             }
             Some(b'x') => {
                 self.pos += 1;
+                let start = self.pos;
                 let i = self.uint()? as usize;
+                if i >= MAX_VARIABLES {
+                    return Err(ParsePolynomialError::new(
+                        start,
+                        format!("variable x{i} beyond x{}", MAX_VARIABLES - 1),
+                    ));
+                }
                 Ok(Polynomial::var(i))
             }
             Some(c) if c.is_ascii_digit() || c == b'.' => {
@@ -152,9 +223,10 @@ impl Parser<'_> {
                 }
                 let text = std::str::from_utf8(&self.input[start..self.pos])
                     .expect("ascii slice is valid utf8");
-                text.parse::<f64>()
-                    .map(Polynomial::constant)
-                    .map_err(|_| ParsePolynomialError::new(start, "invalid number"))
+                match text.parse::<f64>() {
+                    Ok(c) if c.is_finite() => Ok(Polynomial::constant(c)),
+                    _ => Err(ParsePolynomialError::new(start, "invalid number")),
+                }
             }
             _ => Err(ParsePolynomialError::new(
                 self.pos,

@@ -261,32 +261,6 @@ impl Polynomial {
         out
     }
 
-    /// Renames variables: variable `i` becomes variable `map[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomial uses a variable not covered by `map`.
-    pub fn remap_vars(&self, map: &[usize]) -> Polynomial {
-        let mut out = Polynomial::zero();
-        for (m, &c) in &self.terms {
-            let mut exps = Vec::new();
-            for (i, &e) in m.exponents().iter().enumerate() {
-                if e == 0 {
-                    continue;
-                }
-                let j = *map
-                    .get(i)
-                    .unwrap_or_else(|| panic!("variable x{i} not covered by remap"));
-                if exps.len() <= j {
-                    exps.resize(j + 1, 0);
-                }
-                exps[j] += e;
-            }
-            out.add_term(c, Monomial::new(exps));
-        }
-        out
-    }
-
     /// Largest absolute coefficient (`0` for the zero polynomial).
     pub fn max_abs_coeff(&self) -> f64 {
         self.terms.values().fold(0.0, |m, c| m.max(c.abs()))
@@ -518,13 +492,6 @@ mod tests {
         let a = p("1 + 2*x0 - 3*x1^2 + 0.25*x0*x1");
         let c = a.to_coeffs(&basis);
         assert_eq!(Polynomial::from_coeffs(&c, &basis), a);
-    }
-
-    #[test]
-    fn remap_vars_shifts() {
-        let a = p("x0^2 + x1");
-        let b = a.remap_vars(&[2, 0]);
-        assert_eq!(b, p("x2^2 + x0"));
     }
 
     #[test]

@@ -195,19 +195,9 @@ impl BlockMatrix {
         }
     }
 
-    /// Builds from explicit blocks.
-    pub fn from_blocks(blocks: Vec<Block>) -> Self {
-        BlockMatrix { blocks }
-    }
-
     /// The blocks.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
-    }
-
-    /// Mutable access to the blocks.
-    pub fn blocks_mut(&mut self) -> &mut [Block] {
-        &mut self.blocks
     }
 
     /// Block `j`.
@@ -218,16 +208,6 @@ impl BlockMatrix {
     /// Mutable block `j`.
     pub fn block_mut(&mut self, j: usize) -> &mut Block {
         &mut self.blocks[j]
-    }
-
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Sum of block orders (the ambient dimension `N`).
-    pub fn total_order(&self) -> usize {
-        self.blocks.iter().map(Block::order).sum()
     }
 
     /// Frobenius inner product.
@@ -310,8 +290,6 @@ mod tests {
         let shapes = [BlockShape::Dense(3), BlockShape::Diag(2)];
         let x = BlockMatrix::identity(&shapes);
         assert_eq!(x.trace(), 5.0);
-        assert_eq!(x.total_order(), 5);
-        assert_eq!(x.num_blocks(), 2);
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl SosExpr {
         }
     }
 
-    /// Adds a known polynomial.
-    pub fn add_poly(mut self, p: &Polynomial) -> Self {
-        self.constant += p;
-        self
-    }
-
     /// Adds `multiplier(x) · unknown(x)`.
     pub fn add_term(mut self, multiplier: Polynomial, unknown: UnknownId) -> Self {
         self.terms.push((unknown, multiplier));

@@ -68,11 +68,6 @@ impl SpanNode {
         self.children.iter().find(|c| c.name == name)
     }
 
-    /// All direct children with the given name, in recording order.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanNode> {
-        self.children.iter().filter(move |c| c.name == name)
-    }
-
     /// Depth-first search for the first span named `name` (self included).
     pub fn find(&self, name: &str) -> Option<&SpanNode> {
         if self.name == name {
@@ -510,7 +505,7 @@ mod tests {
         assert_eq!(rep.root.find("sdp").unwrap().counter("cholesky"), Some(64));
         assert_eq!(rounds[0].counter_deep("points"), 32);
         assert_eq!(
-            cegis.children_named("round").count(),
+            cegis.children.iter().filter(|c| c.name == "round").count(),
             1
         );
     }

@@ -1,4 +1,4 @@
-//! Chrome trace-event JSON export and (exact-subset) parser.
+//! Chrome trace-event JSON export (write-only).
 //!
 //! The emitted document is the classic `traceEvents` array format that both
 //! `chrome://tracing` and Perfetto (<https://ui.perfetto.dev>, "Open trace
@@ -21,14 +21,12 @@
 //! (`ph:"i"`, `s:"t"`) named `sdp-ipm-iter` / `lp-ipm-iter` / `learn-epoch`
 //! / `cex-ascent`.
 //!
-//! [`ChromeTrace::parse`] reads back exactly what [`ChromeTrace::to_json_string`]
-//! writes; because objects are emitted in a fixed field order, timestamps
-//! are integers, and floats use shortest round-trip formatting, re-encoding
-//! a parsed trace reproduces the input byte for byte (the round-trip test
-//! gate in `crates/trace`).
+//! Objects are emitted in a fixed field order, timestamps are integers, and
+//! floats use shortest round-trip formatting, so one dump always encodes to
+//! the same bytes.
 
-use crate::json::{self, Value};
-use crate::{Event, EventKind, IpmSample};
+use crate::json::Value;
+use crate::{Event, EventKind};
 
 /// Schema tag stamped into the export's `otherData` section.
 pub const SCHEMA: &str = "snbc-trace/1";
@@ -127,58 +125,6 @@ impl ChromeTrace {
         out.push_str(&other.to_compact_string());
         out.push_str("}\n");
         out
-    }
-
-    /// Parses a document produced by [`ChromeTrace::to_json_string`].
-    ///
-    /// Only the subset this crate emits is accepted; anything else (unknown
-    /// event names, missing metadata, wrong schema tag) is an error string.
-    pub fn parse(text: &str) -> Result<ChromeTrace, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        match v
-            .get("otherData")
-            .and_then(|o| o.get("schema"))
-            .and_then(Value::as_str)
-        {
-            Some(SCHEMA) => {}
-            Some(other) => return Err(format!("unsupported trace schema `{other}`")),
-            None => return Err("missing `otherData.schema`".to_string()),
-        }
-        let dropped = v
-            .get("otherData")
-            .and_then(|o| o.get("dropped"))
-            .and_then(Value::as_u64)
-            .ok_or("missing `otherData.dropped`")?;
-        let events = v
-            .get("traceEvents")
-            .and_then(Value::as_array)
-            .ok_or("missing `traceEvents` array")?;
-        let mut tracks: Vec<Track> = Vec::new();
-        for ev in events {
-            let ph = ev.get("ph").and_then(Value::as_str).ok_or("event missing `ph`")?;
-            let tid = ev.get("tid").and_then(Value::as_u64).ok_or("event missing `tid`")?;
-            if ph == "M" {
-                let label = ev
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Value::as_str)
-                    .ok_or("metadata event missing `args.name`")?;
-                tracks.push(Track {
-                    tid,
-                    label: label.to_string(),
-                    events: Vec::new(),
-                });
-                continue;
-            }
-            let ts_us = ev.get("ts").and_then(Value::as_u64).ok_or("event missing `ts`")?;
-            let kind = parse_kind(ph, ev)?;
-            let track = tracks
-                .iter_mut()
-                .find(|t| t.tid == tid)
-                .ok_or_else(|| format!("event references unknown tid {tid}"))?;
-            track.events.push(Event { ts_us, kind });
-        }
-        Ok(ChromeTrace { tracks, dropped })
     }
 
     /// Renders the self-time profile tree ([`crate::profile::profile_text`]).
@@ -288,71 +234,10 @@ fn event_value(tid: u64, e: &Event) -> Value {
     }
 }
 
-fn parse_kind(ph: &str, ev: &Value) -> Result<EventKind, String> {
-    let name = ev
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("event missing `name`")?;
-    let args = ev.get("args").ok_or("event missing `args`")?;
-    let arg_u64 = |k: &str| {
-        args.get(k)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("event `{name}` missing integer arg `{k}`"))
-    };
-    // Non-finite measurements serialize as `null`; read them back as NaN so
-    // the dump (and its re-encoding) is faithful.
-    let arg_f64 = |k: &str| match args.get(k) {
-        Some(Value::Null) => Ok(f64::NAN),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| format!("event `{name}` arg `{k}` not a number")),
-        None => Err(format!("event `{name}` missing numeric arg `{k}`")),
-    };
-    match ph {
-        "B" => Ok(EventKind::SpanBegin {
-            name: name.to_string(),
-            index: args.get("index").and_then(Value::as_u64),
-            span_id: arg_u64("span_id")?,
-        }),
-        "E" => Ok(EventKind::SpanEnd {
-            name: name.to_string(),
-            span_id: arg_u64("span_id")?,
-        }),
-        "i" => match name {
-            "learn-epoch" => Ok(EventKind::Epoch {
-                epoch: arg_u64("epoch")?,
-                loss: arg_f64("loss")?,
-                grad_norm: arg_f64("grad_norm")?,
-            }),
-            "cex-ascent" => Ok(EventKind::Ascent {
-                restart: arg_u64("restart")?,
-                steps: arg_u64("steps")?,
-                best: arg_f64("best")?,
-            }),
-            n => match n.strip_suffix("-ipm-iter") {
-                Some(solver) => Ok(EventKind::IpmIter {
-                    solver: solver.to_string(),
-                    sample: IpmSample {
-                        iter: arg_u64("iter")?,
-                        mu: arg_f64("mu")?,
-                        rp_rel: arg_f64("rp_rel")?,
-                        rd_rel: arg_f64("rd_rel")?,
-                        gap_rel: arg_f64("gap_rel")?,
-                        alpha_p: arg_f64("alpha_p")?,
-                        alpha_d: arg_f64("alpha_d")?,
-                        cholesky: arg_u64("cholesky")?,
-                    },
-                }),
-                None => Err(format!("unknown instant event `{n}`")),
-            },
-        },
-        other => Err(format!("unsupported event phase `{other}`")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{json, IpmSample};
 
     /// A fixture stream exercising every event type across two tracks.
     pub(crate) fn fixture() -> ChromeTrace {
@@ -455,15 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_byte_identical() {
-        let trace = fixture();
-        let text = trace.to_json_string();
-        let back = ChromeTrace::parse(&text).unwrap();
-        assert_eq!(back, trace);
-        assert_eq!(back.to_json_string(), text);
-    }
-
-    #[test]
     fn golden_export_shape() {
         let text = fixture().to_json_string();
         // Perfetto-required scaffolding.
@@ -505,34 +381,8 @@ mod tests {
         });
         let text = trace.to_json_string();
         assert!(text.contains("\"loss\":null,\"grad_norm\":null"));
-        let back = ChromeTrace::parse(&text).unwrap();
-        match &back.tracks[0].events.last().unwrap().kind {
-            EventKind::Epoch { loss, grad_norm, .. } => {
-                assert!(loss.is_nan() && grad_norm.is_nan());
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        assert_eq!(back.to_json_string(), text);
-    }
-
-    #[test]
-    fn malformed_documents_are_rejected() {
-        assert!(ChromeTrace::parse("not json").is_err());
-        assert!(ChromeTrace::parse("{}").is_err());
-        let wrong_schema = fixture()
-            .to_json_string()
-            .replace("snbc-trace/1", "snbc-trace/999");
-        assert!(ChromeTrace::parse(&wrong_schema)
-            .unwrap_err()
-            .contains("unsupported trace schema"));
-        let unknown_event = fixture()
-            .to_json_string()
-            .replace("cex-ascent", "mystery-event");
-        assert!(ChromeTrace::parse(&unknown_event).is_err());
-        let unknown_tid = fixture().to_json_string().replace("\"tid\":2,\"ts\"", "\"tid\":9,\"ts\"");
-        assert!(ChromeTrace::parse(&unknown_tid)
-            .unwrap_err()
-            .contains("unknown tid"));
+        // The document stays valid JSON.
+        assert!(json::parse(&text).is_ok());
     }
 
     #[test]

@@ -46,8 +46,7 @@
 //! let dump = trace.dump().unwrap();
 //! assert_eq!(dump.event_count(), 3);
 //! let json = dump.to_json_string();
-//! let back = snbc_trace::ChromeTrace::parse(&json).unwrap();
-//! assert_eq!(back.to_json_string(), json); // byte-identical round-trip
+//! assert!(json.contains(r#""name":"sdp-ipm-iter""#));
 //! ```
 
 pub mod chrome;

@@ -59,6 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &bench.system,
         &result.inclusion,
         &BranchAndBound::default(),
+        &snbc_telemetry::Telemetry::off(),
     );
     println!(
         "Interval (dReal-substitute) re-check of the certificate: {}",

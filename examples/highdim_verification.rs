@@ -11,12 +11,12 @@
 
 use std::time::Duration;
 
-use snbc::Snbc;
+use snbc::cex::ViolatedCondition;
+use snbc::{Snbc, Strictness, Theorem1};
 use snbc_bench::{pretrain_controller, snbc_config_for};
 use snbc_dynamics::benchmarks;
-use snbc_interval::{BranchAndBound, Interval};
-use snbc_poly::lie_derivative;
-use snbc_trace::Stopwatch;
+use snbc_interval::BranchAndBound;
+use snbc_trace::{Stopwatch, Trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = benchmarks::benchmark(12);
@@ -39,19 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Contrast: the SMT-style check of just the flow condition.
     let field = bench.system.close_loop_with_error(&result.inclusion.h);
-    let lie = lie_derivative(&result.barrier, &field);
-    let expr = &lie - &(&result.lambda * &result.barrier);
-    let mut dom: Vec<Interval> = bench
-        .system
-        .domain()
-        .bounding_box()
-        .iter()
-        .map(|&(lo, hi)| Interval::new(lo, hi))
-        .collect();
-    dom.push(Interval::new(
-        -result.inclusion.sigma_star,
+    let theorem = Theorem1::new(
+        &bench.system,
+        &result.barrier,
+        &result.lambda,
+        &field,
         result.inclusion.sigma_star,
-    ));
+        Strictness::SEARCH,
+    );
+    let flow = theorem.condition(ViolatedCondition::Flow);
     let budget = 400_000;
     let bb = BranchAndBound {
         delta: 1e-2,
@@ -59,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let t = Stopwatch::start();
-    let rep = bb.check_at_least(&expr, &dom, bench.system.domain().polys(), 0.0);
+    let rep = flow.check(&bb, &Trace::off());
     println!(
         "\nSMT-style check of the flow condition alone: {:?} after {} boxes in {:.2} s",
         match rep.verdict {

@@ -35,6 +35,7 @@ fn c1_certificate_is_doubly_sound() {
         &bench.system,
         &result.inclusion,
         &BranchAndBound::default(),
+        &snbc_telemetry::Telemetry::off(),
     ));
 }
 
