@@ -35,6 +35,9 @@ cargo test -q --workspace
 echo "==> cargo test -q (workspace, SNBC_THREADS=1 — guaranteed-serial leg)"
 SNBC_THREADS=1 cargo test -q --workspace
 
+echo "==> cargo test -q (runtime and SDP kernels, SNBC_THREADS=3 — more workers than cores, not a power of two)"
+SNBC_THREADS=3 cargo test -q -p snbc-par -p snbc-linalg -p snbc-sdp
+
 echo "==> cargo test -q --features sanitize (solver + SOS + par + trace + core crates)"
 cargo test -q -p snbc-linalg -p snbc-lp -p snbc-sdp --features snbc-linalg/sanitize
 cargo test -q -p snbc-sos --features sanitize
@@ -170,6 +173,8 @@ bad_certificate 'sigma_star:' 'sigma_star: -1'
 nested 'barrier:' "$bad_tmp/good.cert" > "$bad_tmp/bad.cert"
 expect_rejected target/release/snbc check "$bad_tmp/good.sys" "$bad_tmp/bad.cert"
 bad_certificate 'barrier:' 'barrier: (x0+x1+x2+x3+x4+x5+x6+x7+x8+x9)^50'
+# Parses, but its SOS programs would need a Gram basis of 2 145 monomials.
+bad_certificate 'barrier:' 'barrier: 1 - x0^2 - 0.000000001*x0^64*x1^64'
 rm -rf "$bad_tmp"
 
 echo "==> docs cross-link check (tuning guide must stay discoverable)"

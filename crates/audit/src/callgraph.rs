@@ -732,8 +732,14 @@ fn resolve_call(
         return Vec::new();
     };
     if call.is_method {
-        // Conservative: any workspace method with this name + arity.
-        return candidates.clone();
+        // Conservative within reach: any method with this name + arity in
+        // the caller's crate or in a crate the DAG lets it depend on. A
+        // method of a crate it cannot depend on cannot be the callee.
+        return candidates
+            .iter()
+            .copied()
+            .filter(|&id| can_reach(&caller.crate_name, &nodes[id as usize].crate_name))
+            .collect();
     }
     // A `snbc_*::` head names the crate exactly.
     if let Some(target) = crate_of_path(&call.path) {
@@ -755,6 +761,22 @@ fn resolve_call(
     } else {
         same
     }
+}
+
+/// Whether code in crate directory `from` can call into crate directory
+/// `to`: the same crate, or one [`crate::arch::allowed_internal`] lists
+/// (every crate, for a directory outside the DAG).
+fn can_reach(from: &str, to: &str) -> bool {
+    if from == to {
+        return true;
+    }
+    let Some(deps) = crate::arch::allowed_internal(from) else {
+        return true;
+    };
+    deps.iter().any(|package| match *package {
+        "snbc" => to == "core",
+        p => p.strip_prefix("snbc-") == Some(to),
+    })
 }
 
 /// Map a path head to a workspace crate directory: `snbc_par::…` → "par",

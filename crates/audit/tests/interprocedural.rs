@@ -78,21 +78,22 @@ fn mutual_recursion_converges_and_still_carries_effects() {
 #[test]
 fn trait_methods_resolve_conservatively_by_name_and_arity() {
     // `step(&self, x)` is called through a trait object; the engine cannot
-    // know the concrete impl, so every same-name-same-arity method is a
-    // candidate — including the one that spawns a thread.
+    // know the concrete impl, so every same-name-same-arity method in a
+    // crate the caller can depend on is a candidate — including the one
+    // that spawns a thread.
     let report = audit_files(&[
         (
-            "baselines",
-            "crates/baselines/src/lib.rs",
+            "metrics",
+            "crates/metrics/src/lib.rs",
             "pub struct Fast;\nimpl Fast {\n    pub fn step(&self, x: f64) -> f64 { x + 1.0 }\n}\npub struct Racy;\nimpl Racy {\n    pub fn step(&self, x: f64) -> f64 {\n        std::thread::spawn(move || x);\n        x\n    }\n}\n",
         ),
         (
-            "interval",
-            "crates/interval/src/lib.rs",
-            "pub fn tighten(x: f64) -> f64 {\n    helper_step(x)\n}\nfn helper_step(x: f64) -> f64 {\n    snbc_baselines::Fast.step(x)\n}\n",
+            "core",
+            "crates/core/src/lib.rs",
+            "pub fn tighten(x: f64) -> f64 {\n    helper_step(x)\n}\nfn helper_step(x: f64) -> f64 {\n    snbc_metrics::Fast.step(x)\n}\n",
         ),
     ]);
-    // The method call unions both `step` impls, so interval transitively
+    // The method call unions both `step` impls, so core transitively
     // reaches spawns-thread through the conservative candidate set.
     let hits = of_rule(&report.findings, Rule::SolverEffects);
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
@@ -101,6 +102,51 @@ fn trait_methods_resolve_conservatively_by_name_and_arity() {
         "message: {}",
         hits[0].message
     );
+}
+
+#[test]
+fn method_calls_resolve_only_into_crates_the_caller_can_depend_on() {
+    // nn's hot kernel calls its own non-allocating `Activation::apply`.
+    // The allocating `SdpProblem::apply` of the same name and arity sits in
+    // sdp, which nn cannot depend on, so it is not a candidate.
+    let report = audit_files(&[
+        (
+            "sdp",
+            "crates/sdp/src/problem.rs",
+            "pub struct SdpProblem;\nimpl SdpProblem {\n    pub fn apply(&self, x: f64) -> Vec<f64> {\n        vec![x; 4]\n    }\n}\n",
+        ),
+        (
+            "nn",
+            "crates/nn/src/mlp.rs",
+            "pub struct Activation;\nimpl Activation {\n    pub fn apply(&self, x: f64) -> f64 {\n        x.max(0.0)\n    }\n}\n// audit:hot\npub fn forward(act: &Activation, xs: &mut [f64]) {\n    for x in xs.iter_mut() {\n        *x = act.apply(*x);\n    }\n}\n",
+        ),
+    ]);
+    assert!(
+        of_rule(&report.findings, Rule::HotAlloc).is_empty(),
+        "findings: {:?}",
+        report.findings
+    );
+}
+
+#[test]
+fn allocating_methods_of_a_dependency_still_reach_hot_callers() {
+    // The same call where the allocating `apply` lives in linalg, which nn
+    // depends on: the conservative union keeps it, and the kernel is flagged.
+    let report = audit_files(&[
+        (
+            "linalg",
+            "crates/linalg/src/matrix.rs",
+            "pub struct Scaler;\nimpl Scaler {\n    pub fn apply(&self, x: f64) -> Vec<f64> {\n        vec![x; 4]\n    }\n}\n",
+        ),
+        (
+            "nn",
+            "crates/nn/src/mlp.rs",
+            "pub struct Activation;\nimpl Activation {\n    pub fn apply(&self, x: f64) -> f64 {\n        x.max(0.0)\n    }\n}\n// audit:hot\npub fn forward(act: &Activation, xs: &mut [f64]) {\n    for x in xs.iter_mut() {\n        *x = act.apply(*x);\n    }\n}\n",
+        ),
+    ]);
+    let hits = of_rule(&report.findings, Rule::HotAlloc);
+    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
+    assert!(hits[0].message.contains("forward"), "message: {}", hits[0].message);
 }
 
 #[test]

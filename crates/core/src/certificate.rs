@@ -21,6 +21,14 @@ use crate::{
     recheck_with_intervals, PolynomialInclusion, SnbcResult, Verifier, VerifierConfig,
 };
 
+/// The largest Gram basis [`SafetyCertificate::validate`] builds an SOS
+/// program for. The largest that the synthesized certificates of Table 1
+/// (C1–C14) need is 105 monomials, C14's flow condition; a certificate
+/// whose degrees would need more than this cap is refused before any
+/// program is built, since the program's Schur complement grows with the
+/// fourth power of the basis.
+const MAX_GRAM_BASIS: usize = 256;
+
 /// A portable record of a verified barrier certificate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SafetyCertificate {
@@ -60,13 +68,18 @@ impl SafetyCertificate {
     ///
     /// Returns `true` only when every check passes. A certificate whose
     /// polynomials use variables beyond the system's state does not
-    /// validate.
+    /// validate, and neither does one whose degrees would need an SOS
+    /// program with a Gram basis of more than 256 monomials: no program is
+    /// built for it.
     pub fn validate(&self, system: &Ccds, deep: bool) -> bool {
         let n = system.nvars();
         if [&self.barrier, &self.lambda, &self.controller]
             .iter()
             .any(|p| p.nvars() > n)
         {
+            return false;
+        }
+        if self.largest_gram_basis(system) > MAX_GRAM_BASIS {
             return false;
         }
         let inclusion = PolynomialInclusion {
@@ -100,6 +113,66 @@ impl SafetyCertificate {
             }
         }
         true
+    }
+}
+
+impl SafetyCertificate {
+    /// The largest Gram basis among the SOS certificates of the three
+    /// conditions that [`SafetyCertificate::validate`] would solve,
+    /// saturating above [`MAX_GRAM_BASIS`], from degrees alone. Each
+    /// certificate's degree is that of its expression with the top rung's
+    /// SOS multipliers; the flow's Lie derivative is bounded through the
+    /// closed loop `u = h(x) + w`, every input replaced by a polynomial of
+    /// `h`'s degree (at least 1 with the error variable `w`).
+    fn largest_gram_basis(&self, system: &Ccds) -> usize {
+        let n = system.nvars();
+        let multiplier = VerifierConfig::default().multiplier_degree / 2 * 2;
+        let with_multipliers = |set: &snbc_dynamics::SemiAlgebraicSet| {
+            set.polys().iter().map(|g| g.degree() + multiplier).max().unwrap_or(0)
+        };
+        let db = self.barrier.degree();
+        let robust = self.sigma_star > 1e-12;
+        let du = if robust {
+            self.controller.degree().max(1)
+        } else {
+            self.controller.degree()
+        };
+        let closed_loop = system
+            .field()
+            .iter()
+            .flat_map(|f| f.iter())
+            .map(|(m, _)| {
+                let e = m.exponents();
+                let x: u32 = e.iter().take(n).sum();
+                let u: u32 = e.iter().skip(n).sum();
+                x.saturating_add(u.saturating_mul(du))
+            })
+            .max()
+            .unwrap_or(0);
+        let init = db.max(with_multipliers(system.init()));
+        let unsafe_ = db.max(with_multipliers(system.unsafe_set()));
+        let flow = db
+            .saturating_add(closed_loop)
+            .saturating_sub(1)
+            .max(self.lambda.degree().saturating_add(db))
+            .max(with_multipliers(system.domain()))
+            .max(if robust { 2 + multiplier } else { 0 });
+        let gram = |nvars: usize, degree: u32| {
+            // C(nvars + d, nvars) for d = ⌈degree/2⌉, one factor at a time
+            // (each partial product is itself a binomial coefficient).
+            let half = u128::from(degree.div_ceil(2));
+            let mut c: u128 = 1;
+            for i in 1..=nvars as u128 {
+                c = c * (half + i) / i;
+                if c > MAX_GRAM_BASIS as u128 {
+                    return MAX_GRAM_BASIS + 1;
+                }
+            }
+            usize::try_from(c).unwrap_or(MAX_GRAM_BASIS + 1)
+        };
+        gram(n, init)
+            .max(gram(n, unsafe_))
+            .max(gram(n + usize::from(robust), flow))
     }
 }
 

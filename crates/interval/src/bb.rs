@@ -121,9 +121,9 @@ pub struct WaveOutcome {
     pub boxes_processed: usize,
     /// Deepest subdivision level reached.
     pub max_depth: usize,
-    /// `true` when the box budget ran out with work still pending; the
-    /// midpoint of the next pending box is reported alongside.
-    pub exhausted: Option<Vec<f64>>,
+    /// The next pending box, when the box budget ran out with work still
+    /// pending.
+    pub exhausted: Option<Vec<Interval>>,
 }
 
 /// Boxes taken per wave: bounds frontier memory at `O(wave · depth)` while
@@ -178,13 +178,12 @@ where
     while let Some(top) = stack.last() {
         let remaining = max_boxes.saturating_sub(boxes_processed);
         if remaining == 0 {
-            let pending: Vec<f64> = top.0.iter().map(|iv| iv.mid()).collect();
             return WaveOutcome {
                 refuted: None,
                 suspicious,
                 boxes_processed,
                 max_depth,
-                exhausted: Some(pending),
+                exhausted: Some(top.0.clone()),
             };
         }
         let w = WAVE_TARGET.min(stack.len()).min(remaining);
@@ -388,9 +387,12 @@ impl BranchAndBound {
         let verdict = if let Some((witness, value)) = outcome.refuted {
             Verdict::Violated { witness, value }
         } else if let Some(pending) = outcome.exhausted {
-            let (witness, value) = outcome
-                .suspicious
-                .unwrap_or((pending, f64::NAN));
+            // Without a δ-box, the pending box's midpoint and its interval
+            // lower bound.
+            let (witness, value) = outcome.suspicious.unwrap_or_else(|| {
+                let mid = pending.iter().map(|iv| iv.mid()).collect();
+                (mid, range_of(p, &pending).lo())
+            });
             Verdict::Unknown { witness, value }
         } else if let Some((witness, value)) = outcome.suspicious {
             Verdict::Unknown { witness, value }
@@ -538,6 +540,27 @@ mod tests {
             })
             .count();
         assert!(spans > 0, "expected bb-boxes spans in the traced run");
+    }
+
+    #[test]
+    fn a_budget_spent_before_any_delta_box_reports_the_pending_box_bound() {
+        // (x0 − x1)² + 0.01, expanded: interval arithmetic cannot prove it
+        // on a wide box and no midpoint refutes it, so ten boxes end the
+        // search with nothing narrower than δ.
+        let p: Polynomial = "x0^2 - 2*x0*x1 + x1^2 + 0.01".parse().unwrap();
+        let bb = BranchAndBound {
+            max_boxes: 10,
+            ..Default::default()
+        };
+        let report = bb.check_at_least(&p, &unit_box(2), &[], 0.0);
+        let Verdict::Unknown { witness, value } = &report.verdict else {
+            panic!("expected Unknown, got {report:?}");
+        };
+        assert_eq!(report.boxes_processed, 10);
+        assert!(value.is_finite() && *value < 0.0, "lower bound {value}");
+        // The witness is a box midpoint, and the bound is that box's.
+        assert!(witness.iter().all(|w| (-1.0..=1.0).contains(w)), "{witness:?}");
+        assert_eq!(report, report.clone());
     }
 
     #[test]

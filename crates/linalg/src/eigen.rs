@@ -80,6 +80,9 @@ impl SymmetricEigen {
 /// The rotations read and write only the working matrix, never `v`, so the
 /// eigenvalues are bitwise the same with or without eigenvectors;
 /// [`Matrix::min_eigenvalue`] skips them, a third of the rotation work.
+/// Each rotation updates columns `p` and `q` row by row, then rows `p` and
+/// `q` as two slices: every entry gets the same operations in the same
+/// order as the textbook loop over `(k, p)` indices.
 ///
 /// # Errors
 ///
@@ -99,13 +102,7 @@ pub(crate) fn jacobi(a: &Matrix, mut v: Option<&mut Matrix>) -> Result<Vec<f64>,
     let tol = 1e-14 * scale;
     const MAX_SWEEPS: usize = 100;
     for _sweep in 0..MAX_SWEEPS {
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += m[(i, j)] * m[(i, j)];
-            }
-        }
-        let off = (2.0 * off).sqrt();
+        let off = off_diagonal(&m);
         if off <= tol {
             return Ok((0..n).map(|i| m[(i, i)]).collect());
         }
@@ -126,40 +123,52 @@ pub(crate) fn jacobi(a: &Matrix, mut v: Option<&mut Matrix>) -> Result<Vec<f64>,
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = t * c;
                 // Apply rotation to M on both sides.
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
-                }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
+                rotate_columns(m.as_mut_slice(), n, p, q, c, s);
+                let (head, tail) = m.as_mut_slice().split_at_mut(q * n);
+                rotate_pair(&mut head[p * n..(p + 1) * n], &mut tail[..n], c, s);
                 // Accumulate eigenvectors.
                 if let Some(v) = v.as_deref_mut() {
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
+                    rotate_columns(v.as_mut_slice(), n, p, q, c, s);
                 }
             }
         }
     }
-    let mut off = 0.0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            off += m[(i, j)] * m[(i, j)];
-        }
-    }
     Err(LinalgError::NoConvergence {
         iterations: MAX_SWEEPS,
-        residual: (2.0 * off).sqrt(),
+        residual: off_diagonal(&m),
     })
+}
+
+/// `√(2·Σ_{i<j} mᵢⱼ²)`, summed row by row.
+fn off_diagonal(m: &Matrix) -> f64 {
+    let mut off = 0.0;
+    for i in 0..m.nrows() {
+        for x in &m.row(i)[i + 1..] {
+            off += x * x;
+        }
+    }
+    (2.0 * off).sqrt()
+}
+
+/// `(xₖ, yₖ) ← (c·xₖ − s·yₖ, s·xₖ + c·yₖ)` for every `k`.
+// audit:hot
+fn rotate_pair(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    for (a, b) in x.iter_mut().zip(y.iter_mut()) {
+        let (xk, yk) = (*a, *b);
+        *a = c * xk - s * yk;
+        *b = s * xk + c * yk;
+    }
+}
+
+/// [`rotate_pair`] on columns `p` and `q` of the row-major `n`-column
+/// matrix `data`, row by row.
+// audit:hot
+fn rotate_columns(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    for row in data.chunks_exact_mut(n) {
+        let (xk, yk) = (row[p], row[q]);
+        row[p] = c * xk - s * yk;
+        row[q] = s * xk + c * yk;
+    }
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ mod matrix;
 pub mod sanitize;
 pub mod vec_ops;
 
-pub use cholesky::Cholesky;
+pub use cholesky::{Cholesky, RowChunks};
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use lu::Lu;

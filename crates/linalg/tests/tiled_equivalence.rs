@@ -55,6 +55,151 @@ fn naive_cholesky(a: &Matrix) -> Result<Matrix, (usize, f64)> {
     Ok(l)
 }
 
+/// The solve before the factor kept `Lᵀ` in its upper triangle, verbatim:
+/// the backward pass walks `L` by column.
+fn naive_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let n = l.nrows();
+    let mut y = b.to_vec();
+    for i in 0..n {
+        for k in 0..i {
+            y[i] -= l[(i, k)] * y[k];
+        }
+        y[i] /= l[(i, i)];
+    }
+    for i in (0..n).rev() {
+        for k in (i + 1)..n {
+            y[i] -= l[(k, i)] * y[k];
+        }
+        y[i] /= l[(i, i)];
+    }
+    y
+}
+
+/// The SDP's refinement residual before `Cholesky::residual`, verbatim:
+/// dense products over `L` with its zero upper triangle.
+fn naive_residual(l: &Matrix, b: &[f64], x: &[f64]) -> Vec<f64> {
+    let lx = l.tr_matvec(x);
+    let mx = l.matvec(&lx);
+    b.iter().zip(&mx).map(|(b, m)| b - m).collect()
+}
+
+/// The old `Cholesky::solve_lower`, verbatim.
+fn naive_solve_lower(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let n = l.nrows();
+    let mut y = b.to_vec();
+    for i in 0..n {
+        for k in 0..i {
+            y[i] -= l[(i, k)] * y[k];
+        }
+        y[i] /= l[(i, i)];
+    }
+    y
+}
+
+/// The SDP step length's `L⁻¹·dV·L⁻ᵀ` before `Cholesky::inv_congruence`,
+/// verbatim: one allocating forward solve per column, twice, and three
+/// transposes (the last one included here).
+fn naive_inv_congruence(l: &Matrix, dm: &Matrix) -> Matrix {
+    let n = dm.nrows();
+    let mut t = Matrix::zeros(n, n);
+    for c in 0..n {
+        let col = dm.col(c);
+        let s = naive_solve_lower(l, &col);
+        for r in 0..n {
+            t[(r, c)] = s[r];
+        }
+    }
+    let tt = t.transpose();
+    let mut w = Matrix::zeros(n, n);
+    for c in 0..n {
+        let col = tt.col(c);
+        let s = naive_solve_lower(l, &col);
+        for r in 0..n {
+            w[(r, c)] = s[r];
+        }
+    }
+    w.transpose()
+}
+
+/// The eigenvalue-only Jacobi sweep before it ran over row slices,
+/// verbatim: the smallest eigenvalue, or `(sweeps, residual)` when it gives
+/// up.
+fn naive_min_eigenvalue(a: &Matrix) -> Result<f64, (usize, f64)> {
+    let n = a.nrows();
+    let mut m = a.clone();
+    m.symmetrize();
+    let scale = m.norm_fro().max(1e-300);
+    let tol = 1e-14 * scale;
+    const MAX_SWEEPS: usize = 100;
+    for _sweep in 0..MAX_SWEEPS {
+        let mut off = 0.0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                off += m[(i, j)] * m[(i, j)];
+            }
+        }
+        let off = (2.0 * off).sqrt();
+        if off <= tol {
+            return Ok((0..n).map(|i| m[(i, i)]).fold(f64::INFINITY, f64::min));
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m[(p, q)];
+                if apq.abs() <= 1e-300 {
+                    continue;
+                }
+                let app = m[(p, p)];
+                let aqq = m[(q, q)];
+                let theta = (aqq - app) / (2.0 * apq);
+                let t = if theta >= 0.0 {
+                    1.0 / (theta + (1.0 + theta * theta).sqrt())
+                } else {
+                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = t * c;
+                for k in 0..n {
+                    let mkp = m[(k, p)];
+                    let mkq = m[(k, q)];
+                    m[(k, p)] = c * mkp - s * mkq;
+                    m[(k, q)] = s * mkp + c * mkq;
+                }
+                for k in 0..n {
+                    let mpk = m[(p, k)];
+                    let mqk = m[(q, k)];
+                    m[(p, k)] = c * mpk - s * mqk;
+                    m[(q, k)] = s * mpk + c * mqk;
+                }
+            }
+        }
+    }
+    let mut off = 0.0;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            off += m[(i, j)] * m[(i, j)];
+        }
+    }
+    Err((MAX_SWEEPS, (2.0 * off).sqrt()))
+}
+
+/// A vector of LCG values in [−5, 5) with exact zeros and a −0.0 sprinkled
+/// in.
+fn fill_vec(n: usize, seed: u64) -> Vec<f64> {
+    let m = fill(1, n, seed);
+    let mut v = m.row(0).to_vec();
+    if n > 3 {
+        v[3] = -0.0;
+    }
+    v
+}
+
+fn assert_vec_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: entry {i}: {g} vs {w}");
+    }
+}
+
 /// Deterministic pseudo-random fill (LCG) with exact zeros sprinkled in to
 /// exercise the sparse skip; no external RNG so shapes can be large.
 fn fill(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -210,6 +355,68 @@ fn eigenvalue_only_sweeps_match_the_full_decomposition_bitwise() {
     }
 }
 
+#[test]
+fn row_contiguous_solves_match_the_column_walk_bitwise() {
+    // Schur-sized orders across the panel boundaries, and the Gram-block
+    // orders of the step lengths.
+    for (case, &n) in [1usize, 2, 5, 31, 33, 66, 97, 211].iter().enumerate() {
+        let a = spd(n, 50 + case as u64);
+        let chol = a.cholesky().expect("SPD must factor");
+        let l = chol.l();
+        let b = fill_vec(n, 70 + case as u64);
+        let x = chol.solve(&b);
+        assert_vec_bits(&x, &naive_solve(l, &b), &format!("solve n={n}"));
+        // The refinement residual at a solution and at an arbitrary point,
+        // which has exact zeros and a −0.0.
+        for (k, point) in [x.clone(), fill_vec(n, 90 + case as u64)].iter().enumerate() {
+            assert_vec_bits(
+                &chol.residual(&b, point),
+                &naive_residual(l, &b, point),
+                &format!("residual n={n} point {k}"),
+            );
+        }
+        let dm = {
+            let mut d = fill(n, n, 110 + case as u64);
+            d.symmetrize();
+            d
+        };
+        assert_bits_equal(
+            &chol.inv_congruence(&dm),
+            &naive_inv_congruence(l, &dm),
+            &format!("inv_congruence n={n}"),
+        );
+    }
+}
+
+#[test]
+fn sliced_jacobi_matches_the_indexed_sweep_bitwise() {
+    for (case, &n) in [1usize, 2, 3, 7, 28, 36, 45].iter().enumerate() {
+        let mut a = fill(n, n, 130 + case as u64);
+        a.symmetrize();
+        // A slightly asymmetric input too: the sweep symmetrizes first.
+        let mut b = a.clone();
+        if n > 1 {
+            b[(0, n - 1)] += 1e-3;
+        }
+        for (k, m) in [a, b].iter().enumerate() {
+            let want = naive_min_eigenvalue(m).expect("converges");
+            let got = m.min_eigenvalue().expect("converges");
+            assert_eq!(got.to_bits(), want.to_bits(), "n = {n}, input {k}");
+        }
+    }
+    let mut a = spd(6, 9);
+    a[(1, 4)] = f64::NAN;
+    a[(4, 1)] = f64::NAN;
+    let (want_sweeps, want_residual) = naive_min_eigenvalue(&a).expect_err("NaN never converges");
+    match a.min_eigenvalue() {
+        Err(LinalgError::NoConvergence { iterations, residual }) => {
+            assert_eq!(iterations, want_sweeps, "sweeps");
+            assert_eq!(residual.to_bits(), want_residual.to_bits(), "residual bits");
+        }
+        other => panic!("expected NoConvergence, got {other:?}"),
+    }
+}
+
 /// Not a correctness test — a manual micro-benchmark comparing the naive
 /// reference kernels against the tiled production kernels. This is the
 /// probe that produced the kernel table in `docs/PERFORMANCE.md`; re-run
@@ -241,7 +448,8 @@ fn kernel_perf_probe() {
     }
 
     println!("kernel            n    naive (ms)   tiled (ms)   speedup");
-    println!("(eigen rows: symmetric_eigen vs min_eigenvalue)");
+    println!("(eigen rows: symmetric_eigen vs min_eigenvalue; schur solve and");
+    println!(" min_eigenvalue rows: the kernels before row-contiguous access vs after)");
     for &n in &[128usize, 256, 384] {
         let a = fill(n, n, 1);
         let b = fill(n, n, 2);
@@ -289,6 +497,54 @@ fn kernel_perf_probe() {
             full * 1e3,
             only * 1e3,
             full / only
+        );
+    }
+    // One refined Schur direction (three solves, two L·Lᵀ·x residuals): the
+    // column-walking solve and dense products against the row-contiguous
+    // solve and the lower-triangle residual.
+    for &n in &[211usize, 331, 496] {
+        let chol = spd(n, 7).cholesky().expect("SPD");
+        let l = chol.l().clone();
+        let b = fill_vec(n, 8);
+        let old = best_of_3(&mut || {
+            let mut x = naive_solve(&l, &b);
+            for _ in 0..2 {
+                let r = naive_residual(&l, &b, &x);
+                let dx = naive_solve(&l, &r);
+                x.iter_mut().zip(&dx).for_each(|(xi, di)| *xi += di);
+            }
+            black_box(x);
+        });
+        let new = best_of_3(&mut || {
+            let mut x = chol.solve(&b);
+            for _ in 0..2 {
+                let r = chol.residual(&b, &x);
+                let dx = chol.solve(&r);
+                x.iter_mut().zip(&dx).for_each(|(xi, di)| *xi += di);
+            }
+            black_box(x);
+        });
+        println!(
+            "schur solve    {n:4}   {:10.3}   {:10.3}   {:6.2}x",
+            old * 1e3,
+            new * 1e3,
+            old / new
+        );
+    }
+    // Step-length eigenvalues: the indexed sweep against the sliced one.
+    for &n in &[28usize, 36, 45] {
+        let a = spd(n, 5);
+        let old = best_of_3(&mut || {
+            black_box(naive_min_eigenvalue(black_box(&a))).expect("converges");
+        });
+        let new = best_of_3(&mut || {
+            black_box(black_box(&a).min_eigenvalue()).expect("converges");
+        });
+        println!(
+            "min_eigenvalue {n:4}   {:10.3}   {:10.3}   {:6.2}x",
+            old * 1e3,
+            new * 1e3,
+            old / new
         );
     }
 }

@@ -6,7 +6,8 @@
 //! routes through (enforced by clippy's `disallowed-methods`, clippy.toml).
 //! It provides:
 //!
-//! * [`join3`] — structured fork–join for three heterogeneous tasks (the
+//! * [`join`] / [`join3`] — structured fork–join for two or three
+//!   heterogeneous tasks (the SDP's primal and dual step lengths, the
 //!   verifier's three independent LMI problems);
 //! * [`par_map_collect`] — parallel map over `0..n` with results returned
 //!   **in index order** (counterexample restarts, mesh chunks);
@@ -34,26 +35,34 @@
 //! # Pool size
 //!
 //! The worker count is resolved per parallel region, in priority order:
-//! a process-wide override installed via [`set_threads`], the `SNBC_THREADS` environment variable, and
-//! finally [`std::thread::available_parallelism`]. The calling thread always
-//! participates as worker 0, so a region with `threads() == k` spawns at
-//! most `k - 1` scoped threads and `k == 1` spawns none.
+//! a process-wide override installed via [`set_threads`], the
+//! `SNBC_THREADS` environment variable, and finally
+//! [`std::thread::available_parallelism`]. A region with `threads() == k`
+//! splits into at most `k` tasks: the caller runs task 0 and queues the
+//! rest on one process-wide pool. The pool's workers start on first use, up
+//! to `k − 1`, and then persist, so a region costs a queue push and a
+//! wakeup rather than a thread spawn. While the caller waits it runs queued
+//! tasks itself, so a region opened inside a task (the flow SDP inside the
+//! verifier's [`join3`]) uses idle threads instead of starting new ones.
+//! With `k == 1` every helper runs inline and no thread is ever started.
 //!
 //! # Panics
 //!
-//! A panic on any worker is captured at the scope boundary and rethrown on
-//! the calling thread (first panicking worker in spawn order wins); the
-//! remaining workers finish draining their chunks first, so no partial state
-//! escapes the scope.
+//! A panic in any task is caught and rethrown on the calling thread at the
+//! region boundary (the lowest task index's first), after every task of the
+//! region has finished, so no partial state escapes the region and the
+//! pool stays usable.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "snbc-par is the deterministic runtime: it owns SNBC_THREADS and every worker thread"
 )]
 
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Process-wide worker-count override; `0` means "not set" (fall back to the
 /// `SNBC_THREADS` environment variable, then `available_parallelism`).
@@ -93,13 +102,41 @@ fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Runs `a` and `b` and returns their results, in parallel when the pool
+/// has at least two workers (serial, `a` first, otherwise): `a` on the
+/// calling thread, `b` as a pool task. The SDP's primal and dual step
+/// lengths.
+pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
+where
+    RA: Send,
+    RB: Send,
+{
+    if threads() <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+    let work = |w: usize| {
+        if w == 0 {
+            let r = take(&a).map(|f| f());
+            *lock(&ra) = r;
+        } else {
+            let r = take(&b).map(|f| f());
+            *lock(&rb) = r;
+        }
+    };
+    run_on_pool(2, &work);
+    (joined(ra), joined(rb))
+}
+
 /// Runs `a`, `b` and `c` and returns their results, in parallel when the
 /// pool has at least two workers (serial in declaration order otherwise):
 /// the verifier's init/unsafe/flow LMI problems.
 ///
-/// `a` runs on the calling thread; `b` and `c` are spawned (when the pool
-/// allows). Results come back in declaration order regardless of completion
-/// order; with two workers, `b` and `c` share the spawned thread.
+/// `a` runs on the calling thread. With two workers `b` and `c` form one
+/// pool task, run in that order; with three or more each is its own task.
+/// Results come back in declaration order regardless of completion order.
 pub fn join3<RA, RB, RC>(
     a: impl FnOnce() -> RA + Send,
     b: impl FnOnce() -> RB + Send,
@@ -117,43 +154,32 @@ where
         let rc = c();
         return (ra, rb, rc);
     }
-    let parent = snbc_trace::current_worker();
-    if t == 2 {
-        let (ra, (rb, rc)) = std::thread::scope(|s| {
-            let label = snbc_trace::child_worker_label(&parent, 1);
-            let h = s.spawn(move || {
-                let _g = snbc_trace::enter_worker(label);
-                let rb = b();
-                let rc = c();
-                (rb, rc)
-            });
-            let ra = a();
-            match h.join() {
-                Ok(bc) => (ra, bc),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        });
-        return (ra, rb, rc);
-    }
-    std::thread::scope(|s| {
-        let lb = snbc_trace::child_worker_label(&parent, 1);
-        let lc = snbc_trace::child_worker_label(&parent, 2);
-        let hb = s.spawn(move || {
-            let _g = snbc_trace::enter_worker(lb);
-            b()
-        });
-        let hc = s.spawn(move || {
-            let _g = snbc_trace::enter_worker(lc);
-            c()
-        });
-        let ra = a();
-        let rb = hb.join();
-        let rc = hc.join();
-        match (rb, rc) {
-            (Ok(rb), Ok(rc)) => (ra, rb, rc),
-            (Err(p), _) | (_, Err(p)) => std::panic::resume_unwind(p),
+    // Each closure runs exactly once, from whichever task owns it; the
+    // mutexes only hand the `FnOnce` and its result across threads.
+    let (a, b, c) = (Mutex::new(Some(a)), Mutex::new(Some(b)), Mutex::new(Some(c)));
+    let (ra, rb, rc) = (Mutex::new(None), Mutex::new(None), Mutex::new(None));
+    let work = |w: usize| {
+        if w == 0 {
+            let r = take(&a).map(|f| f());
+            *lock(&ra) = r;
         }
-    })
+        if w == 1 {
+            let r = take(&b).map(|f| f());
+            *lock(&rb) = r;
+        }
+        if w == 2 || (w == 1 && t == 2) {
+            let r = take(&c).map(|f| f());
+            *lock(&rc) = r;
+        }
+    };
+    run_on_pool(t.min(3), &work);
+    (joined(ra), joined(rb), joined(rc))
+}
+
+/// A [`join`] or [`join3`] closure's result, which its task stored before
+/// the region ended.
+fn joined<R>(slot: Mutex<Option<R>>) -> R {
+    into_inner(slot).expect("snbc-par: every joined closure runs once")
 }
 
 /// Fixed chunk grid over `0..n`: chunk `c` covers
@@ -378,65 +404,242 @@ where
         check_cover(&cover, n);
     }
     debug_assert!(rest.is_empty());
-    let run_part = |first_chunk: usize, piece: &mut [T]| {
+    // Each task takes its own partition out of its slot, so every chunk is
+    // reached through exactly one `&mut`.
+    let parts: Vec<_> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let work = |w: usize| {
+        let Some((first_chunk, piece)) = take(&parts[w]) else {
+            return;
+        };
         let mut scratch = init();
         for (k, sub) in piece.chunks_mut(chunk_len).enumerate() {
             f(&mut scratch, first_chunk + k, sub);
         }
     };
-    let parent = snbc_trace::current_worker();
-    std::thread::scope(|s| {
-        let mut iter = parts.into_iter();
-        let mine = iter.next().expect("at least one partition");
-        let handles: Vec<_> = iter
-            .enumerate()
-            .map(|(k, (c, piece))| {
-                let label = snbc_trace::child_worker_label(&parent, k + 1);
-                s.spawn(move || {
-                    let _g = snbc_trace::enter_worker(label);
-                    run_part(c, piece)
-                })
-            })
-            .collect();
-        run_part(mine.0, mine.1);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                panic.get_or_insert(p);
-            }
-        }
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
-        }
-    });
+    run_on_pool(parts.len(), &work);
 }
 
-/// Spawns `workers - 1` scoped threads running `work(wid)` and runs
-/// `work(0)` on the calling thread; rethrows the first worker panic (in
-/// spawn order) after all workers have joined.
-fn run_on_pool(workers: usize, work: &(impl Fn(usize) + Sync)) {
-    let parent = snbc_trace::current_worker();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers)
-            .map(|w| {
-                let label = snbc_trace::child_worker_label(&parent, w);
-                s.spawn(move || {
-                    let _g = snbc_trace::enter_worker(label);
-                    work(w)
-                })
-            })
-            .collect();
-        work(0);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                panic.get_or_insert(p);
+// ---------------------------------------------------------------------------
+// The pool
+
+/// The work of one parallel region: task `w` calls it with `w`.
+type Work<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// What a panicking task unwound with.
+type Panic = Box<dyn std::any::Any + Send>;
+
+/// One parallel region: the opener's closure, and the queued tasks that
+/// have not finished yet.
+struct Region {
+    /// The opener's closure, its lifetime erased (see [`run_on_pool`]).
+    work: &'static Work<'static>,
+    /// The opener's trace label; task `w` runs under child label `w`.
+    parent: String,
+    /// Queued tasks not finished yet. Changed and read only under the queue
+    /// lock, so an opener that checks it there cannot miss the wakeup of
+    /// the last task.
+    pending: AtomicUsize,
+    /// The panics of finished tasks, with their task index.
+    panics: Mutex<Vec<(usize, Panic)>>,
+}
+
+/// Task `index` of a region, waiting in the queue.
+struct Task {
+    region: Arc<Region>,
+    index: usize,
+}
+
+/// The process-wide pool: one queue of tasks, drained by persistent workers
+/// and by openers waiting for their regions.
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Signalled when tasks are queued and when a region's last task ends.
+    changed: Condvar,
+    /// `queue.tasks.len()`, changed under the queue lock and polled without
+    /// it by threads about to sleep.
+    queued: AtomicUsize,
+}
+
+/// Polls a thread makes for new work (or for its region's end) before it
+/// sleeps on [`Pool::changed`]. An interior-point iteration opens its
+/// regions microseconds apart, and a sleeping thread takes tens of
+/// microseconds to wake; 4 096 polls last some tens of microseconds.
+const SPIN_POLLS: u32 = 4096;
+
+/// Polls `done` up to [`SPIN_POLLS`] times, yielding the core now and then
+/// so that a spinning thread never starves a busy one.
+fn spin_until(done: impl Fn() -> bool) {
+    for i in 0..SPIN_POLLS {
+        if done() {
+            return;
+        }
+        if i % 64 == 63 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// Worker threads started so far. They never exit.
+    workers: usize,
+}
+
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool {
+        queue: Mutex::new(Queue {
+            tasks: VecDeque::new(),
+            workers: 0,
+        }),
+        changed: Condvar::new(),
+        queued: AtomicUsize::new(0),
+    })
+}
+
+impl Pool {
+    /// Queues `tasks` and starts workers until `want` exist.
+    fn submit(&'static self, tasks: impl Iterator<Item = Task>, want: usize) {
+        let mut q = lock(&self.queue);
+        q.tasks.extend(tasks);
+        self.queued.store(q.tasks.len(), Ordering::Relaxed);
+        while q.workers < want {
+            let started = std::thread::Builder::new()
+                .name(format!("snbc-par-{}", q.workers + 1))
+                .spawn(move || self.serve());
+            if started.is_err() {
+                // Waiting openers run whatever no worker takes.
+                break;
+            }
+            q.workers += 1;
+        }
+        drop(q);
+        self.changed.notify_all();
+    }
+
+    /// Takes a queued task: the latest of `region` if it has one queued,
+    /// else the oldest.
+    fn pop(&self, q: &mut Queue, region: Option<&Arc<Region>>) -> Option<Task> {
+        let mine = region.and_then(|r| q.tasks.iter().rposition(|t| Arc::ptr_eq(&t.region, r)));
+        let task = mine.and_then(|i| q.tasks.remove(i)).or_else(|| q.tasks.pop_front());
+        self.queued.store(q.tasks.len(), Ordering::Relaxed);
+        task
+    }
+
+    /// A worker's loop: run queued tasks, oldest first, polling for a while
+    /// before it sleeps.
+    fn serve(&self) {
+        loop {
+            spin_until(|| self.queued.load(Ordering::Relaxed) > 0);
+            let mut q = lock(&self.queue);
+            loop {
+                if let Some(task) = self.pop(&mut q, None) {
+                    drop(q);
+                    self.run(task);
+                    break;
+                }
+                q = wait(&self.changed, q);
             }
         }
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
+    }
+
+    /// Runs `task` under its worker label, keeps its panic for the opener
+    /// and counts it finished. Once `work` has returned, the task touches
+    /// only the `Arc`-owned region, never the opener's closure.
+    fn run(&self, task: Task) {
+        let Task { region, index } = task;
+        let outcome = {
+            let _label = snbc_trace::enter_worker(snbc_trace::child_worker_label(
+                &region.parent,
+                index,
+            ));
+            catch_unwind(AssertUnwindSafe(|| (region.work)(index)))
+        };
+        if let Err(p) = outcome {
+            lock(&region.panics).push((index, p));
         }
+        let _q = lock(&self.queue);
+        if region.pending.fetch_sub(1, Ordering::Relaxed) == 1 {
+            self.changed.notify_all();
+        }
+    }
+}
+
+/// Runs `work(0)` on the calling thread and `work(1)`, …, `work(tasks − 1)`
+/// as pool tasks, and returns once all of them have finished. While it
+/// waits, the caller runs queued tasks itself (its own region's first), so
+/// a region opened inside a task puts an idle thread to work instead of
+/// starting a new one. A panic is rethrown here, the lowest task index's
+/// first, after every task has finished.
+fn run_on_pool(tasks: usize, work: &Work<'_>) {
+    debug_assert!(tasks >= 2, "a one-task region runs inline");
+    // SAFETY: queued tasks call `work` through this `'static` reference only
+    // while the current frame is alive. Every queued task is run, never
+    // dropped: workers and waiting openers pop a task only to run it, and
+    // the queue is a static that is never dropped. This function neither
+    // returns nor unwinds before `pending` is zero: `work(0)` runs under
+    // `catch_unwind`, and the wait loop below neither panics nor gives up.
+    // A task stops using `work` before it decrements `pending`. `work` is
+    // `Sync`, so calling it from several threads at once is sound.
+    let erased = unsafe { std::mem::transmute::<&Work<'_>, &'static Work<'static>>(work) };
+    let region = Arc::new(Region {
+        work: erased,
+        parent: snbc_trace::current_worker(),
+        pending: AtomicUsize::new(tasks - 1),
+        panics: Mutex::new(Vec::new()),
     });
+    let pool = pool();
+    pool.submit(
+        (1..tasks).map(|index| Task {
+            region: Arc::clone(&region),
+            index,
+        }),
+        tasks - 1,
+    );
+    let own = catch_unwind(AssertUnwindSafe(|| work(0)));
+    loop {
+        spin_until(|| {
+            region.pending.load(Ordering::Relaxed) == 0 || pool.queued.load(Ordering::Relaxed) > 0
+        });
+        let mut q = lock(&pool.queue);
+        if region.pending.load(Ordering::Relaxed) == 0 {
+            break;
+        }
+        match pool.pop(&mut q, Some(&region)) {
+            Some(task) => {
+                drop(q);
+                pool.run(task);
+            }
+            None => drop(wait(&pool.changed, q)),
+        }
+    }
+    let mut panics = std::mem::take(&mut *lock(&region.panics));
+    if let Err(p) = own {
+        panics.push((0, p));
+    }
+    if let Some((_, p)) = panics.into_iter().min_by_key(|(w, _)| *w) {
+        resume_unwind(p);
+    }
+}
+
+/// Locks `m`, ignoring poison: a task's panic reaches its opener through
+/// [`Region::panics`], and no critical section here leaves its data torn.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+fn take<T>(m: &Mutex<Option<T>>) -> Option<T> {
+    lock(m).take()
+}
+
+fn into_inner<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -472,6 +675,7 @@ mod tests {
         for t in [1, 2, 3, 4] {
             let (a, b, c) = with_threads(t, || join3(|| "a", || "b", || "c"));
             assert_eq!((a, b, c), ("a", "b", "c"));
+            assert_eq!(with_threads(t, || join(|| 1, || "b")), (1, "b"));
         }
     }
 
@@ -562,6 +766,136 @@ mod tests {
             })
         });
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn panics_are_rethrown_after_every_task_finished_lowest_index_first() {
+        for t in [3, 4] {
+            // The last task panics at once and, in the second case, so does
+            // the caller's task 0; the others finish late. The region
+            // rethrows only after all of them, and the lowest index wins.
+            for caller_panics in [false, true] {
+                let finished = AtomicUsize::new(0);
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    with_threads(t, || {
+                        run_on_pool(t, &|w| {
+                            if w == t - 1 || (w == 0 && caller_panics) {
+                                panic!("{}", if w == 0 { "caller" } else { "task" });
+                            }
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        });
+                    });
+                }));
+                let p = caught.expect_err("the region must rethrow");
+                let got = p.downcast_ref::<String>().map(String::as_str);
+                let want = if caller_panics { "caller" } else { "task" };
+                assert_eq!(got, Some(want), "threads = {t}");
+                let survivors = t - 1 - usize::from(caller_panics);
+                assert_eq!(finished.load(Ordering::SeqCst), survivors, "threads = {t}");
+                // The pool still serves regions afterwards.
+                let v: Vec<usize> = with_threads(t, || par_map_collect(9, |i| i + 1));
+                assert_eq!(v, (1..10).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn nested_regions_match_the_serial_result() {
+        let nested = || {
+            let rows: Vec<u64> = par_map_collect(12, |i| {
+                let mut row = vec![0u64; 40];
+                par_for_chunks(&mut row, 3, |c, piece| {
+                    for (k, v) in piece.iter_mut().enumerate() {
+                        *v = (i * 1000 + c * 3 + k) as u64;
+                    }
+                });
+                let (a, b, c) = join3(
+                    || row.iter().sum::<u64>(),
+                    || par_map_collect(5, |j| j as u64 * row[j]).iter().sum::<u64>(),
+                    || par_map_reduce(40, 7, |r| r.map(|j| row[j]).max().unwrap_or(0), u64::max),
+                );
+                a + b + c.unwrap_or(0)
+            });
+            rows
+        };
+        let serial = with_threads(1, nested);
+        for t in [2, 3, 4] {
+            assert_eq!(with_threads(t, nested), serial, "threads = {t}");
+        }
+    }
+
+    #[test]
+    fn regions_opened_from_several_threads_at_once_are_independent() {
+        let _guard = test_lock();
+        set_threads(Some(3));
+        let results: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|o| {
+                    s.spawn(move || {
+                        (0..50)
+                            .map(|r| {
+                                let v = par_map_collect(7, |i| o * 10_000 + r * 10 + i);
+                                let mut data = vec![0usize; 33];
+                                par_for_chunks(&mut data, 4, |c, piece| piece.fill(c + o));
+                                v.iter().sum::<usize>() + data.iter().sum::<usize>()
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("opener thread")).collect()
+        });
+        set_threads(None);
+        for (o, got) in results.iter().enumerate() {
+            let want: Vec<usize> = (0..50)
+                .map(|r| {
+                    let v: usize = (0..7).map(|i| o * 10_000 + r * 10 + i).sum();
+                    let d: usize = (0..33).map(|j| j / 4 + o).sum();
+                    v + d
+                })
+                .collect();
+            assert_eq!(got, &want, "opener {o}");
+        }
+    }
+
+    /// Not a correctness test: the wall cost of near-empty regions, the
+    /// figure behind the parallel thresholds (docs/PERFORMANCE.md,
+    /// "Parallel thresholds"). Run it with
+    /// `cargo test --release -p snbc-par -- --ignored --nocapture region_cost`.
+    #[test]
+    #[ignore = "perf probe, run manually with --release --ignored --nocapture"]
+    fn region_cost_probe() {
+        let per_region = |t: usize, f: &dyn Fn()| {
+            with_threads(t, || {
+                f();
+                let watch = snbc_trace::Stopwatch::start();
+                let reps = 2000;
+                for _ in 0..reps {
+                    f();
+                }
+                watch.elapsed().as_secs_f64() * 1e6 / f64::from(reps)
+            })
+        };
+        let mut data = vec![0.0f64; 40];
+        let data = Mutex::new(&mut data);
+        let chunks = || {
+            par_for_chunks(&mut data.lock().unwrap()[..], 1, |c, piece| piece[0] = c as f64);
+        };
+        let collect = || {
+            std::hint::black_box(par_map_collect(40, |i| i));
+        };
+        let joined = || {
+            std::hint::black_box(join3(|| 1, || 2, || 3));
+        };
+        println!("region (40 items)      1 thread (us)   2 threads (us)");
+        for (name, f) in [
+            ("par_for_chunks", &chunks as &dyn Fn()),
+            ("par_map_collect", &collect),
+            ("join3", &joined),
+        ] {
+            println!("{name:<20} {:>14.2} {:>16.2}", per_region(1, f), per_region(2, f));
+        }
     }
 
     #[test]

@@ -86,9 +86,7 @@ fn solve_refined(chol: &Cholesky, rhs: &[f64]) -> Vec<f64> {
     let mut x = chol.solve(rhs);
     for _ in 0..2 {
         // r = rhs − M·x computed through the factorization's L·Lᵀ.
-        let lx = chol.l().tr_matvec(&x);
-        let mx = chol.l().matvec(&lx);
-        let r: Vec<f64> = rhs.iter().zip(&mx).map(|(b, m)| b - m).collect();
+        let r = chol.residual(rhs, &x);
         let dx = chol.solve(&r);
         for (xi, di) in x.iter_mut().zip(&dx) {
             *xi += di;
@@ -112,14 +110,20 @@ enum Scaling {
 }
 
 /// Estimated multiply–adds below which an interior-point phase (the block
-/// factorizations, the Schur rows) runs as one inline chunk. A parallel
-/// region's spawns cost tens of microseconds: on a 2-core host a Schur
-/// assembly at m = 67 took 37 µs inline and 77 µs on two workers, one at
-/// m = 211 (estimate ≈ 2·10⁵) 761 µs and 460 µs, and block factorizations
-/// up to an estimate of 10⁵ were slower on two workers (docs/PERFORMANCE.md,
-/// "Parallel thresholds"). The chunk grid only decides which worker fills
-/// which disjoint output, so any value gives the same bits.
-const MIN_PARALLEL_WORK: usize = 1 << 17;
+/// factorizations, the Schur rows) runs as one inline chunk. On the
+/// persistent pool, a 2-core host split the Schur rows profitably from
+/// about 10⁴ multiply–adds: 109 µs inline against 65–97 µs on two workers
+/// at 2.2·10⁴, 1.36 ms against 0.71 ms at 1.8·10⁵ (`parallel_phase_probe`,
+/// docs/PERFORMANCE.md, "Parallel thresholds"). The chunk grid only decides
+/// which worker fills which disjoint output, so any value gives the same
+/// bits.
+const MIN_PARALLEL_WORK: usize = 1 << 14;
+
+/// Summed cubed dense-block orders below which the primal and dual step
+/// lengths run one after the other on the calling thread (see
+/// [`SdpSolver::step_pair`]): each is a Jacobi eigenvalue sweep per dense
+/// block, about `sweeps·n³` multiply–adds.
+const MIN_PARALLEL_STEP_WORK: usize = 1 << 8;
 
 /// Items per chunk for a parallel phase over `items` items whose estimated
 /// cost is `work` multiply–adds: one item per chunk, or all of them in one
@@ -538,8 +542,7 @@ impl SdpSolver {
             // Predictor: ν = 0, no corrector.
             let (dx_aff, _dy_aff, dz_aff) =
                 self.direction(problem, &scalings, &schur, &rp, &rd, &x, 0.0, None)?;
-            let alpha_p_aff = self.max_step(&x, &dx_aff, &scalings, true)?;
-            let alpha_d_aff = self.max_step(&z, &dz_aff, &scalings, false)?;
+            let (alpha_p_aff, alpha_d_aff) = self.step_pair(&x, &dx_aff, &z, &dz_aff, &scalings)?;
             // μ after the affine step.
             let mut x_aff = x.clone();
             x_aff.axpy(alpha_p_aff.min(1.0), &dx_aff)?;
@@ -564,8 +567,9 @@ impl SdpSolver {
                 Some((&dz_aff, &dx_aff)),
             )?;
 
-            let alpha_p = (self.step_fraction * self.max_step(&x, &dx, &scalings, true)?).min(1.0);
-            let alpha_d = (self.step_fraction * self.max_step(&z, &dz, &scalings, false)?).min(1.0);
+            let (step_p, step_d) = self.step_pair(&x, &dx, &z, &dz, &scalings)?;
+            let alpha_p = (self.step_fraction * step_p).min(1.0);
+            let alpha_d = (self.step_fraction * step_d).min(1.0);
 
             x.axpy(alpha_p, &dx)?;
             vec_ops::axpy(alpha_d, &dy, &mut y);
@@ -715,17 +719,21 @@ impl SdpSolver {
             }
             big_m[(k, k)] += self.regularization * (1.0 + big_m[(k, k)]);
         }
+        // Factor in place, each panel's row-independent phases on the pool;
+        // a failed factorization hands the matrix back as it was.
+        let rows = |data: &mut [f64], len: usize, body: &(dyn Fn(usize, &mut [f64]) + Sync)| {
+            snbc_par::par_for_chunks(data, len, body);
+        };
         *cholesky_count += 1;
-        big_m
-            .cholesky()
-            .or_else(|_| {
-                for k in 0..m {
-                    big_m[(k, k)] += 1e-7 * (1.0 + big_m[(k, k)]);
-                }
-                *cholesky_count += 1;
-                big_m.cholesky()
-            })
-            .map_err(SdpError::from)
+        let (_, mut big_m) = match Cholesky::factor_in_place(big_m, &rows) {
+            Ok(chol) => return Ok(chol),
+            Err(failed) => failed,
+        };
+        for k in 0..m {
+            big_m[(k, k)] += 1e-7 * (1.0 + big_m[(k, k)]);
+        }
+        *cholesky_count += 1;
+        Cholesky::factor_in_place(big_m, &rows).map_err(|(e, _)| SdpError::from(e))
     }
 
     /// Computes the HKM direction for centering parameter `nu` (= σμ), with an
@@ -854,6 +862,46 @@ impl SdpSolver {
         Ok((dx, dy, dz))
     }
 
+    /// The primal and dual step lengths `max_step(X, dX)` and
+    /// `max_step(Z, dZ)`, side by side on the pool when the dense blocks'
+    /// eigenvalue problems are large enough to pay for a region. The two
+    /// are independent, so running them apart changes no bit. Each runs in
+    /// a `max-step` trace span (index 0 primal, 1 dual).
+    fn step_pair(
+        &self,
+        x: &BlockMatrix,
+        dx: &BlockMatrix,
+        z: &BlockMatrix,
+        dz: &BlockMatrix,
+        scalings: &[Scaling],
+    ) -> Result<(f64, f64), SdpError> {
+        let work: usize = scalings
+            .iter()
+            .map(|s| match s {
+                Scaling::Dense { zinv, .. } => zinv.nrows().pow(3),
+                Scaling::Diag { .. } => 0,
+            })
+            .sum();
+        let trace = self.telemetry.trace();
+        let step = |primal: bool| {
+            // One span per step length, primal first, on whichever thread
+            // runs it: the same events serially and in parallel.
+            let span = trace.begin_span("max-step", Some(u64::from(!primal)));
+            let alpha = if primal {
+                self.max_step(x, dx, scalings, true)
+            } else {
+                self.max_step(z, dz, scalings, false)
+            };
+            trace.end_span("max-step", span);
+            alpha
+        };
+        if work < MIN_PARALLEL_STEP_WORK {
+            return Ok((step(true)?, step(false)?));
+        }
+        let (p, d) = snbc_par::join(|| step(true), || step(false));
+        Ok((p?, d?))
+    }
+
     /// Largest `α` keeping `V + α·dV` in the PSD cone (capped at 1e6).
     fn max_step(
         &self,
@@ -879,27 +927,7 @@ impl SdpSolver {
                             return Err(SdpError::BlockMismatch { op: "max_step" })
                         }
                     };
-                    let n = dm.nrows();
-                    // T = L⁻¹·dV (solve per column of dV on the left).
-                    let mut t = Matrix::zeros(n, n);
-                    for c in 0..n {
-                        let col = dm.col(c);
-                        let s = chol.solve_lower(&col);
-                        for r in 0..n {
-                            t[(r, c)] = s[r];
-                        }
-                    }
-                    // W = T·L⁻ᵀ = (L⁻¹·Tᵀ)ᵀ.
-                    let tt = t.transpose();
-                    let mut w = Matrix::zeros(n, n);
-                    for c in 0..n {
-                        let col = tt.col(c);
-                        let s = chol.solve_lower(&col);
-                        for r in 0..n {
-                            w[(r, c)] = s[r];
-                        }
-                    }
-                    let mut ws = w.transpose();
+                    let mut ws = chol.inv_congruence(dm);
                     ws.symmetrize();
                     let lmin = ws.min_eigenvalue()?;
                     if lmin < 0.0 {
@@ -1166,6 +1194,97 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Not a correctness test: each parallel phase of an interior-point
+    /// iteration at one and at two threads, across the sizes around its
+    /// threshold (docs/PERFORMANCE.md, "Parallel thresholds"). Run it with
+    /// `cargo test --release -p snbc-sdp --lib -- --ignored --nocapture phase_probe`.
+    #[test]
+    #[ignore = "perf probe, run manually with --release --ignored --nocapture"]
+    fn parallel_phase_probe() {
+        /// Best of 15 runs at one and at two threads, alternating, in µs.
+        fn best_pair(f: &mut dyn FnMut()) -> (f64, f64) {
+            let mut best = [f64::INFINITY; 2];
+            for rep in 0..32 {
+                let t = rep % 2;
+                snbc_par::set_threads(Some(t + 1));
+                let watch = snbc_trace::Stopwatch::start();
+                f();
+                let us = watch.elapsed().as_secs_f64() * 1e6;
+                if rep >= 2 {
+                    best[t] = best[t].min(us);
+                }
+            }
+            snbc_par::set_threads(None);
+            (best[0], best[1])
+        }
+        println!("phase            size      work   1 thread (us)  2 threads (us)");
+        for g in [8usize, 12, 16, 22, 28, 36, 45] {
+            let p = sos_shaped_problem(g);
+            let m = p.num_constraints();
+            let index = SchurIndex::new(&p);
+            let scalings = vec![
+                dense_scaling(patterned(g, 1, |_, _| false), patterned(g, 2, |_, _| false)),
+                Scaling::Diag {
+                    x: vec![1.0; 4],
+                    z: vec![2.0; 4],
+                },
+                dense_scaling(patterned(3, 3, |_, _| false), patterned(3, 4, |_, _| false)),
+            ];
+            let work = m * (g * g + 9) + m * m / 2;
+            let mut run = || {
+                std::hint::black_box(assemble_schur(&index, &scalings, m));
+            };
+            let (one, two) = best_pair(&mut run);
+            println!("schur rows   g={g:<3} m={m:<4} {work:>8} {one:>15.1} {two:>15.1}");
+        }
+        for g in [6usize, 10, 15, 21, 28, 36] {
+            let shapes = [BlockShape::Dense(g)];
+            let spd = |seed: u64| {
+                let b = patterned(g, seed, |_, _| false);
+                let mut a = b.matmul(&b);
+                for i in 0..g {
+                    a[(i, i)] += g as f64;
+                }
+                a
+            };
+            let mut x = BlockMatrix::identity(&shapes);
+            *x.block_mut(0) = Block::Dense(spd(5));
+            let mut z = BlockMatrix::identity(&shapes);
+            *z.block_mut(0) = Block::Dense(spd(6));
+            let mut dx = BlockMatrix::zeros(&shapes);
+            *dx.block_mut(0) = Block::Dense(patterned(g, 7, |_, _| false));
+            let mut dz = BlockMatrix::zeros(&shapes);
+            *dz.block_mut(0) = Block::Dense(patterned(g, 8, |_, _| false));
+            let scalings = vec![Scaling::Dense {
+                zinv: Matrix::identity(g),
+                x: spd(5),
+                x_chol: spd(5).cholesky().expect("SPD"),
+                z_chol: spd(6).cholesky().expect("SPD"),
+            }];
+            let solver = default_solver();
+            let mut run = || {
+                std::hint::black_box(solver.step_pair(&x, &dx, &z, &dz, &scalings).expect("steps"));
+            };
+            let (one, two) = best_pair(&mut run);
+            println!("step pair    n={g:<9} {:>8} {one:>15.1} {two:>15.1}", g * g * g);
+        }
+        let rows = |data: &mut [f64], len: usize, body: &(dyn Fn(usize, &mut [f64]) + Sync)| {
+            snbc_par::par_for_chunks(data, len, body);
+        };
+        for m in [67usize, 100, 150, 211, 331, 496] {
+            let b = patterned(m, 9, |_, _| false);
+            let mut a = b.matmul(&b);
+            for i in 0..m {
+                a[(i, i)] += m as f64;
+            }
+            let mut run = || {
+                std::hint::black_box(Cholesky::factor_in_place(a.clone(), &rows).expect("SPD"));
+            };
+            let (one, two) = best_pair(&mut run);
+            println!("cholesky     m={m:<9} {:>8} {one:>15.1} {two:>15.1}", m * m * m / 3);
         }
     }
 

@@ -168,6 +168,23 @@ fn a_nan_or_negative_sigma_star_is_an_error() {
     }
 }
 
+#[test]
+fn a_certificate_whose_sos_programs_would_be_huge_does_not_validate() {
+    // Degree 128: the init condition alone would need a Gram basis of 2 145
+    // monomials, a Schur complement of order 8 385. `validate` refuses it
+    // before building any program.
+    let sf = parse_system(EXAMPLE_SYSTEM).unwrap();
+    let text = format!(
+        "snbc-certificate v1\nsystem: {}\nbarrier: 1 - x0^2 - 0.000000001*x0^64*x1^64\n\
+         lambda: 0\ncontroller: -0.5*x0\nsigma_star: 0\n",
+        sf.name
+    );
+    let cert: SafetyCertificate = text.parse().unwrap();
+    for deep in [false, true] {
+        assert!(!within_a_second("validate", || cert.validate(&sf.system, deep)));
+    }
+}
+
 /// Truncates (op 0), splices (op 1: duplicates or removes a byte range) or
 /// flips one bit (op 2) of `text`; invalid UTF-8 becomes U+FFFD.
 fn mutate(text: &str, [op, a, b, bit]: [usize; 4]) -> String {
