@@ -5,13 +5,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> snbc-audit (call-graph and dataflow gate, no finding tolerated)"
+echo "==> snbc-audit (hot-alloc and arch gate, no finding tolerated)"
 cargo run -q -p snbc-audit
 
 echo "==> cargo clippy (per-site lints: clippy.toml + [workspace.lints.clippy], warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> snbc-audit self-test (engine, fixtures, contracts)"
+echo "==> snbc-audit self-test (tokenizer, item tree, call graph, fixtures)"
 cargo test -q -p snbc-audit
 
 echo "==> cargo doc (rustdoc gate, warnings are errors)"

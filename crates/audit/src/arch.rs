@@ -1,6 +1,6 @@
 //! Architectural rules: each crate's `Cargo.toml` dependencies must respect
 //! the DESIGN.md dependency DAG, and only the sanctioned external crates
-//! (`rand`, `proptest`, `criterion`, `serde`) may appear.
+//! (`rand`, `proptest`, `criterion`) may appear.
 //!
 //! The DAG encoded here is the one DESIGN.md §"Workspace inventory" draws
 //! (bottom-up): `trace` is the bottom-most leaf; `telemetry` and `par` sit
@@ -15,7 +15,7 @@
 use crate::rules::{Finding, Rule};
 
 /// Sanctioned external dependencies (DESIGN.md: "No other dependencies").
-pub const SANCTIONED_EXTERNAL: &[&str] = &["rand", "proptest", "criterion", "serde"];
+pub const SANCTIONED_EXTERNAL: &[&str] = &["rand", "proptest", "criterion"];
 
 /// Allowed *internal* dependencies per crate directory name.
 pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {

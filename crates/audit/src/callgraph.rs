@@ -1,40 +1,32 @@
-//! Workspace-level call graph and interprocedural effect propagation.
+//! Workspace-level call graph and the allocation effect it propagates.
 //!
-//! Built in two passes over the files the audit already tokenizes:
+//! Built in two passes over the workspace sources:
 //!
-//! 1. **Harvest** ([`analyze_file`]): every non-test `fn` scope becomes a
-//!    [`FnDecl`] carrying its arity, `// audit:hot` marker, effect leaves
-//!    (from [`crate::effects`], ownership-masked and `audit:allow`-filtered),
-//!    and call sites. Path calls keep their alias-resolved path; method calls
-//!    keep name + arity (receiver included).
+//! 1. **Harvest** ([`analyze_source`]): every non-test `fn` scope becomes a
+//!    [`FnDecl`] carrying its arity, whether an `// audit:hot` marker
+//!    attaches to it, its allocation leaves (from [`crate::effects`], minus
+//!    those an `audit:allow(hot-alloc)` marker masks), and its call sites.
+//!    Path calls keep their alias-resolved path; method calls keep name +
+//!    arity (receiver included).
 //! 2. **Link** ([`CallGraph::build`]): call sites resolve to workspace
 //!    functions — path calls narrowed by their `snbc_*` crate head when
 //!    present, otherwise preferring same-crate matches; method calls
-//!    conservatively by name + arity, unioning every match. Unmatched calls
-//!    (std, vendored stubs) add no edge, so each inferred set is a lower
-//!    bound. Effects then propagate to a fixpoint: SCC
-//!    condensation (iterative Tarjan, so recursion and mutual recursion
-//!    converge) followed by one reverse-topological union pass.
+//!    conservatively by name + arity, unioning every match in the crates the
+//!    caller may depend on. Unmatched calls (std, vendored stubs) add no
+//!    edge, so the inferred effect is a lower bound. A function allocates
+//!    when it reaches an allocation leaf: one walk backwards over the call
+//!    edges, which settles recursion and mutual recursion without any
+//!    cycle condensation.
 //!
 //! Everything iterates vectors in index order or `BTreeMap`s, so node ids,
-//! edges, and chains are deterministic across runs and `SNBC_THREADS`.
+//! edges, and chains are deterministic.
 
-use crate::effects::{self, Effect, EffectSet, Leaf};
+use crate::effects;
+use crate::rules::{Frame, Rule};
 use crate::scopes::ScopeTable;
 use crate::syntax::{ItemTree, ScopeKind};
-use crate::tokenizer::{Lexed, Suppression, Token, TokenKind};
-use std::collections::BTreeMap;
-
-/// A callable argument of a `snbc_par` entry-point call: a closure's token
-/// range, or a bare function path passed by name.
-#[derive(Debug, Clone)]
-pub struct CallableArg {
-    /// Token range `[lo, hi)` of the argument (file-local indices).
-    pub range: (usize, usize),
-    /// Set when the argument is a bare path (`helper`, `m::helper`): the
-    /// final segment, resolved by name alone at link time.
-    pub fn_name: Option<String>,
-}
+use crate::tokenizer::{tokenize, Suppression, Token, TokenKind};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
@@ -46,23 +38,16 @@ pub struct CallSite {
     /// Argument count; method calls count the receiver.
     pub arity: usize,
     pub is_method: bool,
-    /// File-local token index of the callee identifier.
-    pub tok: usize,
     pub line: usize,
     /// Lines owned by the enclosing statement (suppression attachment) —
     /// closure-body lines belong to the closure's own statements.
     pub stmt_lines: Vec<usize>,
-    /// Callable arguments, recorded only for `snbc_par` entry points.
-    pub callable_args: Vec<CallableArg>,
 }
 
-/// One effect leaf inside a function body, with its statement's line set.
+/// One allocation leaf inside a function body.
 #[derive(Debug, Clone)]
 pub struct LeafSite {
-    pub effect: Effect,
-    pub tok: usize,
     pub line: usize,
-    pub stmt_lines: Vec<usize>,
     pub what: String,
 }
 
@@ -73,11 +58,13 @@ pub struct FnDecl {
     /// `mod::Impl::name` within the file (crate prefix added at link time).
     pub qualified: String,
     pub arity: usize,
-    pub line: usize,
-    /// Carries an `// audit:hot` marker (≤ 2 lines above the `fn` keyword,
-    /// tolerating one attribute line between).
+    /// An `// audit:hot` marker attaches to it.
     pub hot: bool,
+    /// Allocation leaves no `audit:allow(hot-alloc)` marker masks.
     pub leaves: Vec<LeafSite>,
+    /// Indices into the file's suppressions of the markers that mask a leaf
+    /// of this function.
+    pub masked_by: Vec<usize>,
     pub calls: Vec<CallSite>,
 }
 
@@ -87,20 +74,11 @@ pub struct FileAnalysis {
     pub crate_name: String,
     pub file: String,
     pub fns: Vec<FnDecl>,
+    /// The file's `audit:allow` markers outside test code.
     pub suppressions: Vec<Suppression>,
+    /// Lines of `// audit:hot` markers that attach to no `fn` item.
+    pub dangling_hot: Vec<usize>,
 }
-
-/// The `snbc_par` entry points whose callable arguments must stay
-/// deterministic (`par-callee` contract).
-pub const PAR_ENTRY_POINTS: &[&str] = &[
-    "par_map_collect",
-    "par_map_reduce",
-    "par_for_chunks",
-    "par_for_chunks_scratch",
-    "par_for_each_mut",
-    "join",
-    "join3",
-];
 
 const CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "fn", "move", "in", "else", "let", "mut",
@@ -108,26 +86,32 @@ const CALL_KEYWORDS: &[&str] = &[
     "pub", "impl", "trait", "mod", "const", "static", "type", "dyn", "box", "as",
 ];
 
-/// Harvest one file. `extra_fold_leaves` carries `unordered-fp-fold` sites
-/// detected by the rule layer (nondet iteration / ad-hoc reductions), already
-/// suppression-filtered by their own rules.
-pub fn analyze_file(
-    crate_name: &str,
-    file: &str,
-    lexed: &Lexed,
-    tree: &ItemTree,
-    scopes: &ScopeTable,
-    leaves: &[Leaf],
-    extra_fold_leaves: &[Leaf],
-) -> FileAnalysis {
+/// Harvest one source file of crate directory `crate_name`.
+pub fn analyze_source(crate_name: &str, file: &str, src: &str) -> FileAnalysis {
+    let lexed = tokenize(src);
     let tokens = &lexed.tokens;
+    let tree = ItemTree::build(tokens);
+    let scopes = ScopeTable::build(tokens, &tree);
     let text = |i: usize| tokens.get(i).map_or("", |t: &Token| t.text.as_str());
+    let in_test = |i: usize| tree.in_test.get(i).copied().unwrap_or(false);
 
-    // Raw leaf tokens exclude themselves from call-site scanning even when
-    // the leaf is later masked (a masked `spawn` is still not a workspace
-    // call). Fold leaves anchor on operators/methods, never on call idents.
-    let mut leaf_toks: Vec<usize> = leaves.iter().map(|l| l.tok).collect();
-    leaf_toks.sort_unstable();
+    // Test code is not audited, so its markers neither suppress nor dangle.
+    let suppressions: Vec<Suppression> = lexed
+        .suppressions
+        .iter()
+        .filter(|s| !in_test(s.next_tok))
+        .cloned()
+        .collect();
+    let mut hot_scopes = BTreeSet::new();
+    let mut dangling_hot = Vec::new();
+    for marker in lexed.hot_markers.iter().filter(|m| !in_test(m.next_tok)) {
+        match marked_fn(tokens, &tree, marker.next_tok) {
+            Some(sid) => {
+                hot_scopes.insert(sid);
+            }
+            None => dangling_hot.push(marker.line),
+        }
+    }
 
     let mut fns = Vec::new();
     let mut fn_of_scope: BTreeMap<u32, usize> = BTreeMap::new();
@@ -136,102 +120,72 @@ pub fn analyze_file(
             continue;
         }
         let sid = crate::id32(sid);
-        let fn_line = tokens[scope.range.0].line;
-        let hot = lexed
-            .hot_markers
-            .iter()
-            .any(|&m| m <= fn_line && fn_line - m <= 2);
         fn_of_scope.insert(sid, fns.len());
         fns.push(FnDecl {
             name: scope.name.clone(),
-            qualified: qualified_name(tree, sid),
+            qualified: qualified_name(&tree, sid),
             arity: decl_arity(tokens, scope.range.0, scope.body.0),
-            line: fn_line,
-            hot,
+            hot: hot_scopes.contains(&sid),
             leaves: Vec::new(),
+            masked_by: Vec::new(),
             calls: Vec::new(),
         });
     }
 
-    // Attach leaves: masked when the crate owns the effect or the site
-    // carries the matching `audit:allow` (a sanctioned/justified leaf must
-    // not propagate to callers either).
-    for leaf in leaves.iter().chain(extra_fold_leaves) {
-        if leaf.effect.owner_crates().contains(&crate_name) {
+    // Attach leaves. A leaf under an `audit:allow(hot-alloc)` marker is
+    // justified and does not propagate to callers either.
+    let leaves = effects::allocation_leaves(tokens, &tree, &scopes);
+    for leaf in &leaves {
+        let Some(&decl) = tree
+            .enclosing_fn(leaf.tok)
+            .and_then(|fid| fn_of_scope.get(&fid))
+        else {
             continue;
-        }
+        };
         let stmt_lines = tree.stmt_lines(leaf.tok, leaf.line);
-        if let Some(rule_id) = leaf.effect.allow_rule_id() {
-            if suppressed_at(&lexed.suppressions, rule_id, &stmt_lines, leaf.line) {
-                continue;
-            }
+        match allow_marker_at(&suppressions, &stmt_lines, leaf.line) {
+            Some(k) => fns[decl].masked_by.push(k),
+            None => fns[decl].leaves.push(LeafSite {
+                line: leaf.line,
+                what: leaf.what.clone(),
+            }),
         }
-        let Some(fid) = tree.enclosing_fn(leaf.tok) else {
-            continue;
-        };
-        let Some(&decl) = fn_of_scope.get(&fid) else {
-            continue;
-        };
-        fns[decl].leaves.push(LeafSite {
-            effect: leaf.effect,
-            tok: leaf.tok,
-            line: leaf.line,
-            stmt_lines,
-            what: leaf.what.clone(),
-        });
     }
 
-    // Call sites, per declaring fn.
+    // Call sites, per declaring fn. Leaf tokens are constructors, not
+    // workspace calls.
+    let leaf_toks: BTreeSet<usize> = leaves.iter().map(|l| l.tok).collect();
     for (&sid, &decl) in &fn_of_scope {
         let (lo, hi) = tree.scopes[sid as usize].body;
-        let mut i = lo;
-        while i < hi {
-            if tree.enclosing_fn(i) != Some(sid)
-                || tree.in_test.get(i).copied().unwrap_or(false)
-                || tokens[i].kind != TokenKind::Ident
-            {
-                i += 1;
+        for i in lo..hi {
+            if tree.enclosing_fn(i) != Some(sid) || in_test(i) || tokens[i].kind != TokenKind::Ident {
                 continue;
             }
             let name = text(i);
             if !effects::is_called(tokens, i)
-                || leaf_toks.binary_search(&i).is_ok()
+                || leaf_toks.contains(&i)
                 || CALL_KEYWORDS.contains(&name)
                 || name.starts_with(|c: char| c.is_ascii_uppercase())
                 || text(i + 1) == "!"
                 // Attribute heads inside bodies: `#[cfg(...)]`, `#[allow(...)]`.
                 || (i >= 2 && text(i - 1) == "[" && text(i - 2) == "#")
             {
-                i += 1;
                 continue;
             }
             let is_method = i > 0 && text(i - 1) == ".";
             let open = call_open_paren(tokens, i);
-            let args = split_call_args(tokens, open, hi);
-            let path = if is_method {
-                String::new()
-            } else {
-                scopes.resolve_at(tokens, tree, i).path
-            };
-            let callable_args = if !is_method && PAR_ENTRY_POINTS.contains(&name) && par_path(&path)
-            {
-                args.iter()
-                    .filter_map(|&r| callable_arg(tokens, r))
-                    .collect()
-            } else {
-                Vec::new()
-            };
             fns[decl].calls.push(CallSite {
                 name: name.to_string(),
-                path,
-                arity: args.len() + usize::from(is_method),
+                path: if is_method {
+                    String::new()
+                } else {
+                    scopes.resolve_at(tokens, &tree, i).path
+                },
+                arity: count_segments(tokens, open, hi, false) + usize::from(is_method),
                 is_method,
-                tok: i,
                 line: tokens[i].line,
                 stmt_lines: tree.stmt_lines(i, tokens[i].line),
-                callable_args,
             });
-            i += 1;
         }
     }
 
@@ -239,33 +193,64 @@ pub fn analyze_file(
         crate_name: crate_name.to_string(),
         file: file.to_string(),
         fns,
-        suppressions: lexed.suppressions.clone(),
+        suppressions,
+        dangling_hot,
     }
 }
 
-/// True when a statement's own lines (or the line directly above one of
-/// them) carry an `audit:allow(<rule>)` marker. Mirrors the rule layer's
-/// suppression logic. `stmt_lines` comes from
+/// The `fn` scope whose item starts at token `i`, reading past outer
+/// attributes and header modifiers (`pub(crate)`, `const`, `unsafe`,
+/// `async`, `extern "C"`). Doc comments are not tokens, so they sit between
+/// a marker and its `fn` for free.
+fn marked_fn(tokens: &[Token], tree: &ItemTree, mut i: usize) -> Option<u32> {
+    let text = |j: usize| tokens.get(j).map_or("", |t: &Token| t.text.as_str());
+    loop {
+        match text(i) {
+            "#" if text(i + 1) == "[" => i = past_group(tokens, i + 1),
+            "(" if i > 0 && text(i - 1) == "pub" => i = past_group(tokens, i),
+            "pub" | "const" | "unsafe" | "async" | "extern" | "default" => i += 1,
+            "fn" => break,
+            _ => return None,
+        }
+    }
+    tree.scopes
+        .iter()
+        .position(|s| s.kind == ScopeKind::Fn && s.range.0 == i)
+        .map(crate::id32)
+}
+
+/// Index just past the bracket or paren group that opens at `i`.
+fn past_group(tokens: &[Token], i: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(i) {
+        match t.text.as_str() {
+            "[" | "(" => depth += 1,
+            "]" | ")" => {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    tokens.len()
+}
+
+/// Index of the `audit:allow(hot-alloc)` marker covering a statement: one on
+/// the statement's own lines, or on the line directly above one of them.
+/// `stmt_lines` comes from
 /// [`ItemTree::stmt_lines`](crate::syntax::ItemTree::stmt_lines), so a
 /// marker inside a closure body covers only the closure's own statements —
 /// never the enclosing outer statement, whose lines exclude the body.
-pub fn suppressed_at(
-    suppressions: &[Suppression],
-    rule_id: &str,
-    stmt_lines: &[usize],
-    line: usize,
-) -> bool {
-    suppressions.iter().any(|s| {
-        s.rule == rule_id
+pub fn allow_marker_at(suppressions: &[Suppression], stmt_lines: &[usize], line: usize) -> Option<usize> {
+    suppressions.iter().position(|s| {
+        s.rule == Rule::HotAlloc.id()
             && (s.line == line
                 || s.line + 1 == line
                 || stmt_lines.contains(&s.line)
                 || stmt_lines.contains(&(s.line + 1)))
     })
-}
-
-fn par_path(path: &str) -> bool {
-    path.starts_with("snbc_par::") || !path.contains("::")
 }
 
 fn qualified_name(tree: &ItemTree, sid: u32) -> String {
@@ -332,11 +317,6 @@ fn call_open_paren(tokens: &[Token], i: usize) -> usize {
 /// generic commas; call arguments contain comparisons instead).
 fn count_segments(tokens: &[Token], open: usize, hi: usize, track_angles: bool) -> usize {
     split_ranges(tokens, open, hi, track_angles).len()
-}
-
-/// Top-level argument token ranges of the paren group at `open`.
-fn split_call_args(tokens: &[Token], open: usize, hi: usize) -> Vec<(usize, usize)> {
-    split_ranges(tokens, open, hi, false)
 }
 
 fn split_ranges(
@@ -421,39 +401,6 @@ fn closure_opener(tokens: &[Token], j: usize, open: usize) -> bool {
     )
 }
 
-/// Classify one argument range as callable: a closure (contains `|`/`||` at
-/// its top level) or a bare function path.
-fn callable_arg(tokens: &[Token], range: (usize, usize)) -> Option<CallableArg> {
-    let (lo, hi) = range;
-    let text = |i: usize| tokens.get(i).map_or("", |t: &Token| t.text.as_str());
-    let mut depth = 0i32;
-    for j in lo..hi {
-        match text(j) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "|" | "||" if depth == 0 => {
-                return Some(CallableArg { range, fn_name: None });
-            }
-            "move" if depth == 0 => {}
-            _ => {}
-        }
-    }
-    // Bare path: idents, `::`, and a possible leading `&`.
-    let mut last_ident: Option<&str> = None;
-    for j in lo..hi {
-        let t = &tokens[j];
-        match t.text.as_str() {
-            "::" | "&" => {}
-            _ if t.kind == TokenKind::Ident => last_ident = Some(t.text.as_str()),
-            _ => return None,
-        }
-    }
-    last_ident.map(|name| CallableArg {
-        range,
-        fn_name: Some(name.to_string()),
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Linking and propagation.
 
@@ -463,38 +410,24 @@ pub struct FnNode {
     pub crate_name: String,
     pub file: String,
     pub decl: FnDecl,
-    /// `crate::mod::Impl::name`, the symbol used in chains and dumps.
+    /// `crate::mod::Impl::name`, the symbol used in chains.
     pub symbol: String,
 }
 
-/// The linked workspace call graph with propagated effect sets.
+/// The linked workspace call graph with the propagated allocation effect.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// Per node: `(call index into decl.calls, resolved callee node ids)`.
     pub resolved: Vec<Vec<(usize, Vec<u32>)>>,
-    /// Direct (leaf) effects, after masking/suppression.
-    pub direct: Vec<EffectSet>,
-    /// Transitive effects at the fixpoint.
-    pub effects: Vec<EffectSet>,
-    /// Per-file suppression tables, keyed by workspace-relative path.
-    pub suppressions: BTreeMap<String, Vec<Suppression>>,
-}
-
-/// A step in a reported call chain (converted to `rules::Frame` upstream).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainStep {
-    pub file: String,
-    pub line: usize,
-    pub note: String,
+    /// Per node: allocates directly or through a resolved callee.
+    pub allocates: Vec<bool>,
 }
 
 impl CallGraph {
     pub fn build(files: &[FileAnalysis]) -> CallGraph {
         let mut nodes = Vec::new();
-        let mut suppressions = BTreeMap::new();
         for fa in files {
-            suppressions.insert(fa.file.clone(), fa.suppressions.clone());
             for decl in &fa.fns {
                 nodes.push(FnNode {
                     crate_name: fa.crate_name.clone(),
@@ -513,154 +446,59 @@ impl CallGraph {
                 .or_default()
                 .push(crate::id32(id));
         }
-
-        let mut resolved: Vec<Vec<(usize, Vec<u32>)>> = Vec::with_capacity(nodes.len());
-        let mut direct: Vec<EffectSet> = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            let mut eff = EffectSet::EMPTY;
-            for leaf in &node.decl.leaves {
-                eff.insert(leaf.effect);
-            }
-            let mut res = Vec::new();
-            for (ci, call) in node.decl.calls.iter().enumerate() {
-                let callees = resolve_call(&index, &nodes, node, call);
-                if !callees.is_empty() {
-                    res.push((ci, callees));
-                }
-            }
-            resolved.push(res);
-            direct.push(eff);
-        }
-
-        let mut graph = CallGraph {
-            nodes,
-            resolved,
-            direct,
-            effects: Vec::new(),
-            suppressions,
-        };
-        graph.propagate();
-        graph
-    }
-
-    /// Resolve a bare function name (a callable argument passed by path) to
-    /// candidate nodes, any arity, preferring the caller's crate.
-    pub fn resolve_by_name(&self, from: u32, name: &str) -> Vec<u32> {
-        let caller_crate = &self.nodes[from as usize].crate_name;
-        let mut all: Vec<u32> = Vec::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            if node.decl.name == name {
-                all.push(crate::id32(id));
-            }
-        }
-        let same: Vec<u32> = all
+        let resolved: Vec<Vec<(usize, Vec<u32>)>> = nodes
             .iter()
-            .copied()
-            .filter(|&id| &self.nodes[id as usize].crate_name == caller_crate)
-            .collect();
-        if same.is_empty() {
-            all
-        } else {
-            same
-        }
-    }
-
-    /// SCC condensation + one reverse-topological union pass. Tarjan emits
-    /// SCCs callees-first, so each component can union its successors'
-    /// finished sets immediately.
-    fn propagate(&mut self) {
-        let n = self.nodes.len();
-        let succ: Vec<Vec<u32>> = (0..n)
-            .map(|id| {
-                let mut s: Vec<u32> = self.resolved[id]
+            .map(|node| {
+                node.decl
+                    .calls
                     .iter()
-                    .flat_map(|(_, callees)| callees.iter().copied())
-                    .collect();
-                s.sort_unstable();
-                s.dedup();
-                s
+                    .enumerate()
+                    .map(|(ci, call)| (ci, resolve_call(&index, &nodes, node, call)))
+                    .filter(|(_, callees)| !callees.is_empty())
+                    .collect()
             })
             .collect();
 
-        // Iterative Tarjan.
-        const UNSET: u32 = u32::MAX;
-        let mut idx = vec![UNSET; n];
-        let mut low = vec![0u32; n];
-        let mut comp = vec![UNSET; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut sccs: Vec<Vec<u32>> = Vec::new();
-        let mut counter = 0u32;
-
-        for root in 0..n {
-            if idx[root] != UNSET {
-                continue;
+        // Walk backwards from every function with a leaf: each caller of an
+        // allocating function allocates.
+        let mut callers: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
+        for (id, res) in resolved.iter().enumerate() {
+            for &callee in res.iter().flat_map(|(_, callees)| callees) {
+                callers[callee as usize].push(crate::id32(id));
             }
-            // (node, next-successor position) work stack.
-            let mut work: Vec<(u32, usize)> = vec![(crate::id32(root), 0)];
-            while let Some(&(v, pos)) = work.last() {
-                let v = v as usize;
-                if pos == 0 {
-                    idx[v] = counter;
-                    low[v] = counter;
-                    counter += 1;
-                    stack.push(crate::id32(v));
-                    on_stack[v] = true;
-                }
-                if let Some(&w) = succ[v].get(pos) {
-                    work.last_mut().expect("tarjan frame").1 += 1;
-                    let w = w as usize;
-                    if idx[w] == UNSET {
-                        work.push((crate::id32(w), 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(idx[w]);
-                    }
-                } else {
-                    work.pop();
-                    if let Some(&(p, _)) = work.last() {
-                        let p = p as usize;
-                        low[p] = low[p].min(low[v]);
-                    }
-                    if low[v] == idx[v] {
-                        let mut scc = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack");
-                            on_stack[w as usize] = false;
-                            comp[w as usize] = crate::id32(sccs.len());
-                            scc.push(w);
-                            if w as usize == v {
-                                break;
-                            }
-                        }
-                        scc.sort_unstable();
-                        sccs.push(scc);
-                    }
+        }
+        let mut allocates: Vec<bool> = nodes.iter().map(|n| !n.decl.leaves.is_empty()).collect();
+        let mut work: Vec<usize> = (0..nodes.len()).filter(|&id| allocates[id]).collect();
+        while let Some(id) = work.pop() {
+            for &caller in &callers[id] {
+                if !allocates[caller as usize] {
+                    allocates[caller as usize] = true;
+                    work.push(caller as usize);
                 }
             }
         }
 
-        // SCCs are emitted callees-first: successors of any member are in an
-        // already-finished component (or the same one).
-        let mut scc_effects: Vec<EffectSet> = Vec::with_capacity(sccs.len());
-        for scc in &sccs {
-            let mut eff = EffectSet::EMPTY;
-            for &v in scc {
-                eff.union_with(self.direct[v as usize]);
-                for &w in &succ[v as usize] {
-                    let c = comp[w as usize] as usize;
-                    if c < scc_effects.len() {
-                        eff.union_with(scc_effects[c]);
-                    }
-                }
-            }
-            scc_effects.push(eff);
+        CallGraph {
+            nodes,
+            resolved,
+            allocates,
         }
-        self.effects = (0..n).map(|v| scc_effects[comp[v] as usize]).collect();
     }
 
-    /// Transitive effects of a node.
-    pub fn effects_of(&self, id: u32) -> EffectSet {
-        self.effects[id as usize]
+    /// Per node: whether a hot function reaches it through resolved calls
+    /// (hot functions reach themselves).
+    pub fn reached_from_hot(&self) -> Vec<bool> {
+        let mut reached: Vec<bool> = self.nodes.iter().map(|n| n.decl.hot).collect();
+        let mut work: Vec<usize> = (0..self.nodes.len()).filter(|&id| reached[id]).collect();
+        while let Some(id) = work.pop() {
+            for &callee in self.resolved[id].iter().flat_map(|(_, callees)| callees) {
+                if !reached[callee as usize] {
+                    reached[callee as usize] = true;
+                    work.push(callee as usize);
+                }
+            }
+        }
+        reached
     }
 
     /// Look up a node by its `crate::...::name` symbol (first match).
@@ -671,42 +509,34 @@ impl CallGraph {
             .map(crate::id32)
     }
 
-    /// Shortest deterministic call chain from `from` down to a leaf of
-    /// `effect`: BFS over nodes carrying the effect transitively, lowest node
-    /// id first. Returns one step per hop plus the leaf site itself.
-    pub fn chain_to_leaf(&self, from: u32, effect: Effect) -> Vec<ChainStep> {
-        let mut steps = Vec::new();
+    /// A deterministic call chain from `from` down to an allocation leaf:
+    /// at each node, the first call site (in token order) whose callee
+    /// allocates, and among its candidates the lowest node id. One frame per
+    /// hop plus the leaf site itself.
+    pub fn chain_to_leaf(&self, from: u32) -> Vec<Frame> {
+        let mut frames = Vec::new();
         let mut cur = from;
-        let mut guard = 0usize;
-        loop {
+        for _ in 0..=self.nodes.len() {
             let node = &self.nodes[cur as usize];
-            if let Some(leaf) = node.decl.leaves.iter().find(|l| l.effect == effect) {
-                steps.push(ChainStep {
+            if let Some(leaf) = node.decl.leaves.first() {
+                frames.push(Frame {
                     file: node.file.clone(),
                     line: leaf.line,
                     note: format!("{} in `{}`", leaf.what, node.symbol),
                 });
-                return steps;
+                break;
             }
-            // First call site (in token order) reaching a callee that carries
-            // the effect; among its candidates, the lowest node id.
-            let mut next: Option<(usize, u32)> = None;
-            for (ci, callees) in &self.resolved[cur as usize] {
-                if let Some(&callee) = callees
+            let Some((ci, callee)) = self.resolved[cur as usize].iter().find_map(|(ci, callees)| {
+                callees
                     .iter()
-                    .find(|&&c| self.effects[c as usize].contains(effect))
-                {
-                    next = Some((*ci, callee));
-                    break;
-                }
-            }
-            let Some((ci, callee)) = next else {
-                return steps; // effect came through an unresolved call
+                    .find(|&&c| self.allocates[c as usize])
+                    .map(|&c| (*ci, c))
+            }) else {
+                break;
             };
-            let call = &node.decl.calls[ci];
-            steps.push(ChainStep {
+            frames.push(Frame {
                 file: node.file.clone(),
-                line: call.line,
+                line: node.decl.calls[ci].line,
                 note: format!(
                     "`{}` calls `{}`",
                     node.symbol,
@@ -714,11 +544,8 @@ impl CallGraph {
                 ),
             });
             cur = callee;
-            guard += 1;
-            if guard > self.nodes.len() {
-                return steps; // cycle without a leaf (effect via unresolved)
-            }
         }
+        frames
     }
 }
 
@@ -731,6 +558,10 @@ fn resolve_call(
     let Some(candidates) = index.get(&(call.name.clone(), call.arity)) else {
         return Vec::new();
     };
+    // A std-rooted path never names a workspace function.
+    if matches!(call.path.split("::").next(), Some("std" | "core" | "alloc")) {
+        return Vec::new();
+    }
     if call.is_method {
         // Conservative within reach: any method with this name + arity in
         // the caller's crate or in a crate the DAG lets it depend on. A
@@ -792,22 +623,11 @@ fn crate_of_path(path: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::effects::leaf_effects;
-    use crate::syntax::ItemTree;
-    use crate::tokenizer::tokenize;
-
-    fn analyze(crate_name: &str, file: &str, src: &str) -> FileAnalysis {
-        let lexed = tokenize(src);
-        let tree = ItemTree::build(&lexed.tokens);
-        let scopes = ScopeTable::build(&lexed.tokens, &tree);
-        let leaves = leaf_effects(&lexed.tokens, &tree, &scopes);
-        analyze_file(crate_name, file, &lexed, &tree, &scopes, &leaves, &[])
-    }
 
     fn graph(files: &[(&str, &str, &str)]) -> CallGraph {
         let analyses: Vec<FileAnalysis> = files
             .iter()
-            .map(|(c, f, s)| analyze(c, f, s))
+            .map(|(c, f, s)| analyze_source(c, f, s))
             .collect();
         CallGraph::build(&analyses)
     }
@@ -818,7 +638,7 @@ mod tests {
                    fn main2(xs: Vec<(f64, f64)>) -> f64 {\n\
                        helper(1.0, 2.0) + xs[0].0\n\
                    }\n";
-        let fa = analyze("lp", "crates/lp/src/lib.rs", src);
+        let fa = analyze_source("lp", "crates/lp/src/lib.rs", src);
         assert_eq!(fa.fns.len(), 2);
         assert_eq!(fa.fns[0].arity, 2);
         assert_eq!(fa.fns[1].arity, 1, "generic commas must not split params");
@@ -831,21 +651,15 @@ mod tests {
         let src = "fn f(n: usize) {\n\
                        snbc_par::par_map_reduce(n, 8, |lo, hi| lo + hi, |a, b| a + b);\n\
                    }\n";
-        let fa = analyze("core", "crates/core/src/lib.rs", src);
+        let fa = analyze_source("core", "crates/core/src/lib.rs", src);
         let call = &fa.fns[0].calls[0];
         assert_eq!(call.arity, 4, "closure pipes must not split the arg list");
-        // Two closures plus the bare ident `n` (conservatively kept as a
-        // potential fn pointer — it only matters if the name links to a fn).
-        assert_eq!(call.callable_args.len(), 3);
-        let closures = call.callable_args.iter().filter(|a| a.fn_name.is_none());
-        assert_eq!(closures.count(), 2);
-        assert_eq!(call.callable_args[0].fn_name.as_deref(), Some("n"));
     }
 
     #[test]
     fn hot_marker_attaches_within_two_lines() {
         let src = "// audit:hot\n#[inline]\nfn hot1() {}\n\nfn cold() {}\n";
-        let fa = analyze("sdp", "crates/sdp/src/lib.rs", src);
+        let fa = analyze_source("sdp", "crates/sdp/src/lib.rs", src);
         assert!(fa.fns[0].hot);
         assert!(!fa.fns[1].hot);
     }
@@ -856,58 +670,37 @@ mod tests {
             (
                 "dynamics",
                 "crates/dynamics/src/lib.rs",
-                "pub fn peek() -> bool { std::env::var(\"X\").is_ok() }\n",
+                "pub fn peek() -> usize { vec![1u8].len() }\n",
             ),
             (
                 "lp",
                 "crates/lp/src/lib.rs",
-                "pub fn solve() -> bool { snbc_dynamics::peek() }\n\
-                 pub fn outer() -> bool { solve() }\n",
+                "pub fn solve() -> usize { snbc_dynamics::peek() }\n\
+                 pub fn outer() -> usize { solve() }\n",
             ),
         ]);
         let peek = g.find_symbol("dynamics::peek").unwrap();
         let outer = g.find_symbol("lp::outer").unwrap();
-        assert!(g.effects_of(peek).contains(Effect::ReadsEnv));
-        assert!(g.effects_of(outer).contains(Effect::ReadsEnv), "transitive");
-        let chain = g.chain_to_leaf(outer, Effect::ReadsEnv);
+        assert!(g.allocates[peek as usize]);
+        assert!(g.allocates[outer as usize], "transitive");
+        let chain = g.chain_to_leaf(outer);
         assert_eq!(chain.len(), 3, "{chain:?}");
-        assert!(chain[2].note.contains("std::env::var"), "{chain:?}");
+        assert!(chain[2].note.contains("vec!"), "{chain:?}");
     }
 
     #[test]
-    fn owner_crate_leaves_are_masked() {
-        let g = graph(&[
-            (
-                "par",
-                "crates/par/src/lib.rs",
-                "pub fn pool_size() -> usize { std::env::var(\"SNBC_THREADS\").map_or(1, |_| 2) }\n",
-            ),
-            (
-                "core",
-                "crates/core/src/lib.rs",
-                "pub fn train() -> usize { snbc_par::pool_size() }\n",
-            ),
-        ]);
-        let train = g.find_symbol("core::train").unwrap();
-        assert!(
-            !g.effects_of(train).contains(Effect::ReadsEnv),
-            "sanctioned env read in the owner crate must not propagate"
-        );
-    }
-
-    #[test]
-    fn mutual_recursion_converges_via_scc() {
+    fn mutual_recursion_converges() {
         let g = graph(&[(
             "lp",
             "crates/lp/src/lib.rs",
             "pub fn even(n: u64) -> bool { if n == 0 { true } else { odd(n - 1) } }\n\
-             pub fn odd(n: u64) -> bool { if n == 0 { reads(n) } else { even(n - 1) } }\n\
-             fn reads(_n: u64) -> bool { std::env::var(\"X\").is_ok() }\n",
+             pub fn odd(n: u64) -> bool { if n == 0 { grows(n) } else { even(n - 1) } }\n\
+             fn grows(n: u64) -> bool { vec![n].is_empty() }\n",
         )]);
         let even = g.find_symbol("lp::even").unwrap();
         let odd = g.find_symbol("lp::odd").unwrap();
-        assert!(g.effects_of(even).contains(Effect::ReadsEnv));
-        assert!(g.effects_of(odd).contains(Effect::ReadsEnv));
+        assert!(g.allocates[even as usize]);
+        assert!(g.allocates[odd as usize]);
     }
 
     #[test]
@@ -915,14 +708,14 @@ mod tests {
         let g = graph(&[(
             "sos",
             "crates/sos/src/lib.rs",
-            "pub struct A; impl A { pub fn step(&self) { std::env::var(\"X\").ok(); } }\n\
+            "pub struct A; impl A { pub fn step(&self) { let _v = vec![0u8; 4]; } }\n\
              pub struct B; impl B { pub fn step(&self) {} }\n\
-             pub fn drive(a: &A) { a.step(); }\n",
+             pub fn drive(b: &B) { b.step(); }\n",
         )]);
         let drive = g.find_symbol("sos::drive").unwrap();
-        // Both `step` impls match (name + arity); the union carries the env
-        // read — conservative, never silently effect-free.
-        assert!(g.effects_of(drive).contains(Effect::ReadsEnv));
+        // Both `step` impls match (name + arity); the union carries the
+        // allocation — conservative, never silently allocation-free.
+        assert!(g.allocates[drive as usize]);
     }
 
     #[test]
@@ -930,10 +723,14 @@ mod tests {
         let g = graph(&[(
             "nn",
             "crates/nn/src/lib.rs",
-            "pub fn f(rng: &mut R) -> f64 { rng.gen_range(0.0, 1.0) }\n",
+            "pub fn f(rng: &mut R) -> f64 { rng.gen_range(0.0, 1.0) }\n\
+             pub fn g() -> bool { std::env::var(\"X\").is_ok() }\n\
+             pub fn var(_: &str) -> Vec<u8> { vec![] }\n",
         )]);
-        let f = g.find_symbol("nn::f").unwrap();
-        assert_eq!(g.effects_of(f), EffectSet::EMPTY);
+        for f in ["nn::f", "nn::g"] {
+            let id = g.find_symbol(f).unwrap();
+            assert!(!g.allocates[id as usize], "{f}");
+        }
     }
 
     #[test]
@@ -948,6 +745,6 @@ mod tests {
              pub fn solve(n: usize) -> usize { setup(n).len() }\n",
         )]);
         let solve = g.find_symbol("sdp::solve").unwrap();
-        assert!(!g.effects_of(solve).contains(Effect::Allocates));
+        assert!(!g.allocates[solve as usize]);
     }
 }

@@ -1,128 +1,30 @@
-//! The effect lattice and per-function **leaf** effect inference.
+//! Allocation leaves: the one effect the call graph propagates.
 //!
-//! An [`Effect`] is an observable capability a function exercises directly
-//! (a *leaf*) or reaches through a call (*transitive*, computed by
-//! [`crate::callgraph`]). The lattice is a flat powerset: a function's effect
-//! set is the union of its leaves and its callees' sets, so propagation is a
-//! monotone fixpoint and SCC condensation makes it a single reverse-
-//! topological pass. The lattice holds exactly what the contracts of
-//! [`crate::contracts`] forbid somewhere: hidden inputs (env, clock), raw
-//! threads, allocation, and unordered float folds.
+//! A *leaf* is a token that allocates on the heap by itself: `vec!` /
+//! `format!`, a collection, `String` or `Box` constructor, or an allocating
+//! method tail (`.to_vec()`, `.collect()`, …). [`crate::callgraph`] makes a
+//! function allocate *transitively* when it reaches a leaf through resolved
+//! workspace calls.
 //!
-//! Leaves are recognized from token shapes, alias-resolved through the
-//! [`crate::scopes::ScopeTable`] — so `use std::thread::spawn as sp; sp(..)`
-//! is a `spawns-thread` leaf even though the token `spawn` never appears at
+//! Constructor paths are alias-resolved through the
+//! [`crate::scopes::ScopeTable`], so `use std::collections::BTreeMap as Map;
+//! Map::new()` is a leaf even though the token `BTreeMap` never appears at
 //! the call site, and a token inside a `use` declaration (never followed by
 //! `(`) is not a leaf at all.
-//!
-//! **Ownership masking**: a leaf inside the crate that *owns* the effect
-//! (e.g. the `SNBC_THREADS` read inside `crates/par`) is sanctioned wrapper
-//! behavior and produces no leaf, so it never propagates to callers. The
-//! owner lists ([`crate::THREAD_OWNER_CRATES`] and friends) match the crates
-//! that take the corresponding clippy `disallowed-methods` entries as
-//! reviewed `#[expect]`s.
 
 use crate::scopes::{path_is, ScopeTable};
 use crate::syntax::ItemTree;
 use crate::tokenizer::{Token, TokenKind};
-use std::fmt;
 
-/// One observable capability. Order is the canonical report order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Effect {
-    /// `std::thread::spawn` (alias-aware).
-    SpawnsThread,
-    /// `Instant::now` / `SystemTime::now`.
-    ReadsTime,
-    /// `std::env::var{,_os}` / `vars{,_os}`.
-    ReadsEnv,
-    /// Heap allocation: `vec!`/`format!`, collection constructors,
-    /// `.to_vec()`/`.collect()`/`.to_string()`/… tails.
-    Allocates,
-    /// A float reduction whose evaluation order is not canonical
-    /// (`unordered-reduce` sites, fed in by the rule layer).
-    UnorderedFpFold,
-}
-
-impl Effect {
-    pub fn name(self) -> &'static str {
-        match self {
-            Effect::SpawnsThread => "spawns-thread",
-            Effect::ReadsTime => "reads-time",
-            Effect::ReadsEnv => "reads-env",
-            Effect::Allocates => "allocates",
-            Effect::UnorderedFpFold => "unordered-fp-fold",
-        }
-    }
-
-    fn bit(self) -> u8 {
-        1u8 << (self as u8)
-    }
-
-    /// Crates whose direct use of this effect is sanctioned wrapper behavior
-    /// (the effect is their job); leaves there are masked before propagation.
-    pub fn owner_crates(self) -> &'static [&'static str] {
-        match self {
-            Effect::SpawnsThread => crate::THREAD_OWNER_CRATES,
-            Effect::ReadsTime => crate::INSTANT_OWNER_CRATES,
-            Effect::ReadsEnv => crate::ENV_OWNER_CRATES,
-            Effect::UnorderedFpFold => crate::FOLD_OWNER_CRATES,
-            _ => &[],
-        }
-    }
-
-    /// The rule id whose `audit:allow(...)` marker masks a leaf of this
-    /// effect (a justified leaf must not propagate either). Env, clock and
-    /// thread leaves have none: outside their owner crates they are reviewed
-    /// at the contract boundary (`audit:allow(solver-effects)` or
-    /// `audit:allow(par-callee)`).
-    pub fn allow_rule_id(self) -> Option<&'static str> {
-        match self {
-            Effect::Allocates => Some("hot-alloc"),
-            Effect::UnorderedFpFold => Some("unordered-reduce"),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Effect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A set of effects, as a bitmask over the [`Effect`] discriminants.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EffectSet(u8);
-
-impl EffectSet {
-    pub const EMPTY: EffectSet = EffectSet(0);
-
-    pub fn insert(&mut self, e: Effect) {
-        self.0 |= e.bit();
-    }
-
-    pub fn contains(self, e: Effect) -> bool {
-        self.0 & e.bit() != 0
-    }
-
-    pub fn union_with(&mut self, other: EffectSet) {
-        self.0 |= other.0;
-    }
-}
-
-/// One leaf site: a token exercising an effect directly.
+/// One leaf site: a token that allocates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Leaf {
-    pub effect: Effect,
     /// Anchor token index.
     pub tok: usize,
     pub line: usize,
-    /// Short description for messages/chains, e.g. "`std::thread::spawn`".
+    /// Short description for messages/chains, e.g. "`vec!` allocation".
     pub what: String,
 }
-
-const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os"];
 
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
@@ -150,11 +52,9 @@ const ALLOC_PATHS: &[&str] = &[
     "std::collections::BinaryHeap::new",
 ];
 
-const TIME_PATHS: &[&str] = &["std::time::Instant::now", "std::time::SystemTime::now"];
-
-/// Scan a file for effect leaves. Test code is skipped structurally. The
-/// result is in token order; callers slice it per function via `tok`.
-pub fn leaf_effects(tokens: &[Token], tree: &ItemTree, scopes: &ScopeTable) -> Vec<Leaf> {
+/// Scan a file for allocation leaves. Test code is skipped structurally. The
+/// result is in token order.
+pub fn allocation_leaves(tokens: &[Token], tree: &ItemTree, scopes: &ScopeTable) -> Vec<Leaf> {
     let mut out = Vec::new();
     let text = |i: usize| tokens.get(i).map_or("", |t: &Token| t.text.as_str());
     for (i, tok) in tokens.iter().enumerate() {
@@ -162,58 +62,32 @@ pub fn leaf_effects(tokens: &[Token], tree: &ItemTree, scopes: &ScopeTable) -> V
             continue;
         }
         let name = tok.text.as_str();
-        let push = |out: &mut Vec<Leaf>, effect: Effect, what: String| {
-            out.push(Leaf { effect, tok: i, line: tok.line, what });
+        let what = if text(i + 1) == "!" {
+            // Macro invocations: `name!(...)`.
+            ALLOC_MACROS
+                .contains(&name)
+                .then(|| format!("`{name}!` allocation"))
+        } else if i > 0 && text(i - 1) == "." {
+            // Method calls: `.name(...)`.
+            (is_called(tokens, i) && ALLOC_METHODS.contains(&name))
+                .then(|| format!("`.{name}()` allocation"))
+        } else if is_called(tokens, i) {
+            // Path-shaped calls: `path_is` requires ≥2 written segments for
+            // unresolved paths, so a local `fn new()` does not match, while a
+            // renamed import (`use std::vec::Vec as V; V::new()`) resolves
+            // and does.
+            ALLOC_PATHS
+                .iter()
+                .find(|p| path_is(scopes, tokens, tree, i, p, 2))
+                .map(|p| {
+                    let short: Vec<&str> = p.rsplit("::").take(2).collect();
+                    format!("`{}::{}` allocation", short[1], short[0])
+                })
+        } else {
+            None
         };
-
-        // Macro invocations: `name!(...)`.
-        if text(i + 1) == "!" {
-            if ALLOC_MACROS.contains(&name) {
-                push(&mut out, Effect::Allocates, format!("`{name}!` allocation"));
-            }
-            continue;
-        }
-
-        // Method calls: `.name(...)`.
-        if i > 0 && text(i - 1) == "." && is_called(tokens, i) {
-            if ALLOC_METHODS.contains(&name) {
-                push(&mut out, Effect::Allocates, format!("`.{name}()` allocation"));
-            }
-            continue;
-        }
-
-        // Path-shaped calls: `name(...)` where the (alias-resolved) path
-        // denotes a known std entry point. `path_is` rejects method receivers
-        // and requires ≥2 written segments for unresolved paths, so a local
-        // `fn var()` or `fn spawn()` does not match — while a renamed import
-        // (`use std::thread::spawn as sp`) resolves and does.
-        if !is_called(tokens, i) || (i > 0 && text(i - 1) == ".") {
-            continue;
-        }
-        if path_is(scopes, tokens, tree, i, "std::thread::spawn", 2) {
-            push(&mut out, Effect::SpawnsThread, "`std::thread::spawn`".to_string());
-            continue;
-        }
-        if TIME_PATHS.iter().any(|p| path_is(scopes, tokens, tree, i, p, 2)) {
-            push(&mut out, Effect::ReadsTime, "`Instant::now`".to_string());
-            continue;
-        }
-        if ENV_READS.contains(&name)
-            && path_is(scopes, tokens, tree, i, &format!("std::env::{name}"), 2)
-        {
-            push(&mut out, Effect::ReadsEnv, format!("`std::env::{name}`"));
-            continue;
-        }
-        if let Some(p) = ALLOC_PATHS
-            .iter()
-            .find(|p| path_is(scopes, tokens, tree, i, p, 2))
-        {
-            let short = p.rsplit("::").take(2).collect::<Vec<_>>();
-            push(
-                &mut out,
-                Effect::Allocates,
-                format!("`{}::{}` allocation", short[1], short[0]),
-            );
+        if let Some(what) = what {
+            out.push(Leaf { tok: i, line: tok.line, what });
         }
     }
     out
@@ -251,26 +125,18 @@ mod tests {
     use crate::syntax::ItemTree;
     use crate::tokenizer::tokenize;
 
-    fn leaves(src: &str) -> Vec<(Effect, usize, String)> {
+    fn leaves(src: &str) -> Vec<(usize, String)> {
         let lexed = tokenize(src);
         let tree = ItemTree::build(&lexed.tokens);
         let scopes = ScopeTable::build(&lexed.tokens, &tree);
-        leaf_effects(&lexed.tokens, &tree, &scopes)
+        allocation_leaves(&lexed.tokens, &tree, &scopes)
             .into_iter()
-            .map(|l| (l.effect, l.line, l.what))
+            .map(|l| (l.line, l.what))
             .collect()
     }
 
-    #[test]
-    fn effect_set_bit_ops() {
-        let mut s = EffectSet::EMPTY;
-        assert!(!s.contains(Effect::ReadsEnv));
-        s.insert(Effect::ReadsEnv);
-        let mut t = EffectSet::EMPTY;
-        t.insert(Effect::Allocates);
-        t.union_with(s);
-        assert!(t.contains(Effect::ReadsEnv) && t.contains(Effect::Allocates));
-        assert!(!t.contains(Effect::ReadsTime));
+    fn lines(src: &str) -> Vec<usize> {
+        leaves(src).into_iter().map(|(line, _)| line).collect()
     }
 
     #[test]
@@ -281,46 +147,32 @@ mod tests {
                        s.to_vec();\n\
                        v.unwrap()\n\
                    }\n";
-        let got = leaves(src);
-        let effects: Vec<(Effect, usize)> = got.iter().map(|(e, l, _)| (*e, *l)).collect();
-        assert_eq!(
-            effects,
-            vec![(Effect::Allocates, 2), (Effect::Allocates, 4)],
-            "{got:?}"
-        );
+        assert_eq!(lines(src), vec![2, 4], "{:?}", leaves(src));
     }
 
     #[test]
     fn recognizes_path_leaves_through_aliases() {
-        let src = "use std::{env as e, thread::spawn as sp};\n\
-                   use std::time::Instant as Clock;\n\
+        let src = "use std::collections::{self as c, BTreeMap as Map};\n\
+                   use std::vec::Vec as V;\n\
+                   use mybox::Box;\n\
                    fn f() {\n\
-                       sp(|| {});\n\
-                       let t = Clock::now();\n\
-                       let v = e::var(\"X\");\n\
-                       let m = std::collections::BTreeMap::new();\n\
+                       let m = Map::new();\n\
+                       let s = c::BTreeSet::new();\n\
+                       let v = V::with_capacity(3);\n\
+                       let b = Box::new(1);\n\
+                       let t = std::string::String::new();\n\
                    }\n";
-        let got = leaves(src);
-        let effects: Vec<(Effect, usize)> = got.iter().map(|(e, l, _)| (*e, *l)).collect();
-        assert_eq!(
-            effects,
-            vec![
-                (Effect::SpawnsThread, 4),
-                (Effect::ReadsTime, 5),
-                (Effect::ReadsEnv, 6),
-                (Effect::Allocates, 7),
-            ],
-            "{got:?}"
-        );
+        // `Box` resolves to a different crate's type, so line 8 is no leaf.
+        assert_eq!(lines(src), vec![5, 6, 7, 9], "{:?}", leaves(src));
     }
 
     #[test]
     fn use_declarations_and_locals_are_not_leaves() {
         // Tokens inside a `use` declaration are never "called"; local fns
-        // named like std entry points need ≥2 path segments to match.
-        let src = "use std::{env, thread};\n\
-                   fn var(x: u8) {}\n\
-                   fn f() { var(3); }\n";
+        // named like std constructors need ≥2 path segments to match.
+        let src = "use std::{collections, vec::Vec};\n\
+                   fn with_capacity(x: u8) {}\n\
+                   fn f() { with_capacity(3); }\n";
         assert!(leaves(src).is_empty(), "{:?}", leaves(src));
     }
 

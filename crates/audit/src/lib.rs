@@ -1,87 +1,80 @@
-//! `snbc-audit` — whole-program determinism analysis for the SNBC workspace.
+//! `snbc-audit` — the whole-program half of the SNBC workspace's static
+//! gate.
 //!
 //! The from-scratch interior-point solvers (`snbc-lp`, `snbc-sdp`) stand in
 //! for MOSEK-class solvers, and certificates must come out bitwise identical
-//! at any thread count. Clippy (root `clippy.toml` and
-//! `[workspace.lints.clippy]`) guards each call site: exact float
-//! comparisons, lossy casts, panics and swallowed `Result`s in solver code,
-//! hash-order iteration, raw threads, clocks, environment reads and prints.
-//! This crate keeps only what needs the whole program or a dataflow view:
+//! at any thread count. The toolchain enforces most of that at each site:
+//! under snbc-par's `Fn + Sync` closure bounds rustc rejects writes to
+//! captures, `&mut` captures and `Cell`s, snbc-par hands results back in
+//! index order, and
+//! clippy (root `clippy.toml` and `[workspace.lints.clippy]`) bans exact
+//! float comparisons, lossy casts, panics and swallowed `Result`s in solver
+//! code, hash-order iteration, raw threads, clocks, environment reads,
+//! locks, atomics and prints. This crate keeps the two rules that need the
+//! whole program or the manifests:
 //!
-//! - a comment/string-aware tokenizer ([`tokenizer`]) — no `syn`, std only;
-//! - a brace-matched item tree ([`syntax`]) mapping every token to its
-//!   scope, statement span, and structural `#[cfg(test)]`/`#[test]` status;
-//! - per-scope `use`-alias symbol tables ([`scopes`]);
-//! - a statement-level dataflow engine ([`dataflow`]) powering the two
-//!   per-file rules ([`rules`]): `unordered-reduce` (float folds over values
-//!   that flow from parallel output) and `par-capture-race` (`snbc_par`
-//!   closures touching shared mutable state);
-//! - an interprocedural effect engine: per-function effect leaves
-//!   ([`effects`]), a workspace call graph with SCC-fixpoint propagation
-//!   ([`callgraph`]), and the contracts over it ([`contracts`]) — solver
-//!   crates transitively env/thread/clock-free (`solver-effects`),
-//!   `// audit:hot` functions transitively allocation-free (`hot-alloc`),
-//!   parallel callees deterministic (`par-callee`);
-//! - architecture rules ([`arch`]): Cargo.toml dependencies must match the
-//!   DESIGN.md DAG, externals limited to `rand`/`proptest`/`criterion`/`serde`.
+//! - **`hot-alloc`** ([`rules`]): `// audit:hot` functions stay allocation
+//!   free, directly and through every resolved workspace callee. It runs on
+//!   a comment/string-aware tokenizer ([`tokenizer`], no `syn`, std only), a
+//!   brace-matched item tree with statement spans ([`syntax`]), per-scope
+//!   `use`-alias tables ([`scopes`]), allocation leaves ([`effects`]) and a
+//!   workspace call graph ([`callgraph`]).
+//! - **`arch`** ([`arch`]): Cargo.toml dependencies must match the DESIGN.md
+//!   DAG, externals limited to `rand`/`proptest`/`criterion`.
 //!
 //! `snbc-audit [--root <dir>]` prints every finding and exits 1 on any; a
-//! reviewed exception is a `// audit:allow(<rule>)` marker on the statement.
-//! See `docs/AUDIT.md`. The runtime counterpart is the `sanitize` cargo
-//! feature on `snbc-linalg`/`snbc-lp`/`snbc-sdp`.
+//! reviewed allocation is a `// audit:allow(hot-alloc)` marker on the
+//! statement, and a marker that suppresses nothing is a finding. See
+//! `docs/AUDIT.md`. The runtime counterpart is the `sanitize` cargo feature
+//! of eight crates: `snbc-linalg`, `snbc-lp`, `snbc-sdp`, `snbc-sos`,
+//! `snbc-par`, `snbc-trace`, `snbc-telemetry` and `snbc`.
 
 pub mod arch;
 pub mod callgraph;
-pub mod contracts;
-pub mod dataflow;
 pub mod effects;
 pub mod rules;
 pub mod scopes;
 pub mod syntax;
 pub mod tokenizer;
 
-use callgraph::{CallGraph, FileAnalysis};
+use callgraph::FileAnalysis;
 use rules::Finding;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Crates whose direct `std::thread` spawns are sanctioned: the
-/// deterministic parallel runtime itself and the telemetry sink (thread-name
-/// labels). Their spawn leaves do not propagate.
-pub const THREAD_OWNER_CRATES: &[&str] = &["par", "telemetry"];
-
-/// Crates whose direct clock reads are sanctioned: the trace clock itself
-/// plus the observability crates that wrap it. Their clock leaves do not
-/// propagate.
-pub const INSTANT_OWNER_CRATES: &[&str] = &["trace", "telemetry", "par"];
-
-/// Crates whose environment reads are sanctioned: the deterministic runtime
-/// (`SNBC_THREADS`), the CLI (user-facing flags), and the audit tool itself.
-/// Their env leaves do not propagate.
-pub const ENV_OWNER_CRATES: &[&str] = &["par", "cli", "audit"];
-
-/// The deterministic runtime, whose own reduction trees and worker state are
-/// deterministic by construction: exempt from `unordered-reduce` and
-/// `par-capture-race`, and its `unordered-fp-fold` leaves are masked.
-pub const FOLD_OWNER_CRATES: &[&str] = &["par"];
 
 /// Narrow an index to the `u32` ids of scopes and call-graph nodes.
 pub(crate) fn id32(i: usize) -> u32 {
     u32::try_from(i).expect("fewer than 2^32 scopes and call-graph nodes")
 }
 
-/// Result of a workspace audit: all unsuppressed findings, sorted.
+/// Result of a workspace audit: all findings, sorted.
 #[derive(Debug, Default)]
 pub struct AuditReport {
     pub findings: Vec<Finding>,
     /// Files scanned (workspace-relative), for reporting/coverage checks.
     pub files_scanned: usize,
+    /// Functions an `// audit:hot` marker puts under `hot-alloc`.
+    pub hot_kernels: usize,
+}
+
+impl AuditReport {
+    /// Add one harvested file per entry, then run `hot-alloc` over them all.
+    fn finish(mut self, analyses: &[FileAnalysis]) -> AuditReport {
+        self.files_scanned += analyses.len();
+        self.hot_kernels = analyses
+            .iter()
+            .flat_map(|fa| &fa.fns)
+            .filter(|f| f.hot)
+            .count();
+        self.findings.extend(rules::hot_alloc(analyses));
+        self.findings.sort();
+        self
+    }
 }
 
 /// Walk `crates/*/src/**/*.rs` plus every `crates/*/Cargo.toml` under
-/// `root` and apply all rules: pass 1 scans each file (dataflow rules +
-/// call-graph harvest), pass 2 links the workspace graph, propagates
-/// effects, and runs the contracts. IO problems are hard errors: an
+/// `root` and apply both rules: `arch` per manifest, `hot-alloc` over the
+/// call graph of every source file. IO problems are hard errors: an
 /// unreadable source file must fail the gate, not silently shrink its
 /// coverage.
 pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
@@ -123,38 +116,21 @@ pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
         for path in sources {
             let src = fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let rel = rel_path(root, &path);
-            let scan = rules::scan_source_full(&rel, &src, &crate_name);
-            report.findings.extend(scan.findings);
-            analyses.push(scan.analysis);
-            report.files_scanned += 1;
+            analyses.push(callgraph::analyze_source(&crate_name, &rel_path(root, &path), &src));
         }
     }
-
-    report
-        .findings
-        .extend(contracts::check(&CallGraph::build(&analyses)));
-    report.findings.sort();
-    Ok(report)
+    Ok(report.finish(&analyses))
 }
 
 /// Audit an in-memory set of `(crate_name, rel_path, source)` files — the
-/// multi-crate fixture entry point used by interprocedural tests. Runs the
-/// same two passes as [`audit_workspace`] minus the manifest checks.
+/// multi-crate fixture entry point of the tests. Runs `hot-alloc` as
+/// [`audit_workspace`] does; there are no manifests to check.
 pub fn audit_files(files: &[(&str, &str, &str)]) -> AuditReport {
-    let mut report = AuditReport::default();
-    let mut analyses: Vec<FileAnalysis> = Vec::new();
-    for (crate_name, rel, src) in files {
-        let scan = rules::scan_source_full(rel, src, crate_name);
-        report.findings.extend(scan.findings);
-        analyses.push(scan.analysis);
-        report.files_scanned += 1;
-    }
-    report
-        .findings
-        .extend(contracts::check(&CallGraph::build(&analyses)));
-    report.findings.sort();
-    report
+    let analyses: Vec<FileAnalysis> = files
+        .iter()
+        .map(|(crate_name, rel, src)| callgraph::analyze_source(crate_name, rel, src))
+        .collect();
+    AuditReport::default().finish(&analyses)
 }
 
 /// Render sorted findings grouped by rule, for terminal output. Contract
@@ -206,15 +182,18 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn audits_the_real_workspace() {
+    fn workspace_root() -> PathBuf {
         // CARGO_MANIFEST_DIR = crates/audit → workspace root is two up.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .canonicalize()
-            .unwrap();
-        let report = audit_workspace(&root).unwrap();
-        // The workspace has 18 crates with ~100 source files; if we ever
+            .unwrap()
+    }
+
+    #[test]
+    fn audits_the_real_workspace() {
+        let report = audit_workspace(&workspace_root()).unwrap();
+        // The workspace has 19 crates with ~100 source files; if we ever
         // scan fewer than 50 something is broken in the walker.
         assert!(
             report.files_scanned > 50,
@@ -226,5 +205,23 @@ mod tests {
             "{}",
             render_findings(&report.findings)
         );
+    }
+
+    #[test]
+    fn every_hot_marker_in_the_tree_guards_one_kernel() {
+        let root = workspace_root();
+        let mut sources = Vec::new();
+        collect_rs_files(&root.join("crates"), &mut sources).unwrap();
+        let markers: usize = sources
+            .iter()
+            .filter(|p| p.components().any(|c| c.as_os_str() == "src"))
+            .map(|p| {
+                let src = fs::read_to_string(p).unwrap();
+                src.lines().filter(|l| l.trim() == "// audit:hot").count()
+            })
+            .sum();
+        let report = audit_workspace(&root).unwrap();
+        assert!(markers > 30, "only {markers} markers found");
+        assert_eq!(report.hot_kernels, markers);
     }
 }

@@ -4,7 +4,7 @@
 //! snbc-audit [--root <dir>]
 //! ```
 //!
-//! Prints every finding (contract findings with their call chains) and exits
+//! Prints every finding (`hot-alloc` findings with their call chains) and exits
 //! 0 when there are none, 1 when there are any, 2 on a usage or IO error.
 
 #![expect(
@@ -50,8 +50,9 @@ fn run() -> Result<bool, String> {
 
     let report = audit_workspace(&root)?;
     println!(
-        "snbc-audit: scanned {} source files, {} finding(s)",
+        "snbc-audit: scanned {} source files, {} hot kernels, {} finding(s)",
         report.files_scanned,
+        report.hot_kernels,
         report.findings.len()
     );
     if report.findings.is_empty() {
@@ -60,7 +61,7 @@ fn run() -> Result<bool, String> {
     }
     print!("{}", render_findings(&report.findings));
     eprintln!(
-        "snbc-audit: fix the findings, or mark a reviewed exception with `// audit:allow(<rule>)` on the statement"
+        "snbc-audit: fix the findings, or mark a reviewed allocation with `// audit:allow(hot-alloc)` on its statement"
     );
     Ok(false)
 }

@@ -1,8 +1,9 @@
 //! Per-scope symbol tables for `use`-aliases, and path resolution.
 //!
-//! Rules must see through renames: `use std::collections::HashMap as Map;`
-//! followed by `Map::new()` is still a `HashMap`, and
-//! `use std::time::Instant as Clock; Clock::now()` is still a raw clock read.
+//! Rules must see through renames: `use std::collections::BTreeMap as Map;`
+//! followed by `Map::new()` is still an allocating constructor, and a call
+//! through `use snbc_linalg as la; la::zeros(n)` still links to
+//! `snbc_linalg::zeros`.
 //! This module walks the [`crate::syntax::ItemTree`], collects every `use`
 //! declaration into the scope that contains it (file root, `mod`, or a `fn`
 //! body — Rust allows `use` inside functions), and resolves identifier paths
@@ -12,7 +13,7 @@
 //! Resolution is deliberately conservative: a path whose head has **no**
 //! alias entry is returned as written, and rules fall back to suffix
 //! matching (so fixture code without imports, or fully-qualified
-//! `std::time::Instant::now()`, still matches), while an alias that resolves
+//! `std::vec::Vec::new()`, still matches), while an alias that resolves
 //! to a *different* crate's type suppresses the match.
 
 use crate::syntax::ItemTree;

@@ -1,7 +1,7 @@
 //! A lightweight, comment- and string-aware tokenizer for Rust source.
 //!
 //! This is intentionally **not** a full Rust lexer (no `syn` — the workspace
-//! only sanctions `rand`/`proptest`/`criterion`/`serde` as external deps).
+//! only sanctions `rand`/`proptest`/`criterion` as external deps).
 //! It produces just enough structure for the audit rules:
 //!
 //! - identifiers / keywords, with line numbers;
@@ -10,6 +10,8 @@
 //! - comments and string/char literals are consumed, never tokenized —
 //!   except that `// audit:allow(<rule>)` and `// audit:hot` markers are
 //!   extracted so rules can honor inline suppressions and hot functions.
+//!   A marker starts a line of a plain comment: doc comments and quoted
+//!   mentions in prose (`` `audit:hot` ``) are not markers.
 //!
 //! Raw strings (`r"…"`, `r#"…"#`), nested block comments, char literals
 //! (including `'\''`), and lifetimes (`'a`, which must *not* open a char
@@ -34,24 +36,33 @@ pub enum TokenKind {
     Punct,
 }
 
-/// An inline suppression marker: `// audit:allow(rule-name)` (also accepted
-/// inside block comments). Applies to findings on the same line or the line
-/// immediately below (so a marker can sit on its own line above the code).
+/// An inline suppression marker, `// audit:allow(rule-name)` (also accepted
+/// in block comments). It covers the statement it sits on, or the statement
+/// that starts on the line below it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Suppression {
     pub rule: String,
     pub line: usize,
+    /// Index of the first token after the comment.
+    pub next_tok: usize,
 }
 
-/// Tokenizer output: the token stream plus any suppression markers found in
-/// comments.
+/// An `// audit:hot` marker: the `fn` item that starts at `next_tok`, past
+/// its attributes and doc comments, is under the transitive allocation-free
+/// contract (`hot-alloc` rule).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HotMarker {
+    pub line: usize,
+    /// Index of the first token after the comment.
+    pub next_tok: usize,
+}
+
+/// Tokenizer output: the token stream plus the markers found in comments.
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub tokens: Vec<Token>,
     pub suppressions: Vec<Suppression>,
-    /// Lines carrying an `// audit:hot` marker: the next `fn` item is under
-    /// the transitive allocation-free contract (`hot-alloc` rule).
-    pub hot_markers: Vec<usize>,
+    pub hot_markers: Vec<HotMarker>,
 }
 
 const ALLOW_MARKER: &str = "audit:allow(";
@@ -77,12 +88,11 @@ pub fn tokenize(src: &str) -> Lexed {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
-                scan_allow_marker(&src[start..i], line, &mut out.suppressions);
-                scan_hot_marker(&src[start..i], line, &mut out.hot_markers);
+                scan_markers(&src[start..i], line, &mut out);
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let (end, endline) =
-                    skip_block_comment(src, i, line, &mut out.suppressions, &mut out.hot_markers);
+                let (end, endline) = skip_block_comment(bytes, i, line);
+                scan_markers(&src[i..end], line, &mut out);
                 i = end;
                 line = endline;
             }
@@ -179,18 +189,9 @@ fn is_raw_string_start(bytes: &[u8], i: usize) -> bool {
     matches!(bytes.get(i + 1), Some(&b'"') | Some(&b'#'))
 }
 
-fn skip_block_comment(
-    src: &str,
-    start: usize,
-    mut line: usize,
-    suppressions: &mut Vec<Suppression>,
-    hot_markers: &mut Vec<usize>,
-) -> (usize, usize) {
-    let bytes = src.as_bytes();
+fn skip_block_comment(bytes: &[u8], start: usize, mut line: usize) -> (usize, usize) {
     let mut depth = 0usize;
     let mut i = start;
-    let comment_start = start;
-    let start_line = line;
     while i < bytes.len() {
         if bytes[i] == b'\n' {
             line += 1;
@@ -202,8 +203,6 @@ fn skip_block_comment(
             depth -= 1;
             i += 2;
             if depth == 0 {
-                scan_allow_marker(&src[comment_start..i], start_line, suppressions);
-                scan_hot_marker(&src[comment_start..i], start_line, hot_markers);
                 return (i, line);
             }
         } else {
@@ -357,40 +356,37 @@ fn scan_number(bytes: &[u8], start: usize) -> usize {
     i
 }
 
-fn scan_allow_marker(comment: &str, start_line: usize, out: &mut Vec<Suppression>) {
-    // A block comment can span lines; attribute each marker to the line it
-    // physically sits on.
-    for (off, text) in comment.lines().enumerate() {
-        let mut rest = text;
-        while let Some(pos) = rest.find(ALLOW_MARKER) {
-            let tail = &rest[pos + ALLOW_MARKER.len()..];
-            if let Some(close) = tail.find(')') {
-                let rule = tail[..close].trim().to_string();
-                if !rule.is_empty() {
-                    out.push(Suppression {
-                        rule,
-                        line: start_line + off,
-                    });
-                }
-                rest = &tail[close + 1..];
-            } else {
-                break;
-            }
-        }
+/// Record the markers of one comment, each at the line it physically sits
+/// on. Doc comments describe markers without being any; in a plain comment a
+/// marker must open a line of the comment text.
+fn scan_markers(comment: &str, start_line: usize, out: &mut Lexed) {
+    let doc = (comment.starts_with("///") && !comment.starts_with("////"))
+        || comment.starts_with("//!")
+        || (comment.starts_with("/**") && !comment.starts_with("/***") && comment != "/**/")
+        || comment.starts_with("/*!");
+    if doc {
+        return;
     }
-}
-
-fn scan_hot_marker(comment: &str, start_line: usize, out: &mut Vec<usize>) {
+    let next_tok = out.tokens.len();
     for (off, text) in comment.lines().enumerate() {
-        if let Some(pos) = text.find(HOT_MARKER) {
+        let text = text
+            .trim_start()
+            .trim_start_matches(['/', '*'])
+            .trim_start();
+        let line = start_line + off;
+        if let Some(tail) = text.strip_prefix(ALLOW_MARKER) {
+            let rule = tail.find(')').map_or("", |close| tail[..close].trim());
+            if !rule.is_empty() {
+                out.suppressions.push(Suppression {
+                    rule: rule.to_string(),
+                    line,
+                    next_tok,
+                });
+            }
+        } else if let Some(tail) = text.strip_prefix(HOT_MARKER) {
             // Word boundary on the right so `audit:hotfix` is not a marker.
-            let tail = &text[pos + HOT_MARKER.len()..];
-            let bounded = !tail
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-            if bounded {
-                out.push(start_line + off);
+            if !tail.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_') {
+                out.hot_markers.push(HotMarker { line, next_tok });
             }
         }
     }
@@ -453,13 +449,13 @@ mod tests {
 
     #[test]
     fn allow_markers_extracted_with_lines() {
-        let src = "let a = 1;\nx == 0.0; // audit:allow(unordered-reduce)\n/* audit:allow(hot-alloc) */\n";
+        let src = "let a = 1;\nx == 0.0; // audit:allow(arch)\n/* audit:allow(hot-alloc) */\nb();\n";
         let lexed = tokenize(src);
         assert_eq!(
             lexed.suppressions,
             vec![
-                Suppression { rule: "unordered-reduce".into(), line: 2 },
-                Suppression { rule: "hot-alloc".into(), line: 3 },
+                Suppression { rule: "arch".into(), line: 2, next_tok: 9 },
+                Suppression { rule: "hot-alloc".into(), line: 3, next_tok: 9 },
             ]
         );
     }
@@ -469,7 +465,30 @@ mod tests {
         let src = "// audit:hot\nfn f() {}\n/* audit:hot */\nfn g() {}\n// audit:hotfix note\n";
         let lexed = tokenize(src);
         // The `audit:hotfix` comment is prose, not a marker.
-        assert_eq!(lexed.hot_markers, vec![1, 3]);
+        assert_eq!(
+            lexed.hot_markers,
+            vec![
+                HotMarker { line: 1, next_tok: 0 },
+                HotMarker { line: 3, next_tok: 6 },
+            ]
+        );
+    }
+
+    #[test]
+    fn doc_comments_and_quoted_mentions_are_not_markers() {
+        let src = "/// Put `// audit:hot` above a kernel.\n\
+                   //! audit:allow(hot-alloc)\n\
+                   /** audit:hot */\n\
+                   // the kernel is `audit:hot` and says audit:allow(hot-alloc)\n\
+                   fn f() {}\n\
+                   /* first line\n * audit:hot\n */\n\
+                   //// audit:allow(hot-alloc)\n";
+        let lexed = tokenize(src);
+        assert_eq!(lexed.hot_markers, vec![HotMarker { line: 7, next_tok: 6 }]);
+        assert_eq!(
+            lexed.suppressions,
+            vec![Suppression { rule: "hot-alloc".into(), line: 9, next_tok: 6 }]
+        );
     }
 
     #[test]

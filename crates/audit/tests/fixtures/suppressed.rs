@@ -1,41 +1,43 @@
 //! Audit fixture: suppression scoping.
 //!
 //! Suppressions attach to the enclosing statement: a marker on any line of
-//! the statement, or on the line directly above it, silences the named rule.
+//! the statement, or on the line directly above it, silences `hot-alloc`.
+//! A marker that silences nothing is a finding itself.
 
-pub fn all_suppressed(n: usize) -> f64 {
-    let parts = snbc_par::par_map_collect(n, |i| i as f64);
-    // audit:allow(unordered-reduce)
-    let a = parts.iter().sum::<f64>();
-    let b = parts.iter().sum::<f64>(); // audit:allow(unordered-reduce)
-    a + b
-}
-
-pub fn multiline_statement_suppressed(n: usize) -> f64 {
-    let parts = snbc_par::par_map_collect(n, |i| i as f64);
-    // audit:allow(unordered-reduce)
-    parts
-        .iter()
-        .sum::<f64>()
-}
-
-pub fn wrong_rule_does_not_suppress(n: usize) -> f64 {
-    let parts = snbc_par::par_map_collect(n, |i| i as f64);
+// audit:hot
+pub fn all_suppressed(xs: &[f64]) -> f64 {
     // audit:allow(hot-alloc)
-    parts.iter().sum::<f64>() // expect: unordered-reduce @ 25 (the allow above names another rule)
+    let a = xs.to_vec();
+    let b = xs.to_vec(); // audit:allow(hot-alloc)
+    a[0] + b[0]
 }
 
-pub fn too_far_does_not_suppress(n: usize) -> f64 {
-    let parts = snbc_par::par_map_collect(n, |i| i as f64);
-    // audit:allow(unordered-reduce)
-
-    parts.iter().sum::<f64>() // expect: unordered-reduce @ 32 (blank line between allow and finding)
+// audit:hot
+pub fn multiline_statement_suppressed(xs: &[f64]) -> usize {
+    // audit:allow(hot-alloc)
+    xs.iter()
+        .copied()
+        .collect::<Vec<f64>>()
+        .len()
 }
 
-pub fn closure_allow_stays_inside(n: usize, scale: f64) -> f64 {
-    let parts = snbc_par::par_map_collect(n, |i| i as f64);
-    parts.iter().sum::<f64>() * snbc_par::par_map_collect(n, |i| { // expect: unordered-reduce @ 37
-        // audit:allow(unordered-reduce)
-        i as f64 * scale
-    })[0]
+// audit:hot
+pub fn wrong_rule_does_not_suppress(xs: &[f64]) -> usize {
+    // audit:allow(arch) — expect: stale marker @ 26
+    xs.to_vec().len() // expect: hot-alloc @ 27 (the allow above names another rule)
+}
+
+// audit:hot
+pub fn too_far_does_not_suppress(xs: &[f64]) -> usize {
+    // audit:allow(hot-alloc) — expect: stale marker @ 32
+
+    xs.to_vec().len() // expect: hot-alloc @ 34 (blank line between allow and finding)
+}
+
+// audit:hot
+pub fn closure_allow_stays_inside(xs: &[f64]) -> f64 {
+    xs.to_vec()[0] * apply(xs, |x| { // expect: hot-alloc @ 39
+        // audit:allow(hot-alloc) — expect: stale marker @ 40
+        x * 2.0
+    })
 }

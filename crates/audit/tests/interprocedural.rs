@@ -1,6 +1,6 @@
-//! Integration tests for the interprocedural effect engine: multi-crate
-//! fixtures audited through [`snbc_audit::audit_files`], checking that the
-//! contract rules fire with full call chains.
+//! Integration tests for the interprocedural half of `hot-alloc`:
+//! multi-crate fixtures audited through [`snbc_audit::audit_files`], checking
+//! that allocations reach hot functions across calls, with full call chains.
 
 use snbc_audit::audit_files;
 use snbc_audit::rules::{Finding, Rule};
@@ -10,36 +10,32 @@ fn of_rule(findings: &[Finding], rule: Rule) -> Vec<&Finding> {
 }
 
 #[test]
-fn transitive_env_read_reaches_the_solver_contract() {
-    // lp (contract crate) → dynamics helper → std::env::var. The env read is
-    // two hops away from the solver stack; the boundary edge must be flagged
+fn transitive_allocation_reaches_the_hot_contract() {
+    // lp's hot kernel → linalg helper → helper → `vec!`. The allocation is
+    // two hops away from the kernel; the kernel's outgoing call is flagged
     // with the full chain down to the leaf.
     let report = audit_files(&[
         (
-            "dynamics",
-            "crates/dynamics/src/helper.rs",
-            "pub fn tuning() -> f64 {\n    peek_env()\n}\npub fn peek_env() -> f64 {\n    std::env::var(\"SNBC_TUNING\").map(|v| v.parse().unwrap_or(0.0)).unwrap_or(0.0)\n}\n",
+            "linalg",
+            "crates/linalg/src/helper.rs",
+            "pub fn scratch(n: usize) -> Vec<f64> {\n    zeros(n)\n}\npub fn zeros(n: usize) -> Vec<f64> {\n    vec![0.0; n]\n}\n",
         ),
         (
             "lp",
             "crates/lp/src/lib.rs",
-            "pub fn solve() -> f64 {\n    snbc_dynamics::tuning() * 2.0\n}\n",
+            "// audit:hot\npub fn solve(n: usize) -> f64 {\n    snbc_linalg::scratch(n)[0] * 2.0\n}\n",
         ),
     ]);
-    let hits = of_rule(&report.findings, Rule::SolverEffects);
+    let hits = of_rule(&report.findings, Rule::HotAlloc);
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
     let f = hits[0];
-    assert_eq!(f.file, "crates/lp/src/lib.rs");
-    assert!(
-        f.message.contains("reads-env"),
-        "message: {}",
-        f.message
-    );
-    // Chain: lp::solve calls tuning → tuning calls peek_env → env leaf.
-    assert!(f.chain.len() >= 3, "chain: {:?}", f.chain);
+    assert_eq!((f.file.as_str(), f.line), ("crates/lp/src/lib.rs", 3));
+    assert!(f.message.contains("linalg::scratch"), "message: {}", f.message);
+    // Chain: lp::solve calls scratch → scratch calls zeros → `vec!` leaf.
+    assert_eq!(f.chain.len(), 3, "chain: {:?}", f.chain);
     assert!(f.chain[0].note.contains("solve"), "chain: {:?}", f.chain);
     assert!(
-        f.chain.last().unwrap().note.contains("std::env::var"),
+        f.chain.last().unwrap().note.contains("`vec!` allocation"),
         "chain: {:?}",
         f.chain
     );
@@ -47,61 +43,54 @@ fn transitive_env_read_reaches_the_solver_contract() {
     // the flagged site itself and is not repeated).
     let listing = snbc_audit::render_findings(&report.findings);
     assert!(listing.contains("    via "), "listing:\n{listing}");
-    assert!(
-        listing.contains("std::env::var"),
-        "listing:\n{listing}"
-    );
+    assert!(listing.contains("linalg::zeros"), "listing:\n{listing}");
 }
 
 #[test]
 fn mutual_recursion_converges_and_still_carries_effects() {
-    // even/odd mutual recursion where the odd side reads the clock: the SCC
-    // must converge (no hang) and both members must carry the effect into
-    // the contract check on the solver boundary.
+    // even/odd mutual recursion where the odd side allocates: the walk must
+    // settle (no hang) and both members must carry the allocation into the
+    // hot kernel that calls one of them.
     let report = audit_files(&[
         (
-            "baselines",
-            "crates/baselines/src/lib.rs",
-            "pub fn even(n: u64) -> bool {\n    if n == 0 { true } else { odd(n - 1) }\n}\npub fn odd(n: u64) -> bool {\n    let _t = std::time::Instant::now();\n    if n == 0 { false } else { even(n - 1) }\n}\n",
+            "linalg",
+            "crates/linalg/src/lib.rs",
+            "pub fn even(n: u64) -> bool {\n    if n == 0 { true } else { odd(n - 1) }\n}\npub fn odd(n: u64) -> bool {\n    let _v = vec![n];\n    if n == 0 { false } else { even(n - 1) }\n}\n",
         ),
         (
             "sdp",
             "crates/sdp/src/lib.rs",
-            "pub fn schedule(n: u64) -> bool {\n    snbc_baselines::even(n)\n}\n",
+            "// audit:hot\npub fn schedule(n: u64) -> bool {\n    snbc_linalg::even(n)\n}\n",
         ),
     ]);
-    let hits = of_rule(&report.findings, Rule::SolverEffects);
+    let hits = of_rule(&report.findings, Rule::HotAlloc);
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    assert!(hits[0].message.contains("reads-time"), "message: {}", hits[0].message);
+    assert!(hits[0].message.contains("linalg::even"), "message: {}", hits[0].message);
 }
 
 #[test]
 fn trait_methods_resolve_conservatively_by_name_and_arity() {
-    // `step(&self, x)` is called through a trait object; the engine cannot
-    // know the concrete impl, so every same-name-same-arity method in a
-    // crate the caller can depend on is a candidate — including the one
-    // that spawns a thread.
+    // `step(&self, x)` is called through a receiver whose concrete type the
+    // engine does not know, so every same-name-same-arity method in a crate
+    // the caller can depend on is a candidate — including the one that
+    // allocates.
     let report = audit_files(&[
         (
             "metrics",
             "crates/metrics/src/lib.rs",
-            "pub struct Fast;\nimpl Fast {\n    pub fn step(&self, x: f64) -> f64 { x + 1.0 }\n}\npub struct Racy;\nimpl Racy {\n    pub fn step(&self, x: f64) -> f64 {\n        std::thread::spawn(move || x);\n        x\n    }\n}\n",
+            "pub struct Fast;\nimpl Fast {\n    pub fn step(&self, x: f64) -> f64 { x + 1.0 }\n}\npub struct Boxed;\nimpl Boxed {\n    pub fn step(&self, x: f64) -> f64 {\n        let v = vec![x; 2];\n        v[0]\n    }\n}\n",
         ),
         (
             "core",
             "crates/core/src/lib.rs",
-            "pub fn tighten(x: f64) -> f64 {\n    helper_step(x)\n}\nfn helper_step(x: f64) -> f64 {\n    snbc_metrics::Fast.step(x)\n}\n",
+            "// audit:hot\npub fn tighten(x: f64) -> f64 {\n    helper_step(x)\n}\nfn helper_step(x: f64) -> f64 {\n    snbc_metrics::Fast.step(x)\n}\n",
         ),
     ]);
-    // The method call unions both `step` impls, so core transitively
-    // reaches spawns-thread through the conservative candidate set.
-    let hits = of_rule(&report.findings, Rule::SolverEffects);
+    // The method call unions both `step` impls, so the kernel transitively
+    // allocates through the conservative candidate set.
+    let hits = of_rule(&report.findings, Rule::HotAlloc);
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    assert!(
-        hits[0].message.contains("spawns-thread"),
-        "message: {}",
-        hits[0].message
-    );
+    assert!(hits[0].message.contains("helper_step"), "message: {}", hits[0].message);
 }
 
 #[test]
@@ -164,54 +153,34 @@ fn hot_function_with_transitive_allocation_is_flagged() {
 }
 
 #[test]
-fn par_callee_with_hidden_env_read_is_flagged() {
-    let report = audit_files(&[(
-        "core",
-        "crates/core/src/lib.rs",
-        "pub fn fan_out(n: usize) -> Vec<f64> {\n    snbc_par::par_map_collect(n, |i| weight(i))\n}\nfn weight(i: usize) -> f64 {\n    std::env::var(\"W\").map(|v| v.parse().unwrap_or(0.0)).unwrap_or(i as f64)\n}\n",
-    )]);
-    let hits = of_rule(&report.findings, Rule::ParCallee);
-    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    assert!(
-        hits[0].message.contains("reads-env"),
-        "message: {}",
-        hits[0].message
-    );
-}
-
-#[test]
 fn reviewed_boundary_call_does_not_fire_the_contract() {
-    // An env read outside its owner crates has no leaf-level marker: the
-    // reviewed exception sits on the boundary call that leaves the solver
-    // stack, and silences the contract there.
+    // A reviewed setup allocation sits on the hot kernel's outgoing call;
+    // the marker there silences the contract (and is therefore not stale).
+    let helper = (
+        "linalg",
+        "crates/linalg/src/lib.rs",
+        "pub fn workspace(n: usize) -> Vec<f64> {\n    vec![0.0; n]\n}\n",
+    );
     let report = audit_files(&[
-        (
-            "dynamics",
-            "crates/dynamics/src/lib.rs",
-            "pub fn tuning() -> f64 {\n    std::env::var(\"SNBC_TUNING\").map(|v| v.parse().unwrap_or(0.0)).unwrap_or(0.0)\n}\n",
-        ),
+        helper,
         (
             "lp",
             "crates/lp/src/lib.rs",
-            "pub fn solve() -> f64 {\n    // audit:allow(solver-effects) — documented tuning knob\n    snbc_dynamics::tuning()\n}\n",
+            "// audit:hot\npub fn solve(n: usize) -> f64 {\n    // audit:allow(hot-alloc) — setup, once per solve\n    snbc_linalg::workspace(n)[0]\n}\n",
         ),
     ]);
     assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
     // The same call without the marker fires.
     let unreviewed = audit_files(&[
-        (
-            "dynamics",
-            "crates/dynamics/src/lib.rs",
-            "pub fn tuning() -> f64 {\n    std::env::var(\"SNBC_TUNING\").map(|v| v.parse().unwrap_or(0.0)).unwrap_or(0.0)\n}\n",
-        ),
+        helper,
         (
             "lp",
             "crates/lp/src/lib.rs",
-            "pub fn solve() -> f64 {\n    snbc_dynamics::tuning()\n}\n",
+            "// audit:hot\npub fn solve(n: usize) -> f64 {\n    snbc_linalg::workspace(n)[0]\n}\n",
         ),
     ]);
     assert_eq!(
-        of_rule(&unreviewed.findings, Rule::SolverEffects).len(),
+        of_rule(&unreviewed.findings, Rule::HotAlloc).len(),
         1,
         "findings: {:?}",
         unreviewed.findings

@@ -296,6 +296,7 @@ impl EventSink for HumanSink {
         if replayed {
             return;
         }
+        #[expect(clippy::disallowed_methods, reason = "the hit set only picks the wording of a stderr line; no report, certificate or stream reads it")]
         fn hits(
             m: &Mutex<std::collections::BTreeSet<u64>>,
         ) -> std::sync::MutexGuard<'_, std::collections::BTreeSet<u64>> {

@@ -143,7 +143,6 @@ pub fn find_counterexample(
     for (x, fx, steps_taken) in starts {
         // Serial index-ascending fold over the already-ordered
         // par_map_collect output; u64 sum, order-free.
-        // audit:allow(unordered-reduce)
         total_steps += steps_taken;
         if set.contains(&x) && best.as_ref().is_none_or(|(_, b)| fx > *b) {
             best = Some((x, fx));

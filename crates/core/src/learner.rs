@@ -84,11 +84,11 @@ fn reduce_epoch(
     g.fill(0.0);
     let np = g.len();
     for (&(kind, _, _), row) in jobs.iter().zip(rows) {
-        kind_sums[kind as usize] += row[0]; // audit:allow(unordered-reduce) — serial index-ascending fold
-        hinge += row[1]; // audit:allow(unordered-reduce) — same fold, fixed order
+        kind_sums[kind as usize] += row[0];
+        hinge += row[1];
         let scale = scales[kind as usize];
         for (acc, gv) in g.iter_mut().zip(&row[2..2 + np]) {
-            *acc += scale * gv; // audit:allow(unordered-reduce) — same fold, fixed order
+            *acc += scale * gv;
         }
     }
     hinge

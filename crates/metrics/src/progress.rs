@@ -403,6 +403,7 @@ impl std::fmt::Debug for Progress {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the progress sinks' one lock: a writer stamps each event's sequence number under it, and a racing candidate's buffer is drained in candidate order")]
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,

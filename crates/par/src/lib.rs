@@ -55,7 +55,8 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "snbc-par is the deterministic runtime: it owns SNBC_THREADS and every worker thread"
+    clippy::disallowed_types,
+    reason = "snbc-par is the deterministic runtime: it owns SNBC_THREADS, every worker thread, and the locks and atomics that hand results back in index order"
 )]
 
 use std::collections::VecDeque;

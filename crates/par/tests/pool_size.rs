@@ -9,6 +9,7 @@ use snbc_par::{join3, par_for_chunks, par_for_each_mut, par_map_collect, par_map
 
 /// Runs one region of every kind, one of them nested, and records the name
 /// of every thread that ran a piece of it.
+#[expect(clippy::disallowed_methods, reason = "the set of thread names the workers record is what this test measures")]
 fn regions(seen: &Mutex<BTreeSet<String>>, round: usize) {
     let note = || {
         let name = std::thread::current().name().unwrap_or("").to_string();
@@ -67,7 +68,7 @@ fn the_pool_starts_at_most_threads_minus_one_workers_and_none_when_serial() {
         regions(&seen, round);
     }
     assert_eq!(
-        seen.lock().unwrap().iter().collect::<Vec<_>>(),
+        seen.into_inner().unwrap().iter().collect::<Vec<_>>(),
         vec![&caller]
     );
     assert_eq!(os_threads(), before, "the serial path started a thread");

@@ -138,8 +138,9 @@ impl CertificateCache {
         certificate: Option<&str>,
         progress_ndjson: Option<&str>,
     ) -> Result<(), BatchError> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
+        use std::sync::atomic::{self, Ordering};
+        #[expect(clippy::disallowed_types, reason = "names staging dirs only: the counter never reaches an entry's bytes")]
+        static STORE_SEQ: atomic::AtomicU64 = atomic::AtomicU64::new(0);
 
         let entry = self.dir.join(key.hash());
         let io = |path: &Path, e: std::io::Error| BatchError::Io {

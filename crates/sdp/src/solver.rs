@@ -263,7 +263,8 @@ fn assemble_schur_row(
                 let n = zinv.nrows();
                 // Lazy per-worker scratch: two n×n buffers per dense block,
                 // allocated on the block's first row and reused for every
-                // later row this worker owns. audit:allow(hot-alloc)
+                // later row this worker owns.
+                // audit:allow(hot-alloc)
                 let (ax, uk) = scratch[j]
                     .get_or_insert_with(|| (Matrix::zeros(n, n), Matrix::zeros(n, n)));
                 sparse_times_dense_into(&index.entries[own.entries.clone()], touched, x, ax);
@@ -694,7 +695,6 @@ impl SdpSolver {
             let (scaling, count) = r?;
             // Serial index-ascending fold over the already-ordered
             // par_map_reduce output; integer count.
-            // audit:allow(unordered-reduce)
             *cholesky_count += count;
             out.push(scaling);
         }

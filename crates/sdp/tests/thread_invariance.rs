@@ -4,7 +4,7 @@
 //! outputs with the serial operation order. The program below is large
 //! enough to take every one of them in parallel.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use snbc_linalg::{Cholesky, LinalgError, Matrix};
 use snbc_sdp::{BlockShape, SdpProblem, SdpSolution, SdpSolver};
@@ -13,6 +13,11 @@ use snbc_trace::{EventKind, Trace};
 
 /// Both tests change the worker count; run them one at a time.
 static THREADS: Mutex<()> = Mutex::new(());
+
+#[expect(clippy::disallowed_methods, reason = "serialises tests that set the worker count; no result passes through it")]
+fn threads_lock() -> MutexGuard<'static, ()> {
+    THREADS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn with_threads<R>(t: usize, f: impl FnOnce() -> R) -> R {
     snbc_par::set_threads(Some(t));
@@ -155,7 +160,7 @@ fn bits(sol: &SdpSolution) -> Vec<u64> {
 
 #[test]
 fn an_sdp_past_every_parallel_threshold_solves_to_the_same_bits() {
-    let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let _lock = threads_lock();
     let problem = flow_shaped_program();
     assert_eq!(problem.num_constraints(), 211);
     let solve = |t: usize| {
@@ -229,7 +234,7 @@ fn par_rows(data: &mut [f64], len: usize, body: &(dyn Fn(usize, &mut [f64]) + Sy
 
 #[test]
 fn the_row_parallel_schur_cholesky_matches_the_serial_factor_bitwise() {
-    let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let _lock = threads_lock();
     for (case, &n) in [33usize, 97, 211, 331].iter().enumerate() {
         let a = spd(n, 40 + case as u64);
         let want = a.cholesky().expect("SPD");

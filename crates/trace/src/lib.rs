@@ -56,6 +56,7 @@ pub mod profile;
 pub use chrome::{ChromeTrace, Track, SCHEMA};
 
 use std::cell::RefCell;
+#[expect(clippy::disallowed_types, reason = "snbc-trace owns the trace sink: its atomics number spans and count dropped events")]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -287,6 +288,7 @@ struct Lane {
 }
 
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "snbc-trace owns the trace sink: its atomics number spans and count dropped events")]
 struct Sink {
     capacity: usize,
     lanes: Mutex<Vec<Arc<Lane>>>,
@@ -294,6 +296,7 @@ struct Sink {
     dropped: AtomicU64,
 }
 
+#[expect(clippy::disallowed_methods, reason = "snbc-trace owns the trace sink: one lock per lane, merged by label and registration order at dump")]
 impl Sink {
     fn register_lane(&self, label: String) -> Arc<Lane> {
         let mut lanes = match self.lanes.lock() {
@@ -376,6 +379,7 @@ impl Trace {
     /// A fresh recording sink holding at most `capacity` events per lane;
     /// events past the cap increment the dropped-event counter instead of
     /// growing memory without bound.
+    #[expect(clippy::disallowed_types, reason = "snbc-trace owns the trace sink: its atomics number spans and count dropped events")]
     pub fn recording_with_capacity(capacity: usize) -> Trace {
         now_us(); // pin the shared epoch before the first event
         Trace {
@@ -473,6 +477,7 @@ impl Trace {
     /// With the `sanitize` feature, asserts per-lane invariants first:
     /// monotone non-decreasing timestamps and no span-end without a
     /// matching span-begin on the same lane.
+    #[expect(clippy::disallowed_methods, reason = "snbc-trace owns the trace sink: one lock per lane, merged by label and registration order at dump")]
     pub fn dump(&self) -> Option<ChromeTrace> {
         let sink = self.sink.as_ref()?;
         let lanes: Vec<Arc<Lane>> = {

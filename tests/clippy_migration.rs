@@ -1,33 +1,43 @@
-//! The nine token-level rules that `snbc-audit` once carried (`float-eq`,
-//! `lossy-cast`, `panicking`, `nondet-iter`, `swallowed-result`,
-//! `raw-thread`, `raw-instant`, `env-read`, `raw-print`) now run as clippy
-//! lints. This test compiles the fixtures under `tests/clippy_fixtures/`
-//! into a scratch crate configured like the workspace — the root
-//! `clippy.toml`, the `[workspace.lints.clippy]` table of the root
-//! `Cargo.toml`, and the solver crates' crate-root lint attribute, all read
-//! from the files at test time — and checks that clippy reports every
-//! violation at its line, and nothing else: the exemptions (hash-free
-//! iteration, widening casts, `env!`, local fns named like std ones, test
-//! code, bin targets, reviewed `#[expect]`s) stay silent. Deleting any
-//! mapped lint or banned path from the live configuration fails it.
+//! The rules `snbc-audit` once carried now run on the stock toolchain.
+//!
+//! Nine token-level rules (`float-eq`, `lossy-cast`, `panicking`,
+//! `nondet-iter`, `swallowed-result`, `raw-thread`, `raw-instant`,
+//! `env-read`, `raw-print`) and the lock and atomic cases of
+//! `par-capture-race` are clippy lints. This test compiles the fixtures
+//! under `tests/clippy_fixtures/` into a scratch crate configured like the
+//! workspace — the root `clippy.toml`, the `[workspace.lints.clippy]` table
+//! of the root `Cargo.toml`, and the solver crates' crate-root lint
+//! attribute, all read from the files at test time — and checks that clippy
+//! reports every violation at its line, and nothing else: the exemptions
+//! (hash-free iteration, widening casts, `env!`, local fns named like std
+//! ones, test code, bin targets, reviewed `#[expect]`s) stay silent.
+//! Deleting any mapped lint or banned path from the live configuration
+//! fails it.
+//!
+//! The other four cases of `par-capture-race` are compile errors: a second
+//! scratch crate builds `tests/compile_fail/par_closures.rs` against the
+//! real `crates/par`, and rustc must reject it with exactly E0594, E0277,
+//! E0596 and E0502 at the fixture's lines. Loosening an snbc-par closure
+//! bound from `Fn` to `FnMut`, or dropping its `Sync`, fails it.
 
 use snbc_trace::json::{self, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The crates whose library code must not panic or drop a `Result`.
 const SOLVER_CRATES: [&str; 6] = ["interval", "linalg", "lp", "portfolio", "sdp", "sos"];
 
 /// Fixture modules of the scratch library (`tests/clippy_fixtures/<name>.rs`).
-const LIB_FIXTURES: [&str; 6] = [
+const LIB_FIXTURES: [&str; 7] = [
     "violations",
     "nondet_iter",
     "swallowed_result",
     "env_read",
     "threads_clock_print",
     "suppressed",
+    "shared_state",
 ];
 
 /// The fixture compiled as the scratch crate's binary target.
@@ -91,6 +101,26 @@ const EXPECTED: &[(&str, usize, &str)] = &[
     ("suppressed", 12, "clippy::float_cmp"),
     ("suppressed", 16, "clippy::float_cmp"),
     ("suppressed", 20, "clippy::cast_possible_truncation"),
+    // par-capture-race @ par_capture_race.rs:22 (lock in a worker), then the
+    // rest of the lock family: `try_lock`, `RwLock::{read, write}`
+    ("shared_state", 16, "clippy::disallowed_methods"),
+    ("shared_state", 24, "clippy::disallowed_methods"),
+    ("shared_state", 32, "clippy::disallowed_methods"),
+    ("shared_state", 33, "clippy::disallowed_methods"),
+    // par-capture-race @ par_capture_race.rs:28 (an atomic in a worker): the
+    // import and the parameter, then the ten other atomic types
+    ("shared_state", 6, "clippy::disallowed_types"),
+    ("shared_state", 39, "clippy::disallowed_types"),
+    ("shared_state", 47, "clippy::disallowed_types"),
+    ("shared_state", 48, "clippy::disallowed_types"),
+    ("shared_state", 49, "clippy::disallowed_types"),
+    ("shared_state", 50, "clippy::disallowed_types"),
+    ("shared_state", 51, "clippy::disallowed_types"),
+    ("shared_state", 52, "clippy::disallowed_types"),
+    ("shared_state", 53, "clippy::disallowed_types"),
+    ("shared_state", 54, "clippy::disallowed_types"),
+    ("shared_state", 55, "clippy::disallowed_types"),
+    ("shared_state", 56, "clippy::disallowed_types"),
 ];
 
 fn workspace_root() -> PathBuf {
@@ -200,22 +230,49 @@ fn solver_lints_sit_on_exactly_the_solver_crates() {
     }
 }
 
-#[test]
-fn clippy_reports_every_migrated_violation_and_nothing_else() {
-    let scratch =
-        std::env::temp_dir().join(format!("snbc-clippy-migration-{}", std::process::id()));
+/// A fresh scratch crate directory under the system temp dir.
+fn scratch_crate(tag: &str, manifest_tail: &str) -> PathBuf {
+    let scratch = std::env::temp_dir().join(format!("snbc-{tag}-{}", std::process::id()));
     fs::remove_dir_all(&scratch).ok();
-    let src = scratch.join("src");
-    fs::create_dir_all(&src).unwrap();
+    fs::create_dir_all(scratch.join("src")).unwrap();
     fs::write(
         scratch.join("Cargo.toml"),
         format!(
-            "[package]\nname = \"clippy-migration\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
-             publish = false\n\n[workspace]\n\n{}\n[lints]\nworkspace = true\n",
-            workspace_lint_table()
+            "[package]\nname = \"{tag}\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
+             publish = false\n\n[workspace]\n\n{manifest_tail}"
         ),
     )
     .unwrap();
+    scratch
+}
+
+/// Run `cargo <args> --offline --quiet --message-format=json` in `scratch`
+/// with its own target dir, then delete the crate. Returns (success,
+/// stdout, stderr).
+fn cargo_json(scratch: &Path, args: &[&str]) -> (bool, String, String) {
+    let out = Command::new(env!("CARGO"))
+        .current_dir(scratch)
+        .args(args)
+        .args(["--offline", "--quiet", "--message-format=json"])
+        .env("CARGO_TARGET_DIR", scratch.join("target"))
+        .env_remove("CLIPPY_CONF_DIR")
+        .output()
+        .expect("failed to spawn cargo");
+    fs::remove_dir_all(scratch).ok();
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn clippy_reports_every_migrated_violation_and_nothing_else() {
+    let scratch = scratch_crate(
+        "clippy-migration",
+        &format!("{}\n[lints]\nworkspace = true\n", workspace_lint_table()),
+    );
+    let src = scratch.join("src");
     fs::write(scratch.join("clippy.toml"), read("clippy.toml")).unwrap();
     let mut lib = crate_root_lints("lp").expect("snbc-lp carries the solver lint attribute");
     lib.push_str("\n\n");
@@ -234,26 +291,8 @@ fn clippy_reports_every_migrated_violation_and_nothing_else() {
     )
     .unwrap();
 
-    let out = Command::new(env!("CARGO"))
-        .current_dir(&scratch)
-        .args([
-            "clippy",
-            "--offline",
-            "--quiet",
-            "--all-targets",
-            "--message-format=json",
-        ])
-        .env("CARGO_TARGET_DIR", scratch.join("target"))
-        .env_remove("CLIPPY_CONF_DIR")
-        .output()
-        .expect("failed to spawn cargo clippy");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    fs::remove_dir_all(&scratch).ok();
-    assert!(
-        out.status.success(),
-        "cargo clippy failed:\n{stderr}\n{stdout}"
-    );
+    let (ok, stdout, stderr) = cargo_json(&scratch, &["clippy", "--all-targets"]);
+    assert!(ok, "cargo clippy failed:\n{stderr}\n{stdout}");
 
     let reported = diagnostics(&stdout);
     let got = counts(
@@ -266,4 +305,32 @@ fn clippy_reports_every_migrated_violation_and_nothing_else() {
         got, want,
         "clippy diagnostics (fixture, line, lint) → count"
     );
+}
+
+#[test]
+fn par_closures_that_write_shared_state_do_not_compile() {
+    let par = workspace_root().join("crates/par");
+    let scratch = scratch_crate(
+        "par-closures",
+        &format!("[dependencies]\nsnbc-par = {{ path = {:?} }}\n", par.display().to_string()),
+    );
+    fs::write(
+        scratch.join("src/lib.rs"),
+        read("tests/compile_fail/par_closures.rs"),
+    )
+    .unwrap();
+
+    let (ok, stdout, stderr) = cargo_json(&scratch, &["check"]);
+    assert!(!ok, "the fixture compiled:\n{stderr}");
+    let got = counts(
+        diagnostics(&stdout)
+            .iter()
+            .map(|(f, l, c)| (f.as_str(), *l, c.as_str())),
+    );
+    let want = counts(
+        [(11, "E0594"), (17, "E0277"), (21, "E0596"), (25, "E0502")]
+            .into_iter()
+            .map(|(line, code)| ("lib", line, code)),
+    );
+    assert_eq!(got, want, "rustc errors (file, line, code) → count\n{stderr}");
 }

@@ -3,7 +3,7 @@
 //! bitwise identical no matter how many worker threads execute the SDP
 //! assembly, the learner batches, and the counterexample restarts.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use snbc::{Snbc, SnbcConfig, SnbcResult};
 use snbc_dynamics::benchmarks;
@@ -13,6 +13,11 @@ use snbc_telemetry::{Report, Telemetry};
 /// Both tests mutate the process-wide `SNBC_THREADS` variable; serialize them
 /// so the harness's default test parallelism cannot interleave the settings.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+#[expect(clippy::disallowed_methods, reason = "serialises tests that set SNBC_THREADS; no result passes through it")]
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap()
+}
 
 fn synthesize_with_threads(controller: &Mlp, threads: usize) -> (SnbcResult, Report) {
     // The env var is the documented user-facing knob; set it (rather than the
@@ -32,7 +37,7 @@ fn synthesize_with_threads(controller: &Mlp, threads: usize) -> (SnbcResult, Rep
 
 #[test]
 fn synthesis_is_bitwise_identical_across_thread_counts() {
-    let _env = ENV_LOCK.lock().unwrap();
+    let _env = env_lock();
     let bench = benchmarks::benchmark(3);
     let controller = train_controller(
         bench.system.domain().bounding_box(),
@@ -95,7 +100,7 @@ fn trace_with_threads(controller: &Mlp, threads: usize) -> snbc_trace::ChromeTra
 
 #[test]
 fn trace_event_stream_is_deterministic_across_thread_counts() {
-    let _env = ENV_LOCK.lock().unwrap();
+    let _env = env_lock();
     let bench = benchmarks::benchmark(3);
     let controller = train_controller(
         bench.system.domain().bounding_box(),
@@ -165,7 +170,7 @@ fn interval_check_with_threads(threads: usize) -> Vec<snbc_interval::CheckReport
 
 #[test]
 fn interval_branch_and_bound_is_bitwise_identical_across_thread_counts() {
-    let _env = ENV_LOCK.lock().unwrap();
+    let _env = env_lock();
     let serial = interval_check_with_threads(1);
     let parallel = interval_check_with_threads(4);
 

@@ -16,7 +16,7 @@ use snbc_nn::Mlp;
 use snbc_portfolio::{run_batch, BatchOptions, BatchSpec};
 use snbc_telemetry::Telemetry;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const JOBS: &str = r#"{
     "schema": "snbc-batch-jobs/1",
@@ -32,18 +32,19 @@ const JOBS: &str = r#"{
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
 impl SharedBuf {
+    #[expect(clippy::disallowed_methods, reason = "the progress writer already serialises its writes; this lock only hands the bytes back to the test")]
+    fn bytes(&self) -> MutexGuard<'_, Vec<u8>> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn contents(&self) -> String {
-        let buf = self.0.lock().unwrap_or_else(|p| p.into_inner());
-        String::from_utf8(buf.clone()).expect("NDJSON stream is UTF-8")
+        String::from_utf8(self.bytes().clone()).expect("NDJSON stream is UTF-8")
     }
 }
 
 impl Write for SharedBuf {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .extend_from_slice(data);
+        self.bytes().extend_from_slice(data);
         Ok(data.len())
     }
 
