@@ -29,22 +29,17 @@ echo "==> perfbench self-tests (the benchmark builds against the program's API)"
 # snbc-autodiff, so cargo rewrites it on every build.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo test -q (workspace, default parallelism)"
+# The debug `cargo test` legs below also run the runtime checks gated on
+# `debug_assertions` (README, "Static analysis & runtime checks"); release
+# builds compile none.
+echo "==> cargo test -q (debug, runtime checks on: workspace, default parallelism)"
 cargo test -q --workspace
 
-echo "==> cargo test -q (workspace, SNBC_THREADS=1 — guaranteed-serial leg)"
+echo "==> cargo test -q (debug, runtime checks on: workspace, SNBC_THREADS=1 — guaranteed-serial leg)"
 SNBC_THREADS=1 cargo test -q --workspace
 
-echo "==> cargo test -q (runtime and SDP kernels, SNBC_THREADS=3 — more workers than cores, not a power of two)"
+echo "==> cargo test -q (debug, runtime checks on: runtime and SDP kernels, SNBC_THREADS=3 — more workers than cores, not a power of two)"
 SNBC_THREADS=3 cargo test -q -p snbc-par -p snbc-linalg -p snbc-sdp
-
-echo "==> cargo test -q --features sanitize (solver + SOS + par + trace + core crates)"
-cargo test -q -p snbc-linalg -p snbc-lp -p snbc-sdp --features snbc-linalg/sanitize
-cargo test -q -p snbc-sos --features sanitize
-cargo test -q -p snbc-par --features sanitize
-cargo test -q -p snbc-trace --features sanitize
-# Core: the learner's reduced-gradient finiteness check runs only here.
-cargo test -q -p snbc --features sanitize
 
 echo "==> snbc-bench check (run-report regression gate, strict then loose)"
 SNBC_THREADS=1 cargo run -q --release -p snbc-bench --bin snbc-bench -- check

@@ -25,9 +25,8 @@
 //! `snbc-audit [--root <dir>]` prints every finding and exits 1 on any; a
 //! reviewed allocation is a `// audit:allow(hot-alloc)` marker on the
 //! statement, and a marker that suppresses nothing is a finding. See
-//! `docs/AUDIT.md`. The runtime counterpart is the `sanitize` cargo feature
-//! of eight crates: `snbc-linalg`, `snbc-lp`, `snbc-sdp`, `snbc-sos`,
-//! `snbc-par`, `snbc-trace`, `snbc-telemetry` and `snbc`.
+//! `docs/AUDIT.md`. The runtime counterpart is the checks that debug builds
+//! (`debug_assertions`) run in the solvers, `snbc-par` and `snbc-trace`.
 
 pub mod arch;
 pub mod callgraph;

@@ -476,7 +476,6 @@ impl Learner {
                 }
                 loss += self.cfg.weight_decay * reg;
             }
-            #[cfg(feature = "sanitize")]
             snbc_linalg::sanitize::check_finite("learner reduced gradient", &g);
             last_loss = loss;
             last_grad_norm = g.iter().map(|v| v * v).sum::<f64>().sqrt();

@@ -236,7 +236,7 @@ impl Cholesky {
         crate::sanitize::check_finite("Cholesky::new", a.as_slice());
         crate::sanitize::check_positive(
             "Cholesky::new (pivots)",
-            &(0..n).map(|i| a[(i, i)]).collect::<Vec<_>>(),
+            a.as_slice().iter().step_by(n + 1),
         );
         Ok(Cholesky {
             f: a,

@@ -1,29 +1,31 @@
-//! Runtime numeric sanitizer — the dynamic counterpart of the static gates
+//! Runtime numeric checks — the dynamic counterpart of the static gates
 //! (`snbc-audit` and clippy, see docs/AUDIT.md).
 //!
-//! Enabled with the `sanitize` cargo feature (`snbc-lp` and `snbc-sdp`
-//! forward their own `sanitize` features here). When active, factorization
-//! outputs and interior-point iterates are checked after every producing
-//! operation; the **first** operation that yields a non-finite value (or
-//! breaks a step invariant such as "Cholesky pivots are positive" or "the
-//! duality measure is non-negative") aborts with a message naming that
-//! operation — the numerics analog of an address-sanitizer report. Without
-//! the feature every check compiles to nothing.
+//! The checks run in every build with `debug_assertions` on (the dev and
+//! test profiles, so every debug `cargo test`) and compile to nothing in
+//! release builds, like `debug_assert!`. Factorization outputs and
+//! interior-point iterates are checked after every producing operation; the
+//! **first** operation that yields a non-finite value (or breaks a step
+//! invariant such as "Cholesky pivots are positive" or "the duality measure
+//! is non-negative") aborts with a message naming that operation — the
+//! numerics analog of an address-sanitizer report. Values are taken as
+//! iterators, so a check over a derived sequence (the pivots on a factor's
+//! diagonal) builds nothing when the checks are off.
 //!
-//! The checks deliberately panic rather than return errors: a sanitizer
+//! The checks deliberately panic rather than return errors: a check
 //! firing means the *solver's own invariants* are broken (not the user's
 //! input), and the stack at the first bad write is exactly what one wants.
 
 #![expect(
     clippy::panic,
-    reason = "a firing sanitizer reports broken solver invariants at the first bad write"
+    reason = "a firing check reports broken solver invariants at the first bad write"
 )]
 
 /// Abort if any value in `values` is NaN or ±∞, naming the producing `op`.
 #[inline]
-pub fn check_finite(op: &'static str, values: &[f64]) {
-    if cfg!(feature = "sanitize") {
-        for (i, v) in values.iter().enumerate() {
+pub fn check_finite<'a>(op: &'static str, values: impl IntoIterator<Item = &'a f64>) {
+    if cfg!(debug_assertions) {
+        for (i, v) in values.into_iter().enumerate() {
             if !v.is_finite() {
                 panic!("sanitize: `{op}` produced non-finite value {v} at index {i}");
             }
@@ -34,9 +36,9 @@ pub fn check_finite(op: &'static str, values: &[f64]) {
 /// Abort if any value in `values` is not strictly positive (or non-finite).
 /// Used for Cholesky pivots and interior-point slack variables.
 #[inline]
-pub fn check_positive(op: &'static str, values: &[f64]) {
-    if cfg!(feature = "sanitize") {
-        for (i, v) in values.iter().enumerate() {
+pub fn check_positive<'a>(op: &'static str, values: impl IntoIterator<Item = &'a f64>) {
+    if cfg!(debug_assertions) {
+        for (i, v) in values.into_iter().enumerate() {
             if !(*v > 0.0) || !v.is_finite() {
                 panic!("sanitize: `{op}` invariant violated: value {v} at index {i} is not strictly positive");
             }
@@ -47,15 +49,9 @@ pub fn check_positive(op: &'static str, values: &[f64]) {
 /// Abort if a step invariant does not hold. `detail` is the violating value.
 #[inline]
 pub fn check_invariant(op: &'static str, holds: bool, detail: f64) {
-    if cfg!(feature = "sanitize") && !holds {
+    if cfg!(debug_assertions) && !holds {
         panic!("sanitize: `{op}` step invariant violated (value {detail})");
     }
-}
-
-/// True when the sanitizer is compiled in (for tests and diagnostics).
-#[inline]
-pub const fn enabled() -> bool {
-    cfg!(feature = "sanitize")
 }
 
 #[cfg(test)]
@@ -70,7 +66,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "sanitize"), ignore = "sanitize feature disabled")]
+    #[cfg(debug_assertions)]
     fn non_finite_aborts_when_enabled() {
         let caught = std::panic::catch_unwind(|| check_finite("op-name", &[1.0, f64::NAN]));
         let err = *caught.unwrap_err().downcast::<String>().unwrap();
@@ -79,7 +75,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "sanitize"), ignore = "sanitize feature disabled")]
+    #[cfg(debug_assertions)]
     fn nonpositive_pivot_aborts_when_enabled() {
         assert!(std::panic::catch_unwind(|| check_positive("chol", &[1.0, 0.0])).is_err());
         assert!(std::panic::catch_unwind(|| check_invariant("gap", false, -1.0)).is_err());

@@ -1,10 +1,9 @@
-//! Property test: on well-posed inputs the `sanitize` feature must be
-//! invisible — Cholesky and LU factorizations of random SPD matrices succeed
-//! without the sanitizer firing (no false positives).
+//! Property test: on well-posed inputs the runtime checks must be invisible
+//! — Cholesky and LU factorizations of random SPD matrices succeed without
+//! a check firing (no false positives).
 //!
-//! Run with `cargo test -p snbc-linalg --features sanitize` to exercise the
-//! checks for real; without the feature the same test pins the baseline
-//! behavior the sanitizer must not change.
+//! A debug `cargo test` runs the checks for real; a `--release` run, which
+//! compiles them out, pins the baseline behavior they must not change.
 
 use proptest::prelude::*;
 use snbc_linalg::Matrix;
@@ -28,9 +27,9 @@ proptest! {
         entries in proptest::collection::vec(-10.0f64..10.0, 16),
     ) {
         let a = random_spd(&entries, 4);
-        // Under `--features sanitize` any non-finite entry or non-positive
-        // pivot in the factor aborts the process; reaching the assertions
-        // below therefore proves the sanitizer stayed silent.
+        // In a debug build any non-finite entry or non-positive pivot in the
+        // factor panics; reaching the assertions below therefore proves the
+        // checks stayed silent.
         let c = a.cholesky().expect("SPD input must factor");
         let back = c.l().matmul(&c.l().transpose());
         prop_assert!((&back - &a).norm_max() < 1e-8 * (1.0 + a.norm_max()));

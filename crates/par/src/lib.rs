@@ -191,22 +191,23 @@ fn chunk_grid(n: usize, chunk: usize) -> (usize, usize) {
     (chunk, n.div_ceil(chunk))
 }
 
-#[cfg(feature = "sanitize")]
-fn check_cover(parts: &[Range<usize>], n: usize) {
+/// Debug-build check that `parts` tile `0..n` in order, each index once;
+/// release builds never pull `parts`.
+fn check_cover(parts: impl IntoIterator<Item = Range<usize>>, n: usize) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
     let mut next = 0usize;
     for r in parts {
         assert!(
             r.start == next && r.end >= r.start,
-            "snbc-par sanitize: partition {:?} does not start at {} (grid over 0..{})",
-            r,
-            next,
-            n
+            "snbc-par: partition {r:?} does not start at {next} (grid over 0..{n})"
         );
         next = r.end;
     }
     assert!(
         next == n,
-        "snbc-par sanitize: partitions cover 0..{next} but the index range is 0..{n}"
+        "snbc-par: partitions cover 0..{next} but the index range is 0..{n}"
     );
 }
 
@@ -298,8 +299,7 @@ where
     let (chunk, nchunks) = chunk_grid(n, chunk);
     let workers = threads().min(nchunks);
     let bounds = move |c: usize| c * chunk..((c + 1) * chunk).min(n);
-    #[cfg(feature = "sanitize")]
-    check_cover(&(0..nchunks).map(bounds).collect::<Vec<_>>(), n);
+    check_cover((0..nchunks).map(bounds), n);
     let mut slots: Vec<Option<R>> = (0..nchunks).map(|_| None).collect();
     if workers <= 1 {
         // Guaranteed-serial path: same grid, same fold order, no spawns.
@@ -357,7 +357,7 @@ where
 /// every chunk that worker processes — the hook for reusable buffers that
 /// keep inner loops allocation-free (e.g. the `U_k = Z⁻¹ (Σ Aₖ ∘ X)`
 /// temporaries of the Schur assembly). Scratch contents must not influence
-/// results (sanitize builds cannot check this; the determinism regression
+/// results (no runtime check can see this; the determinism regression
 /// test does, end to end).
 pub fn par_for_chunks_scratch<T, S, I, F>(data: &mut [T], chunk_len: usize, init: I, f: F)
 where
@@ -394,16 +394,14 @@ where
         rest = tail;
         c0 = c1;
     }
-    #[cfg(feature = "sanitize")]
-    {
-        let mut cover = Vec::new();
-        let mut at = 0usize;
-        for (_, p) in &parts {
-            cover.push(at..at + p.len());
+    let mut at = 0usize;
+    check_cover(
+        parts.iter().map(|(_, p)| {
             at += p.len();
-        }
-        check_cover(&cover, n);
-    }
+            at - p.len()..at
+        }),
+        n,
+    );
     debug_assert!(rest.is_empty());
     // Each task takes its own partition out of its slot, so every chunk is
     // reached through exactly one `&mut`.

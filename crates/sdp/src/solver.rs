@@ -465,11 +465,14 @@ impl SdpSolver {
             // Interior-point invariants: X and Z stay in the PSD cone interior
             // so ⟨X,Z⟩ ≥ 0, and every iterate stays finite (a NaN/∞ entry
             // makes the Frobenius norm non-finite).
+            // The norms are computed only when the checks are on.
             snbc_linalg::sanitize::check_invariant("sdp duality measure", xz >= 0.0, xz);
-            snbc_linalg::sanitize::check_finite(
-                "sdp iterates (‖X‖, ‖Z‖, ‖y‖)",
-                &[x.norm_fro(), z.norm_fro(), vec_ops::norm2(&y)],
-            );
+            if cfg!(debug_assertions) {
+                snbc_linalg::sanitize::check_finite(
+                    "sdp iterates (‖X‖, ‖Z‖, ‖y‖)",
+                    &[x.norm_fro(), z.norm_fro(), vec_ops::norm2(&y)],
+                );
+            }
             let pobj = problem.cost_dot(&x);
             let dobj = vec_ops::dot(&b, &y);
             let rp_rel = vec_ops::norm2(&rp) / bnorm;

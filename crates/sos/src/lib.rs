@@ -20,12 +20,13 @@
 //! quantified distance from the PSD boundary — this is exactly the convex
 //! LMI feasibility test that replaces the paper's earlier BMI formulation.
 //!
-//! # Features
+//! # Runtime checks and telemetry
 //!
-//! With the `sanitize` feature (forwarded to [`snbc_linalg`] and
-//! [`snbc_sdp`]), extracted Gram blocks are additionally checked to be
-//! finite, symmetric, and PSD up to the margin shift at solution-extraction
-//! time; the underlying solvers check their interior iterates. Telemetry for
+//! In builds with `debug_assertions` on (every debug `cargo test`),
+//! extracted Gram blocks are checked to be finite, symmetric, and PSD up to
+//! the margin shift at solution-extraction time, and the underlying solvers
+//! check their interior iterates ([`snbc_linalg::sanitize`]); release builds
+//! compile no check. Telemetry for
 //! the compiled SDPs comes from the [`snbc_sdp`] layer: each solve of an
 //! [`SosProgram`] emits one `"sdp"` span per attempt when the solver's sink
 //! records.

@@ -273,14 +273,13 @@ impl SosProgram {
                     for a in 0..g.nrows() {
                         g[(a, a)] += t;
                     }
-                    // sanitize: the extracted Gram block G = H + t·I must be
-                    // finite and symmetric (H is a primal SDP iterate), and
-                    // PSD up to the margin shift: λ_min(G) ≥ min(t, 0) − tol
-                    // since H ⪰ 0 up to solver tolerance. The λ_min
-                    // computation is itself gated so the release build does
-                    // no extra work.
-                    #[cfg(feature = "sanitize")]
-                    {
+                    // Debug-build check: the extracted Gram block G = H + t·I
+                    // must be finite and symmetric (H is a primal SDP
+                    // iterate), and PSD up to the margin shift:
+                    // λ_min(G) ≥ min(t, 0) − tol since H ⪰ 0 up to solver
+                    // tolerance. The λ_min computation is itself gated so
+                    // the release build does no extra work.
+                    if cfg!(debug_assertions) {
                         snbc_linalg::sanitize::check_finite(
                             "sos::gram extraction",
                             g.as_slice(),

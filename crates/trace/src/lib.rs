@@ -11,7 +11,7 @@
 //! - [`Trace`] is a cheap cloneable handle. **Off** (the default) it holds
 //!   no sink, so every emit is a single branch on a null pointer — no clock
 //!   read, no allocation. **Recording**, each thread appends to its own
-//!   ring-buffered lane behind an uncontended per-lane mutex (one
+//!   capped lane per worker label behind an uncontended per-lane mutex (one
 //!   uncontested atomic exchange on the fast path; the lane is only ever
 //!   locked from another thread during [`Trace::dump`]).
 //! - Timestamps are integer microseconds from one process-wide monotonic
@@ -58,7 +58,7 @@ pub use chrome::{ChromeTrace, Track, SCHEMA};
 use std::cell::RefCell;
 #[expect(clippy::disallowed_types, reason = "snbc-trace owns the trace sink: its atomics number spans and count dropped events")]
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -205,31 +205,37 @@ pub struct IpmSample {
 // Worker labels (thread-local)
 
 thread_local! {
-    /// Current worker label plus a generation counter bumped on every label
-    /// change (the lane cache keys on the generation, not the string).
-    static WORKER: RefCell<(String, u64)> = const { RefCell::new((String::new(), 0)) };
-    /// Cached lane for the current thread: avoids the sink registry lock on
-    /// every emit.
-    static LANE: RefCell<Option<LaneCache>> = const { RefCell::new(None) };
+    /// Current worker label; empty means `main`.
+    static WORKER: RefCell<String> = const { RefCell::new(String::new()) };
+    /// The lanes this thread has registered, one per (sink, label): the sink
+    /// registry lock is taken only to register a new one.
+    static LANES: RefCell<Vec<LaneRef>> = const { RefCell::new(Vec::new()) };
 }
 
-struct LaneCache {
-    sink: usize,
-    generation: u64,
-    lane: Arc<Lane>,
+/// A thread's reference to one of its lanes. Both pointers are weak: the
+/// sink alone owns its lanes, so a dropped trace frees its events although
+/// the pool's threads live on, and while `sink` is held the sink's
+/// allocation cannot be reused, so its address identifies it.
+struct LaneRef {
+    sink: Weak<Sink>,
+    label: String,
+    lane: Weak<Lane>,
+}
+
+/// `label`, with the empty label of a thread outside any worker scope
+/// spelled `main`.
+fn worker_label(label: &str) -> &str {
+    if label.is_empty() {
+        "main"
+    } else {
+        label
+    }
 }
 
 /// The current thread's worker label (`"main"` when no worker scope is
 /// active — i.e. on the caller thread of every `snbc-par` scope).
 pub fn current_worker() -> String {
-    WORKER.with(|w| {
-        let b = w.borrow();
-        if b.0.is_empty() {
-            "main".to_string()
-        } else {
-            b.0.clone()
-        }
-    })
+    WORKER.with(|w| worker_label(&w.borrow()).to_string())
 }
 
 /// Track label for worker `wid` spawned from a worker labelled `parent`:
@@ -243,7 +249,7 @@ pub fn child_worker_label(parent: &str, wid: usize) -> String {
 }
 
 /// RAII guard installed by `snbc-par` on spawned worker threads; restores
-/// the previous label (and invalidates the lane cache) on drop.
+/// the previous label on drop.
 #[derive(Debug)]
 #[must_use = "the worker label is removed when the guard is dropped"]
 pub struct WorkerGuard {
@@ -254,30 +260,23 @@ pub struct WorkerGuard {
 /// Subsequent events emitted from this thread land on the track named
 /// `label` in the Chrome export.
 pub fn enter_worker(label: String) -> WorkerGuard {
-    WORKER.with(|w| {
-        let mut b = w.borrow_mut();
-        let prev = std::mem::replace(&mut b.0, label);
-        b.1 += 1;
-        WorkerGuard { prev }
+    WORKER.with(|w| WorkerGuard {
+        prev: std::mem::replace(&mut *w.borrow_mut(), label),
     })
 }
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        WORKER.with(|w| {
-            let mut b = w.borrow_mut();
-            b.0 = std::mem::take(&mut self.prev);
-            b.1 += 1;
-        });
+        WORKER.with(|w| *w.borrow_mut() = std::mem::take(&mut self.prev));
     }
 }
 
 // ---------------------------------------------------------------------------
 // Sink
 
-/// Default per-lane event capacity (events beyond it are counted as dropped,
-/// not silently lost: the count lands in the export's `otherData.dropped`).
-pub const DEFAULT_LANE_CAPACITY: usize = 1 << 20;
+/// Per-lane event capacity (events beyond it are counted as dropped, not
+/// silently lost: the count lands in the export's `otherData.dropped`).
+const LANE_CAPACITY: usize = 1 << 20;
 
 #[derive(Debug)]
 struct Lane {
@@ -325,27 +324,33 @@ impl Sink {
     }
 }
 
+/// The current thread's lane of `sink` under its current label, registered
+/// on first use. A thread that leaves a label and comes back (an opener that
+/// ran a pool task while it waited) keeps appending to its old lane, so a
+/// span that encloses the round trip begins and ends on one lane.
 fn lane_for_current_thread(sink: &Arc<Sink>) -> Arc<Lane> {
-    let sink_ptr = Arc::as_ptr(sink) as usize;
-    let generation = WORKER.with(|w| w.borrow().1);
-    let cached = LANE.with(|c| {
-        c.borrow().as_ref().and_then(|cache| {
-            (cache.sink == sink_ptr && cache.generation == generation)
-                .then(|| Arc::clone(&cache.lane))
+    WORKER.with(|w| {
+        let label = w.borrow();
+        let label = worker_label(&label);
+        LANES.with(|lanes| {
+            let mut lanes = lanes.borrow_mut();
+            let known = lanes
+                .iter()
+                .find(|r| r.sink.as_ptr() == Arc::as_ptr(sink) && r.label == label)
+                .and_then(|r| r.lane.upgrade());
+            if let Some(lane) = known {
+                return lane;
+            }
+            lanes.retain(|r| r.sink.strong_count() > 0);
+            let lane = sink.register_lane(label.to_string());
+            lanes.push(LaneRef {
+                sink: Arc::downgrade(sink),
+                label: label.to_string(),
+                lane: Arc::downgrade(&lane),
+            });
+            lane
         })
-    });
-    if let Some(lane) = cached {
-        return lane;
-    }
-    let lane = sink.register_lane(current_worker());
-    LANE.with(|c| {
-        *c.borrow_mut() = Some(LaneCache {
-            sink: sink_ptr,
-            generation,
-            lane: Arc::clone(&lane),
-        });
-    });
-    lane
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -371,16 +376,15 @@ impl Trace {
         Trace { sink: None }
     }
 
-    /// A fresh recording sink with the default per-lane capacity.
+    /// A fresh recording sink holding at most 2²⁰ events per lane; events
+    /// past the cap increment the dropped-event counter instead of growing
+    /// memory without bound.
     pub fn recording() -> Trace {
-        Trace::recording_with_capacity(DEFAULT_LANE_CAPACITY)
+        Trace::recording_with_capacity(LANE_CAPACITY)
     }
 
-    /// A fresh recording sink holding at most `capacity` events per lane;
-    /// events past the cap increment the dropped-event counter instead of
-    /// growing memory without bound.
     #[expect(clippy::disallowed_types, reason = "snbc-trace owns the trace sink: its atomics number spans and count dropped events")]
-    pub fn recording_with_capacity(capacity: usize) -> Trace {
+    fn recording_with_capacity(capacity: usize) -> Trace {
         now_us(); // pin the shared epoch before the first event
         Trace {
             sink: Some(Arc::new(Sink {
@@ -474,8 +478,8 @@ impl Trace {
     /// label, and tids are assigned 1..=n in that order. `None` when
     /// disabled.
     ///
-    /// With the `sanitize` feature, asserts per-lane invariants first:
-    /// monotone non-decreasing timestamps and no span-end without a
+    /// In builds with `debug_assertions` on, asserts per-lane invariants
+    /// first: monotone non-decreasing timestamps and no span-end without a
     /// matching span-begin on the same lane.
     #[expect(clippy::disallowed_methods, reason = "snbc-trace owns the trace sink: one lock per lane, merged by label and registration order at dump")]
     pub fn dump(&self) -> Option<ChromeTrace> {
@@ -498,9 +502,10 @@ impl Trace {
                 (lane.label.clone(), lane.seq, events)
             })
             .collect();
-        #[cfg(feature = "sanitize")]
-        for (label, _, events) in &snaps {
-            sanitize_lane(label, events);
+        if cfg!(debug_assertions) {
+            for (label, _, events) in &snaps {
+                sanitize_lane(label, events);
+            }
         }
         snaps.sort_by(|a, b| (a.0.as_str(), a.1).cmp(&(b.0.as_str(), b.1)));
         let mut tracks: Vec<Track> = Vec::new();
@@ -550,10 +555,9 @@ impl Trace {
     }
 }
 
-/// Sanitize checks for one lane: timestamps never run backwards and every
-/// span end matches an earlier begin (spans still open at snapshot time are
-/// fine — the dump may be taken mid-run).
-#[cfg(feature = "sanitize")]
+/// Debug-build checks for one lane: timestamps never run backwards and
+/// every span end matches an earlier begin (spans still open at snapshot
+/// time are fine — the dump may be taken mid-run).
 fn sanitize_lane(label: &str, events: &[Event]) {
     let mut prev_ts = 0u64;
     let mut open: Vec<u64> = Vec::new();
@@ -669,6 +673,63 @@ mod tests {
         assert_eq!(current_worker(), "main");
     }
 
+    /// Every lane the sink registered, with its events (tracks merge
+    /// same-label lanes, so a dump cannot show them).
+    #[expect(clippy::disallowed_methods, reason = "reads the lanes of a sink no other thread records into")]
+    fn lanes(t: &Trace) -> Vec<(String, Vec<Event>)> {
+        let sink = t.sink.as_ref().unwrap();
+        let lanes = sink.lanes.lock().unwrap();
+        lanes
+            .iter()
+            .map(|l| (l.label.clone(), l.events.lock().unwrap().clone()))
+            .collect()
+    }
+
+    #[test]
+    fn back_to_back_traces_each_keep_their_events() {
+        // Each sink is dropped before the next is made, so the allocator is
+        // free to place the next one at the same address.
+        for i in 0..20 {
+            let t = Trace::recording();
+            let span = t.begin_span("round", Some(i));
+            t.end_span("round", span);
+            assert_eq!(t.dump().unwrap().event_count(), 2, "trace {i}");
+        }
+    }
+
+    #[test]
+    fn a_span_around_a_label_round_trip_stays_on_one_lane() {
+        // An opener that runs a pool task while it waits changes its label
+        // and changes it back inside the span it opened.
+        let t = Trace::recording();
+        let span = t.begin_span("sdp", None);
+        {
+            let _task = enter_worker("w1".to_string());
+            t.epoch(0, 1.0, 1.0);
+        }
+        t.end_span("sdp", span);
+        let lanes = lanes(&t);
+        let labels: Vec<&str> = lanes.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["main", "w1"]);
+        for (label, events) in &lanes {
+            sanitize_lane(label, events);
+        }
+        assert_eq!(lanes[0].1.len(), 2);
+    }
+
+    #[test]
+    fn label_round_trips_reuse_their_lanes() {
+        let t = Trace::recording();
+        for i in 0..100 {
+            t.epoch(i, 0.0, 0.0);
+            let _task = enter_worker("w1".to_string());
+            t.epoch(i, 0.0, 0.0);
+        }
+        let lanes = lanes(&t);
+        assert!(lanes.len() <= 2, "{} lanes for 2 labels", lanes.len());
+        assert_eq!(t.dump().unwrap().event_count(), 200);
+    }
+
     #[test]
     fn capacity_overflow_counts_drops() {
         let t = Trace::recording_with_capacity(2);
@@ -697,7 +758,7 @@ mod tests {
         assert!(b >= a);
     }
 
-    #[cfg(feature = "sanitize")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "without a begin")]
     fn sanitize_rejects_unmatched_end() {
@@ -706,7 +767,6 @@ mod tests {
         let _ = t.dump();
     }
 
-    #[cfg(feature = "sanitize")]
     #[test]
     fn sanitize_accepts_balanced_and_open_spans() {
         let t = Trace::recording();
